@@ -82,6 +82,17 @@ def parse_graph_spec(spec: str, seed: int):
     raise UsageError(f"graph spec {spec!r} is neither a constructor nor a file")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _default_seed() -> int:
     raw = os.environ.get("TREESPARK_SEED", "0")
     try:
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="sample spanning trees")
     p_sample.add_argument("--graph", required=True)
-    p_sample.add_argument("--count", type=int, default=1)
+    p_sample.add_argument("--count", type=_positive_int, default=1)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=_cmd_sample)
@@ -266,10 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--eps", type=float, required=True)
     p_cert.add_argument("--t", type=int, default=None)
     p_cert.add_argument("--cmult", type=float, default=None)
-    p_cert.add_argument("--trials", type=int, default=10)
+    p_cert.add_argument("--trials", type=_positive_int, default=10)
     p_cert.add_argument("--gate", type=float, default=0.9)
     p_cert.add_argument("--seed", type=int, default=None)
-    p_cert.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_cert.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p_cert.add_argument("--json", action="store_true", help="machine output only")
     p_cert.add_argument("--out", default=None)
     p_cert.add_argument("--csv", default=None)

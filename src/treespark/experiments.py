@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .graph import WeightedGraph, clique_star, complete_graph, laplacian
 from .leverage import leverage_scores
-from .spectral import eig_sym, normalized_pencil
+from .spectral import SpectralDecomposition, eig_sym, normalized_pencil
 from .treesample import (
     _wilson_edge_ids,
-    average_trees,
+    check_tree_ids,
     reweight_tree,
     sample_tree_stream,
     tree_laplacian,
@@ -146,12 +146,58 @@ class SparsifierReport:
     library_version: str
 
 
-def _sum_trees_trial(args) -> tuple[float, float]:
-    g, t, seed = args
+@dataclass(frozen=True)
+class _CertifyRun:
+    """State every certify trial of one run shares, built once per run.
+
+    ``edge_weights`` is the inverse-leverage weight ``w_e / lev_e`` of
+    each edge; ``lap`` and ``dec`` are L_G and its eigendecomposition.
+    """
+
+    g: WeightedGraph
+    t: int
+    edge_weights: np.ndarray
+    lap: np.ndarray
+    dec: SpectralDecomposition
+
+
+def _certify_run(g: WeightedGraph, t: int) -> _CertifyRun:
+    lap = laplacian(g)
+    _, _, ws = g.edge_arrays
+    return _CertifyRun(g, t, ws / leverage_scores(g).values, lap, eig_sym(lap))
+
+
+def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
+    """Pencil extremes of the average of ``run.t`` reweighted trees.
+
+    Equals ``normalized_pencil(laplacian(g), average_trees([reweight_tree(
+    sample_tree_stream(g, gen), prof) for _ in range(t)]))`` on the same
+    stream, but keeps the trees as edge ids: one count per edge, one
+    Laplacian assembly.
+    """
+    g = run.g
     gen = np.random.Generator(np.random.Philox(seed))
-    prof = leverage_scores(g)
-    trees = [reweight_tree(sample_tree_stream(g, gen), prof) for _ in range(t)]
-    return normalized_pencil(laplacian(g), average_trees(trees))
+    ids: list[int] = []
+    for _ in range(run.t):
+        tree = _wilson_edge_ids(g, gen)
+        check_tree_ids(g, tree)
+        ids.extend(tree)
+    weights = np.bincount(ids, minlength=g.m) * run.edge_weights / run.t
+    return normalized_pencil(run.lap, laplacian(g, weights), run.dec)
+
+
+# Set only inside pool workers, by the executor's initializer, so each
+# worker receives the run once instead of once per trial.
+_WORKER_RUN: _CertifyRun | None = None
+
+
+def _install_run(run: _CertifyRun) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def _worker_trial(seed: int) -> tuple[float, float]:
+    return _sum_trees_trial(_WORKER_RUN, seed)
 
 
 def run_sum_trees(
@@ -171,7 +217,8 @@ def run_sum_trees(
     ``t`` defaults to ``ceil(c_mult * eps^-2 * (ln n)^2)``.  A trial
     passes when both extremes fall inside the window; the report gate is
     the fraction of passing trials required, 0.9 by default.  With
-    ``jobs > 1`` trials run in separate processes; per-trial seeds are
+    ``jobs > 1`` trials run in separate processes, each of which receives
+    the leverage weights and the factored L_G once; per-trial seeds are
     ``base_seed + trial_index`` either way, so results do not depend on
     the schedule.
     """
@@ -187,12 +234,14 @@ def run_sum_trees(
     elif t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     seeds = _seeds(base_seed, trials)
-    tasks = [(g, t, seed) for seed in seeds]
+    run = _certify_run(g, t)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            extremes = list(pool.map(_sum_trees_trial, tasks))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_install_run, initargs=(run,)
+        ) as pool:
+            extremes = list(pool.map(_worker_trial, seeds))
     else:
-        extremes = [_sum_trees_trial(task) for task in tasks]
+        extremes = [_sum_trees_trial(run, seed) for seed in seeds]
     ok = [lo >= 1.0 - eps and hi <= 1.0 + eps for lo, hi in extremes]
     pass_fraction = sum(ok) / trials
     return SparsifierReport(

@@ -165,9 +165,20 @@ def incidence_row(g: WeightedGraph, edge_id: int) -> np.ndarray:
     return row
 
 
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Dense weighted Laplacian ``sum_e w_e (e_u - e_v)(e_u - e_v)^T``."""
+def laplacian(g: WeightedGraph, weights=None) -> np.ndarray:
+    """Dense weighted Laplacian ``sum_e w_e (e_u - e_v)(e_u - e_v)^T``.
+
+    ``weights`` replaces the graph's own edge weights with a length-``m``
+    vector aligned with edge ids; zero entries drop their edge, so a
+    subgraph such as a spanning tree is assembled over the parent's ids.
+    """
     us, vs, ws = g.edge_arrays
+    if weights is not None:
+        ws = np.asarray(weights, dtype=np.float64)
+        if ws.shape != (g.m,):
+            raise ValueError(f"expected {g.m} edge weights, got shape {ws.shape}")
+        keep = np.flatnonzero(ws)
+        us, vs, ws = us[keep], vs[keep], ws[keep]
     lap = np.zeros((g.n, g.n))
     np.add.at(lap, (us, vs), -ws)
     np.add.at(lap, (vs, us), -ws)

@@ -35,6 +35,33 @@ _BUF_START = 64
 _BUF_MAX = 8192
 
 
+def check_tree_ids(g: WeightedGraph, ids) -> None:
+    """Raise ValueError unless ``ids`` are the edge ids of a spanning tree.
+
+    ``n - 1`` in-range ids without a cycle span all ``n`` vertices, so a
+    single union-find pass (path halving) settles it; a repeated id shows
+    up as a cycle.
+    """
+    n = g.n
+    if len(ids) != n - 1:
+        raise ValueError(f"expected {n - 1} edges, got {len(ids)}")
+    if not (0 <= min(ids) and max(ids) < g.m):
+        raise ValueError("edge id out of range")
+    edges = g.edges
+    parent = list(range(n))
+    for eid in ids:
+        a, b, _ = edges[eid]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            raise ValueError(f"edge {eid} closes a cycle")
+        parent[a] = b
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """Spanning tree of a parent graph, with per-edge weights.
@@ -50,21 +77,8 @@ class SpanningTree:
     weight_mode: str
 
     def __post_init__(self):
-        g = self.graph
         ids = tuple(sorted(int(e) for e in self.edge_ids))
-        if len(ids) != g.n - 1:
-            raise ValueError(f"expected {g.n - 1} edges, got {len(ids)}")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate edge ids in tree")
-        if ids and not (0 <= ids[0] and ids[-1] < g.m):
-            raise ValueError("edge id out of range")
-        uf = UnionFind(g.n)
-        for eid in ids:
-            u, v, _ = g.edges[eid]
-            if not uf.union(u, v):
-                raise ValueError(f"edge {eid} closes a cycle")
-        if uf.count != 1:
-            raise ValueError("edges do not span all vertices")
+        check_tree_ids(self.graph, ids)
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if len(self.weights) != len(ids):
@@ -256,14 +270,7 @@ def reweight_tree(tree: SpanningTree, profile: LeverageProfile) -> SpanningTree:
 def tree_laplacian(tree: SpanningTree) -> np.ndarray:
     """Dense Laplacian of the tree with its stored weights."""
     g = tree.graph
-    lap = np.zeros((g.n, g.n))
-    for eid, w in zip(tree.edge_ids, tree.weights):
-        u, v, _ = g.edges[eid]
-        lap[u, u] += w
-        lap[v, v] += w
-        lap[u, v] -= w
-        lap[v, u] -= w
-    return lap
+    return laplacian(g, np.bincount(tree.edge_ids, weights=tree.weights, minlength=g.m))
 
 
 def average_trees(trees: list[SpanningTree], probabilities=None) -> np.ndarray:
@@ -286,20 +293,17 @@ def average_trees(trees: list[SpanningTree], probabilities=None) -> np.ndarray:
             raise ValueError("probabilities must be nonnegative")
         if abs(math.fsum(coeffs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
-    lap = np.zeros((first.graph.n, first.graph.n))
+    ids: list[int] = []
+    scaled: list[float] = []
     for tree, c in zip(trees, coeffs):
         if not (tree.graph is first.graph or tree.graph == first.graph):
             raise ValueError("trees come from different parent graphs")
         if tree.weight_mode != first.weight_mode:
             raise ValueError("trees mix weight modes")
-        for eid, w in zip(tree.edge_ids, tree.weights):
-            u, v, _ = tree.graph.edges[eid]
-            cw = c * w
-            lap[u, u] += cw
-            lap[v, v] += cw
-            lap[u, v] -= cw
-            lap[v, u] -= cw
-    return lap
+        ids.extend(tree.edge_ids)
+        scaled.extend(c * w for w in tree.weights)
+    g = first.graph
+    return laplacian(g, np.bincount(ids, weights=scaled, minlength=g.m))
 
 
 def format_tree_line(tree: SpanningTree) -> str:

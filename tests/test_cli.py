@@ -174,6 +174,25 @@ def test_bad_specs_exit_usage(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--jobs", "0"], "--jobs"),
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--jobs", "-3"], "--jobs"),
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--trials", "0"], "--trials"),
+        (["sample", "--graph", "k:6", "--count", "-2"], "--count"),
+        (["sample", "--graph", "k:6", "--count", "0"], "--count"),
+    ],
+)
+def test_count_flags_below_one_exit_usage(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 1" in captured.err
+
+
 def test_malformed_file_exit_usage(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("not a graph\n")

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from corpus import path_graph
+from corpus import SMALL, path_graph, random_connected_graph
 from treespark.experiments import (
+    _certify_run,
+    _sum_trees_trial,
     clique_leverage_value,
     degree_reference_pmf,
     report_to_dict,
@@ -21,10 +23,16 @@ from treespark.experiments import (
     run_unweighted_thin_tree,
     write_extremes_csv,
 )
-from treespark.graph import clique_star, complete_graph, ring_graph
+from treespark.graph import clique_star, complete_graph, laplacian, ring_graph
 from treespark.leverage import leverage_scores
+from treespark.spectral import normalized_pencil
 from treespark.srdiag import binomial_tail
-from treespark.treesample import enumerate_trees
+from treespark.treesample import (
+    average_trees,
+    enumerate_trees,
+    reweight_tree,
+    sample_tree_stream,
+)
 
 
 def _without_wallclock(report) -> dict:
@@ -108,12 +116,35 @@ def test_sum_trees_rejects_bad_parameters():
 
 
 def test_sum_trees_parallel_matches_serial():
-    g = complete_graph(8)
-    kwargs = dict(eps=0.5, trials=4, base_seed=7, t=5)
-    serial = run_sum_trees(g, jobs=1, **kwargs)
-    parallel = run_sum_trees(g, jobs=2, **kwargs)
-    assert serial.extremes == parallel.extremes
-    assert serial.pass_fraction == parallel.pass_fraction
+    # The weighted multigraph sends the walk through its bisect path.
+    for g in (complete_graph(8), random_connected_graph(24, 30, seed=2)):
+        kwargs = dict(eps=0.5, trials=4, base_seed=7, t=5)
+        serial = run_sum_trees(g, jobs=1, **kwargs)
+        parallel = run_sum_trees(g, jobs=2, **kwargs)
+        assert serial.extremes == parallel.extremes
+        assert serial.pass_fraction == parallel.pass_fraction
+
+
+ORACLE_GRAPHS = [(name, g) for name, g in SMALL if g.n >= 3] + [
+    ("random_24", random_connected_graph(24, 30, seed=2)),
+    ("random_40", random_connected_graph(40, 80, seed=9)),
+]
+
+
+@pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
+def test_sum_trees_trial_matches_tree_object_route(name, g):
+    # Oracle: validated SpanningTree objects, reweighted one by one and
+    # averaged, on the same Philox stream as the edge-id trial.
+    t = 7
+    run = _certify_run(g, t)
+    prof = leverage_scores(g)
+    for seed in range(3):
+        gen = np.random.Generator(np.random.Philox(seed))
+        trees = [reweight_tree(sample_tree_stream(g, gen), prof) for _ in range(t)]
+        want = normalized_pencil(laplacian(g), average_trees(trees))
+        got = _sum_trees_trial(run, seed)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 def test_sum_trees_deviation_shrinks_with_t():

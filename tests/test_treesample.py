@@ -13,6 +13,7 @@ from treespark.spectral import eig_sym, pinv_sqrt
 from treespark.treesample import (
     SpanningTree,
     average_trees,
+    check_tree_ids,
     edge_frequencies,
     enumerate_trees,
     format_tree_line,
@@ -240,6 +241,24 @@ def test_spanning_tree_validation():
         SpanningTree(g, (0, 1, 2), (1.0, -1.0, 1.0), "original")  # bad weight
     with pytest.raises(ValueError):
         SpanningTree(g, (0, 1, 2), (1.0, 1.0, 1.0), "resampled")  # bad mode
+
+
+def test_check_tree_ids_rejects_cycle_count_and_range():
+    g = complete_graph(4)  # edges 0-1, 0-2, 0-3, 1-2, 1-3, 2-3
+    check_tree_ids(g, [0, 1, 2])
+    check_tree_ids(g, [5, 3, 0])  # order does not matter
+    with pytest.raises(ValueError, match="cycle"):
+        check_tree_ids(g, [0, 1, 3])  # 0-1, 0-2, 1-2
+    with pytest.raises(ValueError, match="cycle"):
+        check_tree_ids(g, [0, 0, 2])  # repeated id
+    with pytest.raises(ValueError, match="expected 3 edges"):
+        check_tree_ids(g, [0, 1])
+    with pytest.raises(ValueError, match="expected 3 edges"):
+        check_tree_ids(g, [0, 1, 2, 5])
+    with pytest.raises(ValueError, match="out of range"):
+        check_tree_ids(g, [0, 1, 6])
+    with pytest.raises(ValueError, match="out of range"):
+        check_tree_ids(g, [-1, 0, 1])
 
 
 def test_spanning_tree_sorts_ids_and_weights_together():

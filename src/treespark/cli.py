@@ -82,15 +82,22 @@ def parse_graph_spec(spec: str, seed: int):
     raise UsageError(f"graph spec {spec!r} is neither a constructor nor a file")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for integers that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _default_seed() -> int:
@@ -172,13 +179,27 @@ def _diag_marginals(args) -> tuple[bool, dict]:
     }
 
 
+def _envelope_margin(trace, seed: int) -> dict:
+    """Smallest slack of one trace to its increment range and cumulative envelope."""
+    top = int(np.argmax(trace.step_norms))
+    step_margin = trace.max_edge_norm - trace.step_norms[top]
+    cumulative_margin = trace.cumulative_bound() - trace.variation_norms[-1]
+    if step_margin <= cumulative_margin:
+        return {"margin": step_margin, "seed": seed, "step": top + 1, "bound": "increment_range"}
+    return {"margin": cumulative_margin, "seed": seed, "step": trace.k, "bound": "cumulative"}
+
+
 def _diag_martingale(args) -> tuple[bool, dict]:
     g = parse_graph_spec(args.graph, args.seed)
     results = []
     dumps = []
+    worst = None
     for i in range(args.seeds):
         trace = martingale_trace(g, args.seed + i)
         results.append(check_trace_bounds(trace))
+        margin = _envelope_margin(trace, args.seed + i)
+        if worst is None or margin["margin"] < worst["margin"]:
+            worst = margin
         if args.dump:
             dumps.append(trace_dump(trace))
     if args.dump:
@@ -190,6 +211,7 @@ def _diag_martingale(args) -> tuple[bool, dict]:
         "graph": args.graph,
         "seeds": args.seeds,
         "failures": results.count(False),
+        "worst": worst,
         "passed": passed,
     }
 
@@ -289,12 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diag", help="diagnostic suites")
     p_diag.add_argument("suite", choices=sorted(_DIAG_SUITES))
     p_diag.add_argument("--graph", default="k:5")
-    p_diag.add_argument("--seeds", type=int, default=20)
-    p_diag.add_argument("--grid", default="default", choices=["default"])
-    p_diag.add_argument("--json", action="store_true", help="machine output only")
-    p_diag.add_argument("--kmax", type=int, default=60)
-    p_diag.add_argument("--pairs", type=int, default=200)
-    p_diag.add_argument("--dim", type=int, default=8)
+    p_diag.add_argument("--seeds", type=_positive_int, default=20)
+    p_diag.add_argument("--kmax", type=_int_at_least(2), default=60)
+    p_diag.add_argument("--pairs", type=_positive_int, default=200)
+    p_diag.add_argument("--dim", type=_positive_int, default=8)
     p_diag.add_argument("--seed", type=int, default=None)
     p_diag.add_argument("--dump", default=None)
     p_diag.add_argument("--out", default=None)

@@ -1,21 +1,30 @@
-"""Effective resistances, leverage scores and edge contraction.
+"""Effective resistances, leverage scores and conditioning by contraction.
 
 Leverage scores of a weighted graph are the spanning tree marginals:
 ``lev_e = w_e * reff(u_e, v_e)`` is the probability that edge ``e``
 appears in a random spanning tree drawn with probability proportional to
 the product of edge weights.  Conditioning such a tree on containing a
-forest is the same as contracting the forest's edges, so conditional
-marginals reduce to leverage scores of a quotient multigraph.
+forest is the same as contracting the forest's edges.
+
+Conditioning runs on the transfer-current matrix ``Y = W^1/2 B L^+ B^T
+W^1/2`` (Burton & Pemantle), whose diagonal holds the leverage scores.
+Contracting edge ``e`` is the ``w_e -> inf`` limit of Sherman-Morrison,
+a rank-one Schur-complement step ``Y <- Y - Y[:, e] Y[e, :] / Y[e, e]``,
+so conditional marginals come from one pseudoinverse of the parent
+graph with no quotient graph built.  :meth:`ContractionState.quotient`
+builds that quotient multigraph explicitly; tests read its leverage
+scores as the independent oracle for the updates.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SizeGuardError, UnionFind, WeightedGraph, laplacian
+from .graph import SizeGuardError, WeightedGraph, laplacian
 from .spectral import eig_sym
 
 DENSE_SOLVE_CAP = 2000
@@ -157,23 +166,101 @@ class ContractionState:
         return WeightedGraph(len(classes), tuple(edges)), vmap, eid_map, loops
 
 
+class TransferCurrent:
+    """Transfer-current matrix of a graph conditioned on a contracted forest.
+
+    ``y`` starts as ``W^1/2 B L^+ B^T W^1/2`` (m x m, symmetric, diagonal
+    = leverage scores) and each :meth:`contract` applies the rank-one
+    update that conditions on one more tree edge.  ``reps`` tracks the
+    merged vertex blocks, so whether an edge is contracted or a loop
+    (endpoints in one block) is decided exactly rather than read off a
+    float that rounding leaves near zero.
+    """
+
+    def __init__(self, g: WeightedGraph):
+        pinv = _laplacian_pinv(g)
+        us, vs, ws = g.edge_arrays
+        cols = pinv[:, us] - pinv[:, vs]
+        root = np.sqrt(ws)
+        y = (cols[us] - cols[vs]) * np.outer(root, root)
+        self.graph = g
+        self.y = (y + y.T) / 2.0
+        self.reps = np.arange(g.n)
+        self.contracted = np.zeros(g.m, dtype=bool)
+
+    def copy(self) -> "TransferCurrent":
+        """Independent state that can be contracted further on its own."""
+        dup = copy.copy(self)
+        dup.y, dup.reps, dup.contracted = self.y.copy(), self.reps.copy(), self.contracted.copy()
+        return dup
+
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        us, vs, _ = self.graph.edge_arrays
+        return self.reps[us], self.reps[vs]
+
+    def candidates(self) -> np.ndarray:
+        """Ids of the edges that join two different blocks."""
+        ru, rv = self._ends()
+        return np.flatnonzero(ru != rv)
+
+    def marginals(self) -> np.ndarray:
+        """Conditional marginals: 1 on contracted edges, 0 on loops."""
+        ru, rv = self._ends()
+        out = np.diag(self.y).copy()
+        out[ru == rv] = 0.0
+        out[self.contracted] = 1.0
+        return out
+
+    def marginals_after(self, cands: np.ndarray) -> np.ndarray:
+        """Row ``i`` holds the marginals after also contracting ``cands[i]``.
+
+        Every entry of ``cands`` must be one of :meth:`candidates`.
+        """
+        ru, rv = self._ends()
+        rows = self.y[cands]
+        pick = np.arange(len(cands))
+        out = np.diag(self.y) - rows * rows / rows[pick, cands][:, None]
+        a, b = ru[cands][:, None], rv[cands][:, None]
+        merged = (ru == rv) | ((ru == a) & (rv == b)) | ((ru == b) & (rv == a))
+        out[merged] = 0.0
+        out[:, self.contracted] = 1.0
+        out[pick, cands] = 1.0
+        return out
+
+    def contract(self, edge_id: int) -> None:
+        """Condition on ``edge_id`` being a tree edge.
+
+        Raises :class:`InvalidConditioningError` when the edge is already
+        contracted or its endpoints are already merged (a cycle).
+        """
+        if not (0 <= edge_id < self.graph.m):
+            raise ValueError(f"edge id {edge_id} out of range")
+        ru, rv = self._ends()
+        if self.contracted[edge_id]:
+            raise InvalidConditioningError(f"edge {edge_id} already contracted")
+        if ru[edge_id] == rv[edge_id]:
+            raise InvalidConditioningError(
+                f"edge {edge_id} closes a cycle in the contracted set"
+            )
+        col = self.y[:, edge_id]
+        self.y = self.y - np.outer(col, col) / col[edge_id]
+        keep, drop = min(ru[edge_id], rv[edge_id]), max(ru[edge_id], rv[edge_id])
+        self.reps[self.reps == drop] = keep
+        self.contracted[edge_id] = True
+
+
 def conditional_marginals(g: WeightedGraph, state: ContractionState) -> np.ndarray:
     """Spanning tree marginals conditioned on the contracted forest.
 
     Returns an array over all edge ids of ``g``: contracted edges report
     1, edges whose endpoints were merged (self loops in the quotient)
     report 0, and every other edge reports its leverage score in the
-    quotient multigraph.
+    quotient multigraph, computed by one transfer-current update per
+    contracted edge.
     """
     if state.graph != g:
         raise ValueError("contraction state belongs to a different graph")
-    out = np.zeros(g.m)
+    tc = TransferCurrent(g)
     for eid in state.contracted:
-        out[eid] = 1.0
-    quot, _, eid_map, _ = state.quotient()
-    if quot is None:
-        return out
-    prof = leverage_scores(quot)
-    for eid, qid in eid_map.items():
-        out[eid] = prof.values[qid]
-    return out
+        tc.contract(eid)
+    return tc.marginals()

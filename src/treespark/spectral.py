@@ -3,6 +3,7 @@ relative condition numbers of Laplacian pencils and PSD order tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,10 @@ class SpectralDecomposition:
 
 
 def _check_symmetric(a: np.ndarray, rel: float = 1e-12) -> None:
-    scale = max(float(np.abs(a).max()), 1e-300) if a.size else 1.0
+    scale = float(np.abs(a).max()) if a.size else 1.0
+    if not math.isfinite(scale):
+        raise ValueError("matrix has a non-finite entry")
+    scale = max(scale, 1e-300)
     skew = float(np.abs(a - a.T).max())
     if skew > rel * scale:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {skew:g}")
@@ -124,8 +128,17 @@ class PsdOrderVerdict:
     scale: float
 
 
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.size else 0.0
+def _opnorm(a: np.ndarray):
+    """Spectral norm of a symmetric matrix, or of each matrix in a stack.
+
+    A single matrix gives a float, a ``(..., n, n)`` stack an array of
+    norms from one batched ``eigvalsh``; empty matrices have norm 0.
+    """
+    if a.size == 0:
+        norms = np.zeros(a.shape[:-2])
+    else:
+        norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def psd_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> PsdOrderVerdict:

@@ -11,9 +11,13 @@ the projector ``pi`` off the all-ones vector: each edge contributes
 the Laplacian and ``w'`` inverse-leverage weights, so ``sum_e lev_e A_e
 = pi`` and a sampled tree contributes ``sum_{e in T} A_e``.  Revealing
 the tree's edges in uniform random order, step ``i`` conditions on a
-partial edge set; conditional expectations are computed exactly by
-contracting the revealed edges and reading leverage scores off the
-quotient multigraph.  No sampled estimate enters the trace.
+partial edge set.  Conditioning on an edge is contraction, carried out
+as one rank-one update of the transfer-current matrix
+(:class:`~treespark.leverage.TransferCurrent`); a step reads every
+candidate's conditional marginals from one vectorised expression, so
+conditional expectations are exact and no quotient graph is built.  The
+quotient-graph route stays in the tests as the oracle.  No sampled
+estimate enters the trace.
 
 Binomial tail utilities run in log space with compensated summation so
 tails far below 1e-300 keep their logarithms.
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SizeGuardError, UnionFind, WeightedGraph, laplacian
-from .leverage import ContractionState, conditional_marginals, leverage_scores
-from .spectral import eig_sym, pinv_sqrt
+from .graph import SizeGuardError, WeightedGraph, laplacian
+from .leverage import TransferCurrent, leverage_scores
+from .spectral import _opnorm, eig_sym, pinv_sqrt
 from .treesample import sample_tree_stream
 
 SHRINKING_EDGE_CAP = 10
@@ -37,10 +41,6 @@ TRACE_VERTEX_CAP = 12
 
 STEP_SLACK = 1e-8
 CUMULATIVE_SLACK = 1e-6
-
-
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -73,41 +73,37 @@ def shrinking_marginals_suite(
 ) -> ShrinkingMarginalsReport:
     """Check marginal shrinkage for every forest of a small graph.
 
-    Enumerates every forest S (the empty one included), contracts it,
-    and compares each residual edge's conditional marginal against its
-    plain leverage score.  Guarded at ``m <= 10`` edges.
+    Enumerates every forest S (the empty one included) depth first,
+    each one a single transfer-current contraction away from its
+    parent, and compares each residual edge's conditional marginal
+    against its plain leverage score.  Guarded at ``m <= 10`` edges.
     """
     if g.m > SHRINKING_EDGE_CAP:
         raise SizeGuardError(
             f"shrinking marginal suite capped at m = {SHRINKING_EDGE_CAP}, got m = {g.m}"
         )
     base = leverage_scores(g).values
-    forests: list[tuple[int, ...]] = []
+    forests: list[tuple[tuple[int, ...], np.ndarray]] = []
 
-    def recurse(next_eid: int, chosen: list[int], uf: UnionFind):
-        forests.append(tuple(chosen))
+    def recurse(next_eid: int, chosen: list[int], tc: TransferCurrent):
+        forests.append((tuple(chosen), tc.marginals()))
         for eid in range(next_eid, g.m):
             u, v, _ = g.edges[eid]
-            if uf.find(u) == uf.find(v):
+            if tc.reps[u] == tc.reps[v]:
                 continue
-            sub = UnionFind(g.n)
-            sub.parent = list(uf.parent)
-            sub.size = list(uf.size)
-            sub.count = uf.count
-            sub.union(u, v)
+            sub = tc.copy()
+            sub.contract(eid)
             chosen.append(eid)
             recurse(eid + 1, chosen, sub)
             chosen.pop()
 
-    recurse(0, [], UnionFind(g.n))
+    recurse(0, [], TransferCurrent(g))
 
     num_pairs = 0
     max_excess = -math.inf
     worst = ()
     entries = []
-    for forest in forests:
-        state = ContractionState.from_edges(g, forest)
-        cond = conditional_marginals(g, state)
+    for forest, cond in forests:
         in_forest = set(forest)
         for eid in range(g.m):
             if eid in in_forest:
@@ -207,77 +203,66 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         raise ValueError(f"ordering must list {k} distinct edges")
 
     mats = _edge_matrices(g)
+    flat = mats.reshape(g.m, -1)
     lev = leverage_scores(g).values
-    max_edge_norm = max(_opnorm(mats[e]) for e in range(g.m))
+    max_edge_norm = float(_opnorm(mats).max())
 
     expect_0 = np.tensordot(lev, mats, axes=1)
     frame_norm = _opnorm(expect_0)
 
-    marg_memo: dict[frozenset, np.ndarray] = {}
-
-    def margs_for(state: ContractionState) -> np.ndarray:
-        key = frozenset(state.contracted)
-        if key not in marg_memo:
-            marg_memo[key] = conditional_marginals(g, state)
-        return marg_memo[key]
-
-    state = ContractionState.initial(g)
-    margs = margs_for(state)
+    tc = TransferCurrent(g)
+    margs = tc.marginals()
     expect_prev = expect_0
 
     cond_expectations = [expect_0]
-    step_norms = []
-    variation_norms = []
-    cond_mean_norms = []
-    zero_mean_residuals = []
     second_moments = []
     variations = []
+    # Per step: conditional mean, zero-mean residual, realised increment
+    # and running variation, normed together after the loop.
+    normed = []
     variation = np.zeros_like(expect_0)
 
     for i in range(1, k + 1):
         slots = k - i + 1
-        candidates = [
-            e for e in range(g.m) if e not in state.contracted and margs[e] > 0.0
-        ]
-        probs = np.array([margs[e] / slots for e in candidates])
-        cand_states = [state.contract(e) for e in candidates]
-        cand_expect = [
-            np.tensordot(margs_for(st), mats, axes=1) for st in cand_states
-        ]
-        increments = [exp - expect_prev for exp in cand_expect]
+        candidates = tc.candidates()
+        probs = margs[candidates] / slots
+        cand_expect = (tc.marginals_after(candidates) @ flat).reshape(-1, g.n, g.n)
+        increments = cand_expect - expect_prev
 
-        cond_mean_norms.append(_opnorm(np.tensordot(probs, mats[candidates], axes=1)))
-        zero_mean_residuals.append(
-            _opnorm(sum(p * inc for p, inc in zip(probs, increments)))
-        )
-        second = sum(p * inc @ inc for p, inc in zip(probs, increments))
+        cond_mean = np.tensordot(probs, mats[candidates], axes=1)
+        residual = np.tensordot(probs, increments, axes=1)
+        second = np.tensordot(probs, increments @ increments, axes=1)
         second_moments.append(second)
         variation = variation + second
         variations.append(variation)
-        variation_norms.append(_opnorm(variation))
 
         chosen = ordering[i - 1]
-        if chosen not in candidates:
+        hits = np.flatnonzero(candidates == chosen)
+        if not hits.size:
             raise ValueError(
                 f"edge {chosen} cannot be revealed at step {i}: zero conditional marginal"
             )
-        idx = candidates.index(chosen)
-        step_norms.append(_opnorm(increments[idx]))
-        state = cand_states[idx]
-        margs = margs_for(state)
+        idx = int(hits[0])
+        normed.append((cond_mean, residual, increments[idx], variation))
+        tc.contract(chosen)
+        margs = tc.marginals()
         expect_prev = cand_expect[idx]
         cond_expectations.append(expect_prev)
+
+    cond_mean_norms, zero_mean_residuals, step_norms, variation_norms = (
+        tuple(float(x) for x in col) for col in _opnorm(np.array(normed)).T
+    )
 
     return MartingaleTrace(
         graph=g,
         ordering=ordering,
         cond_expectations=tuple(cond_expectations),
-        step_norms=tuple(step_norms),
-        variation_norms=tuple(variation_norms),
+        step_norms=step_norms,
+        variation_norms=variation_norms,
         max_edge_norm=max_edge_norm,
         frame_norm=frame_norm,
-        cond_mean_norms=tuple(cond_mean_norms),
-        zero_mean_residuals=tuple(zero_mean_residuals),
+        cond_mean_norms=cond_mean_norms,
+        zero_mean_residuals=zero_mean_residuals,
         second_moments=tuple(second_moments),
         variations=tuple(variations),
     )

@@ -1,0 +1,86 @@
+"""Quotient-graph route to conditional marginals and martingale traces.
+
+The library conditions by rank-one transfer-current updates.  This
+module conditions the slow, independent way: contract the forest with
+:meth:`ContractionState.quotient`, build the quotient multigraph and read
+its leverage scores back through the edge map.  Tests compare the two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from treespark.leverage import ContractionState, InvalidConditioningError, leverage_scores
+from treespark.spectral import _opnorm
+from treespark.srdiag import _edge_matrices
+
+
+def quotient_marginals(g, state: ContractionState) -> np.ndarray:
+    """Conditional marginals from the quotient multigraph's leverage scores."""
+    out = np.zeros(g.m)
+    out[list(state.contracted)] = 1.0
+    quot, _, eid_map, _ = state.quotient()
+    if quot is not None:
+        lev = leverage_scores(quot).values
+        for eid, qid in eid_map.items():
+            out[eid] = lev[qid]
+    return out
+
+
+def forests(g):
+    """Every forest of ``g`` (the empty one included) as a ContractionState."""
+    found = []
+
+    def grow(next_eid: int, state: ContractionState):
+        found.append(state)
+        for eid in range(next_eid, g.m):
+            try:
+                sub = state.contract(eid)
+            except InvalidConditioningError:
+                continue
+            grow(eid + 1, sub)
+
+    grow(0, ContractionState.initial(g))
+    return found
+
+
+def quotient_trace(g, ordering) -> dict:
+    """Martingale trace fields with every conditioning step by quotient.
+
+    Mirrors the definition in ``srdiag.trace_for_ordering`` one candidate
+    at a time: step ``i`` weights each unrevealed, non-loop edge by its
+    conditional marginal over the unrevealed slots.
+    """
+    mats = _edge_matrices(g)
+    k = g.n - 1
+    state = ContractionState.initial(g)
+    margs = quotient_marginals(g, state)
+    expect_prev = np.tensordot(margs, mats, axes=1)
+    fields = {
+        "cond_expectations": [expect_prev],
+        "step_norms": [],
+        "variation_norms": [],
+        "cond_mean_norms": [],
+        "zero_mean_residuals": [],
+    }
+    variation = np.zeros_like(expect_prev)
+    for i, chosen in enumerate(ordering, start=1):
+        slots = k - i + 1
+        cands = [e for e in range(g.m) if e not in state.contracted and margs[e] > 0.0]
+        probs = [margs[e] / slots for e in cands]
+        nexts = [state.contract(e) for e in cands]
+        incs = [
+            np.tensordot(quotient_marginals(g, st), mats, axes=1) - expect_prev
+            for st in nexts
+        ]
+        fields["cond_mean_norms"].append(_opnorm(sum(p * mats[e] for p, e in zip(probs, cands))))
+        fields["zero_mean_residuals"].append(_opnorm(sum(p * x for p, x in zip(probs, incs))))
+        variation = variation + sum(p * x @ x for p, x in zip(probs, incs))
+        fields["variation_norms"].append(_opnorm(variation))
+        idx = cands.index(chosen)
+        fields["step_norms"].append(_opnorm(incs[idx]))
+        state = nexts[idx]
+        margs = quotient_marginals(g, state)
+        expect_prev = expect_prev + incs[idx]
+        fields["cond_expectations"].append(expect_prev)
+    return fields

@@ -141,6 +141,23 @@ def test_diag_martingale_with_dump(tmp_path, capsys):
     json.loads(lines[4])
 
 
+def test_diag_martingale_reports_worst_margin(tmp_path, capsys):
+    dump = tmp_path / "traces.txt"
+    argv = ["diag", "martingale", "--graph", "k:5", "--seeds", "6", "--seed", "11"]
+    assert main(argv + ["--dump", str(dump)]) == EXIT_PASS
+    worst = json.loads(capsys.readouterr().out)["worst"]
+    summaries = [json.loads(line) for line in dump.read_text().split("\n") if line.startswith("{")]
+    margins = []
+    for seed, rec in enumerate(summaries, start=11):
+        margins.append((rec["max_edge_norm"] - rec["max_step_norm"], seed, "increment_range"))
+        margins.append((rec["cumulative_bound"] - rec["final_variation_norm"], seed, "cumulative"))
+    margin, seed, bound = min(margins)
+    assert worst["margin"] == pytest.approx(margin, abs=1e-12)
+    assert (worst["seed"], worst["bound"]) == (seed, bound)
+    assert 1 <= worst["step"] <= 4
+    assert worst["margin"] >= 0.0
+
+
 def test_diag_reverse_chernoff(capsys):
     assert main(["diag", "reverse-chernoff"]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
@@ -191,6 +208,25 @@ def test_count_flags_below_one_exit_usage(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["diag", "martingale", "--graph", "k:5", "--seeds", "0"], "--seeds: must be at least 1"),
+        (["diag", "martingale", "--seeds", "-3"], "--seeds: must be at least 1"),
+        (["diag", "matrix-fact", "--pairs", "0"], "--pairs: must be at least 1"),
+        (["diag", "matrix-fact", "--dim", "0"], "--dim: must be at least 1"),
+        (["diag", "stirling", "--kmax", "1"], "--kmax: must be at least 2"),
+    ],
+)
+def test_diag_counts_that_would_pass_vacuously_exit_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {message}" in captured.err
 
 
 def test_malformed_file_exit_usage(tmp_path, capsys):

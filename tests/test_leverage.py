@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from corpus import (
+    SHRINKING,
     SMALL,
+    doubled_triangle,
     parallel_pair,
     path_graph,
+    random_connected_graph,
     star_graph,
     triangle,
+    weighted_k4,
     weighted_triangle,
 )
+from quotient_oracle import forests, quotient_marginals
 from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, ring_graph
 from treespark.leverage import (
     ContractionState,
     InvalidConditioningError,
     LeverageProfile,
+    TransferCurrent,
     conditional_marginals,
     effective_resistance,
     leverage_scores,
@@ -154,6 +160,19 @@ def test_contract_out_of_range():
         ContractionState.initial(triangle()).contract(99)
 
 
+def test_transfer_current_rejects_bad_contractions():
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            TransferCurrent(triangle()).contract(bad)
+    tc = TransferCurrent(triangle())
+    tc.contract(0)
+    with pytest.raises(InvalidConditioningError, match="already contracted"):
+        tc.contract(0)
+    tc.contract(1)
+    with pytest.raises(InvalidConditioningError, match="closes a cycle"):
+        tc.contract(2)
+
+
 def test_chained_contraction_order_independent():
     gen = np.random.Generator(np.random.Philox(41))
     for _, g in SMALL:
@@ -176,6 +195,42 @@ def test_chained_contraction_order_independent():
                     assert a[j] == 1.0
                 else:
                     assert a[j] <= lev[j] + 1e-10
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    SHRINKING
+    + [
+        ("random_multi_a", random_connected_graph(5, 4, 2)),
+        ("random_multi_b", random_connected_graph(6, 3, 8)),
+    ],
+)
+def test_conditional_marginals_match_quotient_oracle(name, g):
+    # Every forest: transfer-current updates against leverage scores of
+    # the explicitly contracted multigraph.  Loops and contracted edges
+    # are decided from the vertex blocks, so they hold exactly.
+    for state in forests(g):
+        got = conditional_marginals(g, state)
+        assert np.abs(got - quotient_marginals(g, state)).max() <= 1e-12
+        _, _, _, loops = state.quotient()
+        assert all(got[e] == 0.0 for e in loops)
+        assert all(got[e] == 1.0 for e in state.contracted)
+
+
+@pytest.mark.parametrize("name,g", [("doubled_triangle", doubled_triangle()), ("weighted_k4", weighted_k4())])
+def test_marginals_after_matches_one_more_contraction(name, g):
+    for state in forests(g):
+        tc = TransferCurrent(g)
+        for eid in state.contracted:
+            tc.contract(eid)
+        cands = tc.candidates()
+        rows = tc.marginals_after(cands)
+        for row, c in zip(rows, cands):
+            nxt = state.contract(int(c))
+            _, _, _, loops = nxt.quotient()
+            assert np.abs(row - quotient_marginals(g, nxt)).max() <= 1e-12
+            assert all(row[e] == 0.0 for e in loops)
+            assert all(row[e] == 1.0 for e in nxt.contracted)
 
 
 def test_quotient_bookkeeping_parallel_edges():

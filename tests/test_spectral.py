@@ -6,6 +6,7 @@ import pytest
 from corpus import SMALL, triangle, weighted_triangle
 from treespark.graph import WeightedGraph, complete_graph, laplacian
 from treespark.spectral import (
+    _opnorm,
     check_symmetric_triangle,
     eig_sym,
     normalized_pencil,
@@ -53,6 +54,14 @@ def test_eig_sym_reconstructs(name, g):
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_sym_rejects_non_finite(bad):
+    lap = laplacian(complete_graph(4))
+    lap[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eig_sym(lap)
 
 
 def test_eig_sym_deterministic():
@@ -134,6 +143,29 @@ def test_pencil_dec_reuse_matches():
     dec = eig_sym(lap)
     h = 1.3 * lap
     assert normalized_pencil(lap, h, dec=dec) == normalized_pencil(lap, h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pencil_rejects_non_finite_h(bad):
+    lap = laplacian(complete_graph(4))
+    lap_h = 2.0 * lap
+    lap_h[1, 2] = lap_h[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        normalized_pencil(lap, lap_h)
+
+
+def test_opnorm_stack_matches_single_matrices():
+    gen = np.random.Generator(np.random.Philox(9))
+    stack = np.array([_random_symmetric(gen, 5) for _ in range(6)]).reshape(2, 3, 5, 5)
+    norms = _opnorm(stack)
+    assert norms.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = _opnorm(stack[idx])
+        assert isinstance(single, float)
+        assert norms[idx] == single
+        assert single == pytest.approx(np.linalg.norm(stack[idx], 2), rel=1e-12)
+    assert _opnorm(np.zeros((0, 0))) == 0.0
+    assert _opnorm(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_psd_leq_trivial_orders():

@@ -18,7 +18,8 @@ from corpus import (
     weighted_k4,
     weighted_triangle,
 )
-from treespark.graph import SizeGuardError, complete_graph, laplacian, ring_graph
+from quotient_oracle import forests, quotient_marginals, quotient_trace
+from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, laplacian, ring_graph
 from treespark.leverage import leverage_scores
 from treespark.spectral import eig_sym, pinv_sqrt, psd_leq
 from treespark.srdiag import (
@@ -70,6 +71,15 @@ def test_shrinking_keep_entries():
     forest, eid, cond, base = report.worst
     assert 0 <= eid < 3
     assert cond <= base + 1e-10
+
+
+@pytest.mark.parametrize("g", [weighted_k4(), doubled_triangle(), parallel_pair()])
+def test_shrinking_entries_match_quotient_oracle(g):
+    report = shrinking_marginals_suite(g, keep_entries=True)
+    states = {st.contracted: st for st in forests(g)}
+    assert report.num_forests == len(states)
+    for forest, eid, cond, _ in report.entries:
+        assert abs(cond - quotient_marginals(g, states[forest])[eid]) <= 1e-12
 
 
 def test_shrinking_size_guard():
@@ -178,6 +188,26 @@ def test_trace_deterministic():
     b = martingale_trace(g, 12)
     assert a.ordering == b.ordering
     assert a.step_norms == b.step_norms
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(5),
+        weighted_k4(),
+        WeightedGraph(
+            5,
+            ((0, 1, 1.0), (0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.7), (3, 4, 1.0), (4, 0, 2.0), (2, 4, 1.3), (2, 4, 0.4)),
+        ),
+    ],
+    ids=["k5", "weighted_k4", "multigraph"],
+)
+def test_trace_matches_quotient_oracle(g):
+    for seed in range(6):
+        tr = martingale_trace(g, seed)
+        want = quotient_trace(g, tr.ordering)
+        for field, values in want.items():
+            assert np.abs(np.array(getattr(tr, field)) - np.array(values)).max() <= 1e-12, field
 
 
 def test_trace_rejects_bad_orderings():

@@ -35,6 +35,7 @@ from .graph import (
     read_graph,
     ring_graph,
 )
+from .leverage import DENSE_SOLVE_CAP
 from .spectral import check_symmetric_triangle
 from .srdiag import (
     check_trace_bounds,
@@ -59,25 +60,53 @@ class UsageError(ValueError):
     pass
 
 
-def parse_graph_spec(spec: str, seed: int):
-    """Build a graph from a constructor spec or read it from a file."""
+# Constructor specs ``kind:a,b``: the builder, the type of each
+# comma-separated field, and the vertex count those fields imply.
+_CONSTRUCTORS = {
+    "k": (complete_graph, (int,), lambda n: n),
+    "ring": (ring_graph, (int,), lambda n: n),
+    "cliquestar": (clique_star, (int, int), lambda num, size: num * (size - 1) + 1),
+    "er": (erdos_renyi_connected, (int, float), lambda n, p: n),
+}
+
+
+def _header_vertex_count(path: str) -> int | None:
+    """``n`` from a graph file's ``n m`` header, or None if it does not parse."""
+    with open(path) as fh:
+        for line in fh:
+            head = line.split()
+            if head:
+                return int(head[0]) if len(head) == 2 and head[0].isdigit() else None
+    return None
+
+
+def _guard_vertices(n: int | None, max_n: int | None) -> None:
+    if max_n is not None and n is not None and n > max_n:
+        raise SizeGuardError(f"dense Laplacian solve capped at n = {max_n}, got n = {n}")
+
+
+def parse_graph_spec(spec: str, seed: int, max_n: int | None = None):
+    """Build a graph from a constructor spec or read it from a file.
+
+    With ``max_n`` set, a spec or file header naming more vertices raises
+    SizeGuardError before any edge is built or read.
+    """
     kind, _, rest = spec.partition(":")
-    try:
-        if kind == "k":
-            return complete_graph(int(rest))
-        if kind == "ring":
-            return ring_graph(int(rest))
-        if kind == "cliquestar":
-            num, size = rest.split(",")
-            return clique_star(int(num), int(size))
-        if kind == "er":
-            n, p = rest.split(",")
-            return erdos_renyi_connected(int(n), float(p), seed)
-    except DisconnectedGraphError:
-        raise
-    except ValueError as exc:
-        raise UsageError(f"bad graph spec {spec!r}: {exc}") from exc
+    if kind in _CONSTRUCTORS:
+        build, types, vertices = _CONSTRUCTORS[kind]
+        try:
+            fields = rest.split(",")
+            if len(fields) != len(types):
+                raise ValueError(f"expected {len(types)} comma-separated values")
+            args = [typ(field) for typ, field in zip(types, fields)]
+            _guard_vertices(vertices(*args), max_n)
+            return build(*args, seed) if kind == "er" else build(*args)
+        except (DisconnectedGraphError, SizeGuardError):
+            raise
+        except ValueError as exc:
+            raise UsageError(f"bad graph spec {spec!r}: {exc}") from exc
     if os.path.exists(spec):
+        _guard_vertices(_header_vertex_count(spec), max_n)
         return read_graph(spec)
     raise UsageError(f"graph spec {spec!r} is neither a constructor nor a file")
 
@@ -98,14 +127,26 @@ def _int_at_least(low: int):
 
 
 _positive_int = _int_at_least(1)
+_seed_int = _int_at_least(0)
+
+
+def _fraction(text: str) -> float:
+    """argparse type for a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (0.0 <= value <= 1.0):
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
 
 
 def _default_seed() -> int:
     raw = os.environ.get("TREESPARK_SEED", "0")
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"TREESPARK_SEED must be an integer, got {raw!r}")
+        return _seed_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"TREESPARK_SEED {exc}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -127,7 +168,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = parse_graph_spec(args.graph, args.seed)
+    g = parse_graph_spec(args.graph, args.seed, max_n=DENSE_SOLVE_CAP)
     if args.t is None and args.cmult is None:
         args.cmult = 1.0
     report = run_sum_trees(
@@ -290,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="sample spanning trees")
     p_sample.add_argument("--graph", required=True)
     p_sample.add_argument("--count", type=_positive_int, default=1)
-    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--seed", type=_seed_int, default=None)
     p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=_cmd_sample)
 
@@ -300,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--t", type=int, default=None)
     p_cert.add_argument("--cmult", type=float, default=None)
     p_cert.add_argument("--trials", type=_positive_int, default=10)
-    p_cert.add_argument("--gate", type=float, default=0.9)
-    p_cert.add_argument("--seed", type=int, default=None)
+    p_cert.add_argument("--gate", type=_fraction, default=0.9)
+    p_cert.add_argument("--seed", type=_seed_int, default=None)
     p_cert.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p_cert.add_argument("--json", action="store_true", help="machine output only")
     p_cert.add_argument("--out", default=None)
@@ -315,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--kmax", type=_int_at_least(2), default=60)
     p_diag.add_argument("--pairs", type=_positive_int, default=200)
     p_diag.add_argument("--dim", type=_positive_int, default=8)
-    p_diag.add_argument("--seed", type=int, default=None)
+    p_diag.add_argument("--seed", type=_seed_int, default=None)
     p_diag.add_argument("--dump", default=None)
     p_diag.add_argument("--out", default=None)
     p_diag.set_defaults(func=_cmd_diag)

@@ -14,18 +14,18 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .graph import WeightedGraph, clique_star, complete_graph, laplacian
-from .leverage import leverage_scores
-from .spectral import SpectralDecomposition, eig_sym, normalized_pencil
+from .leverage import laplacian_decomposition, leverage_scores
+from .spectral import SpectralDecomposition, normalized_pencil
 from .treesample import (
     _wilson_edge_ids,
-    check_tree_ids,
+    _wilson_exits,
+    check_parent_trees,
     reweight_tree,
     sample_tree_stream,
     tree_laplacian,
@@ -93,7 +93,7 @@ def run_single_tree_upper(
         raise ValueError(f"need at least one trial, got {trials}")
     start = time.perf_counter()
     lap = laplacian(g)
-    dec = eig_sym(lap)
+    dec = laplacian_decomposition(g)
     prof = leverage_scores(g)
     seeds = _seeds(base_seed, trials)
     extremes = []
@@ -151,7 +151,8 @@ class _CertifyRun:
     """State every certify trial of one run shares, built once per run.
 
     ``edge_weights`` is the inverse-leverage weight ``w_e / lev_e`` of
-    each edge; ``lap`` and ``dec`` are L_G and its eigendecomposition.
+    each edge; ``lap`` and ``dec`` are L_G and its shared
+    eigendecomposition (:func:`laplacian_decomposition`).
     """
 
     g: WeightedGraph
@@ -162,9 +163,9 @@ class _CertifyRun:
 
 
 def _certify_run(g: WeightedGraph, t: int) -> _CertifyRun:
-    lap = laplacian(g)
     _, _, ws = g.edge_arrays
-    return _CertifyRun(g, t, ws / leverage_scores(g).values, lap, eig_sym(lap))
+    lev = leverage_scores(g).values
+    return _CertifyRun(g, t, ws / lev, laplacian(g), laplacian_decomposition(g))
 
 
 def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
@@ -172,17 +173,19 @@ def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
 
     Equals ``normalized_pencil(laplacian(g), average_trees([reweight_tree(
     sample_tree_stream(g, gen), prof) for _ in range(t)]))`` on the same
-    stream, but keeps the trees as edge ids: one count per edge, one
-    Laplacian assembly.
+    stream, but keeps each tree as the walk's exit choices: one stacked
+    ``(t, n)`` array, turned into parents and edge ids by two gathers
+    from ``g.csr``, checked as spanning trees all at once, then one
+    count per edge and one Laplacian assembly.
     """
     g = run.g
     gen = np.random.Generator(np.random.Philox(seed))
-    ids: list[int] = []
-    for _ in range(run.t):
-        tree = _wilson_edge_ids(g, gen)
-        check_tree_ids(g, tree)
-        ids.extend(tree)
-    weights = np.bincount(ids, minlength=g.m) * run.edge_weights / run.t
+    exits = np.array([_wilson_exits(g, gen) for _ in range(run.t)], dtype=np.int64)
+    offsets, nbr, eid = g.csr
+    at = offsets[:-1] + exits
+    ids = eid[at]
+    check_parent_trees(g, nbr[at], ids)
+    weights = np.bincount(ids[:, 1:].ravel(), minlength=g.m) * run.edge_weights / run.t
     return normalized_pencil(run.lap, laplacian(g, weights), run.dec)
 
 
@@ -236,6 +239,8 @@ def run_sum_trees(
     seeds = _seeds(base_seed, trials)
     run = _certify_run(g, t)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_install_run, initargs=(run,)
         ) as pool:
@@ -628,7 +633,7 @@ def run_unweighted_thin_tree(
         raise ValueError(f"need at least one trial, got {trials}")
     start = time.perf_counter()
     lap = laplacian(g)
-    dec = eig_sym(lap)
+    dec = laplacian_decomposition(g)
     max_lev = float(leverage_scores(g).values.max())
     seeds = _seeds(base_seed, trials)
     extremes = []

@@ -144,6 +144,23 @@ class WeightedGraph:
             uniform.append(bool(wts[v]) and min(wts[v]) == max(wts[v]))
         return nbrs, eids, cumw, totw, uniform
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compressed adjacency ``(offsets, nbr, eid)``, O(m) int64 arrays.
+
+        Vertex ``v``'s entries sit at ``offsets[v]:offsets[v + 1]`` in the
+        same order as ``adjacency``, so ``offsets[v] + j`` locates the
+        ``j``-th entry of ``adjacency[0][v]`` and ``adjacency[1][v]``.
+        """
+        us, vs, _ = self.edge_arrays
+        ends = np.concatenate((us, vs))
+        nbr = np.concatenate((vs, us))
+        eid = np.tile(np.arange(self.m, dtype=np.int64), 2)
+        order = np.lexsort((eid, ends))
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.n), out=offsets[1:])
+        return offsets, nbr[order], eid[order]
+
     def weighted_degrees(self) -> np.ndarray:
         """Sum of incident edge weights per vertex (Laplacian diagonal)."""
         us, vs, ws = self.edge_arrays

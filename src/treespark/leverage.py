@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SizeGuardError, WeightedGraph, laplacian
-from .spectral import eig_sym
+from .spectral import SpectralDecomposition, eig_sym
 
 DENSE_SOLVE_CAP = 2000
 
@@ -35,12 +35,26 @@ class InvalidConditioningError(ValueError):
 
 
 @functools.lru_cache(maxsize=8)
-def _laplacian_pinv(g: WeightedGraph) -> np.ndarray:
+def laplacian_decomposition(g: WeightedGraph) -> SpectralDecomposition:
+    """``eig_sym(laplacian(g))``, computed once per graph and shared.
+
+    The pseudoinverse, the leverage scores, the certify pencil and the
+    martingale's edge matrices all read this one decomposition; its
+    arrays are read-only because every caller gets the same object.
+    """
     if g.n > DENSE_SOLVE_CAP:
         raise SizeGuardError(
             f"dense Laplacian solve capped at n = {DENSE_SOLVE_CAP}, got n = {g.n}"
         )
     dec = eig_sym(laplacian(g))
+    dec.eigenvalues.flags.writeable = False
+    dec.basis.flags.writeable = False
+    return dec
+
+
+@functools.lru_cache(maxsize=8)
+def _laplacian_pinv(g: WeightedGraph) -> np.ndarray:
+    dec = laplacian_decomposition(g)
     vals = dec.eigenvalues
     inv = np.zeros_like(vals)
     pos = vals > dec.zero_cutoff

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SizeGuardError, WeightedGraph, laplacian
-from .leverage import TransferCurrent, leverage_scores
-from .spectral import _opnorm, eig_sym, pinv_sqrt
+from .graph import SizeGuardError, WeightedGraph
+from .leverage import TransferCurrent, laplacian_decomposition, leverage_scores
+from .spectral import _opnorm, pinv_sqrt
 from .treesample import sample_tree_stream
 
 SHRINKING_EDGE_CAP = 10
@@ -176,7 +176,7 @@ class MartingaleTrace:
 def _edge_matrices(g: WeightedGraph) -> np.ndarray:
     """Stack of normalised inverse-leverage edge matrices, shape (m, n, n)."""
     lev = leverage_scores(g).values
-    proot = pinv_sqrt(eig_sym(laplacian(g)))
+    proot = pinv_sqrt(laplacian_decomposition(g))
     us, vs, ws = g.edge_arrays
     diffs = proot[:, us] - proot[:, vs]
     scaled = diffs * np.sqrt(ws / lev)

@@ -4,7 +4,9 @@ Trees are drawn with probability proportional to the product of their
 edge weights.  The sampler is the loop-erased random walk construction:
 walks step to a neighbour with probability proportional to the incident
 edge weight, loops are erased implicitly by overwriting each vertex's
-last exit choice, and the walk tree rooted at vertex 0 is returned.
+last exit choice, and the tree rooted at vertex 0 is returned as every
+vertex's exit choice.  :func:`check_parent_trees` certifies a stack of
+such trees at once from their parent pointers.
 Randomness comes from a Philox counter-based generator, so a seed fully
 determines the output at a fixed library version.
 
@@ -62,6 +64,41 @@ def check_tree_ids(g: WeightedGraph, ids) -> None:
         parent[a] = b
 
 
+def check_parent_trees(g: WeightedGraph, parents, edge_ids) -> None:
+    """Raise ValueError unless every row is a spanning tree rooted at 0.
+
+    Row ``i`` gives each vertex ``v != 0`` a parent ``parents[i, v]`` and
+    the id ``edge_ids[i, v]`` of an edge joining the two; column 0 (the
+    root) is ignored.  Parent pointers that all lead to the root span
+    every vertex with ``n - 1`` links and no cycle, and an edge joins
+    exactly one child to its parent, so the edges form a spanning tree
+    of ``g``.  A repeated edge would make its two ends each other's
+    parents, a cycle that misses the root.  Pointer jumping settles all
+    rows at once in ``ceil(log2 n)`` gathers.
+    """
+    n, m = g.n, g.m
+    parents = np.asarray(parents, dtype=np.int64)
+    edge_ids = np.asarray(edge_ids, dtype=np.int64)
+    if parents.ndim != 2 or parents.shape[1] != n or edge_ids.shape != parents.shape:
+        raise ValueError(f"expected matching (trees, {n}) parent and edge arrays")
+    parents, edge_ids = parents[:, 1:], edge_ids[:, 1:]
+    if parents.size and (parents.min() < 0 or parents.max() >= n):
+        raise ValueError("parent vertex out of range")
+    if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= m):
+        raise ValueError("edge id out of range")
+    us, vs, _ = g.edge_arrays
+    child = np.arange(1, n)
+    lo, hi = np.minimum(child, parents), np.maximum(child, parents)
+    if not np.array_equal(us[edge_ids], lo) or not np.array_equal(vs[edge_ids], hi):
+        raise ValueError("an edge does not join its vertex to the vertex's parent")
+    jump = np.zeros((len(parents), n), dtype=np.int64)
+    jump[:, 1:] = parents
+    for _ in range((n - 1).bit_length()):
+        jump = np.take_along_axis(jump, jump, axis=1)
+    if jump.any():
+        raise ValueError("parent pointers form a cycle that misses the root")
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """Spanning tree of a parent graph, with per-edge weights.
@@ -95,8 +132,14 @@ class SpanningTree:
             raise ValueError("tree weights must be positive")
 
 
-def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
-    nbrs, eids, cumw, totw, uniform = g.adjacency
+def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
+    """Exit choices of one Wilson tree rooted at vertex 0.
+
+    Entry ``v`` (for ``v != 0``) indexes ``g.adjacency[0][v]`` and
+    ``g.adjacency[1][v]``: the tree edge by which ``v`` leaves towards
+    the root.  Entry 0 is 0 and means nothing.
+    """
+    nbrs, _, cumw, totw, uniform = g.adjacency
     n = g.n
     in_tree = bytearray(n)
     in_tree[0] = 1
@@ -104,7 +147,6 @@ def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     bufsize = _BUF_START
     buf = gen.random(bufsize).tolist()
     pos = 0
-    tree = []
     for start in range(1, n):
         if in_tree[start]:
             continue
@@ -126,13 +168,19 @@ def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
                 j = deg - 1
             nxt[u] = j
             u = row[j]
+        # Only the loop-erased path joins the tree; vertices the walk
+        # left on erased loops are walked again later.
         u = start
         while not in_tree[u]:
             in_tree[u] = 1
-            j = nxt[u]
-            tree.append(eids[u][j])
-            u = nbrs[u][j]
-    return tree
+            u = nbrs[u][nxt[u]]
+    return nxt
+
+
+def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
+    """Edge ids of one Wilson tree, ordered by the vertex that exits by each."""
+    eids, nxt = g.adjacency[1], _wilson_exits(g, gen)
+    return [eids[v][nxt[v]] for v in range(1, g.n)]
 
 
 def _tree_from_ids(g: WeightedGraph, ids) -> SpanningTree:

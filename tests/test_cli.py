@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -227,6 +228,59 @@ def test_diag_counts_that_would_pass_vacuously_exit_usage(argv, message, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--gate", "7"], "--gate: must be in [0, 1]"),
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--gate", "-0.1"], "--gate: must be in [0, 1]"),
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--gate", "nan"], "--gate: must be in [0, 1]"),
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--seed", "-1"], "--seed: must be at least 0"),
+        (["sample", "--graph", "k:6", "--seed", "-1"], "--seed: must be at least 0"),
+        (["diag", "martingale", "--seed", "-5"], "--seed: must be at least 0"),
+    ],
+)
+def test_gate_and_seed_out_of_range_exit_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {message}" in captured.err
+
+
+def test_gate_bounds_are_accepted(capsys):
+    for gate in ("0", "1"):
+        argv = ["certify", "--graph", "k:5", "--eps", "0.5", "--t", "2", "--trials", "1"]
+        assert main(argv + ["--gate", gate, "--jobs", "1", "--json"]) in (EXIT_PASS, EXIT_FAIL)
+    capsys.readouterr()
+
+
+def test_env_seed_negative_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("TREESPARK_SEED", "-1")
+    assert main(["sample", "--graph", "k:4"]) == EXIT_USAGE
+    assert "TREESPARK_SEED must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["k:3000", "cliquestar:100,30", "er:5000,0.5", "ring:2001"])
+def test_certify_size_guard_trips_before_the_graph_is_built(spec, capsys):
+    start = time.perf_counter()
+    assert main(["certify", "--graph", spec, "--eps", "0.5", "--jobs", "1"]) == EXIT_SIZE_GUARD
+    assert time.perf_counter() - start < 0.5
+    assert "capped at n = 2000" in capsys.readouterr().err
+
+
+def test_certify_size_guard_reads_only_the_file_header(tmp_path, capsys):
+    # The header promises 3000 vertices; the edge lines are never parsed.
+    path = tmp_path / "big.graph"
+    path.write_text("3000 4499500\n0 1 1.0\n")
+    assert main(["certify", "--graph", str(path), "--eps", "0.5"]) == EXIT_SIZE_GUARD
+    assert "got n = 3000" in capsys.readouterr().err
+    # Below the cap the same file reaches the full parser and is refused there.
+    path.write_text("30 5\n0 1 1.0\n")
+    assert main(["certify", "--graph", str(path), "--eps", "0.5"]) == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_malformed_file_exit_usage(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from corpus import SMALL, path_graph, random_connected_graph
+from treespark import experiments, leverage, spectral, srdiag
 from treespark.experiments import (
     _certify_run,
     _sum_trees_trial,
@@ -24,10 +25,11 @@ from treespark.experiments import (
     write_extremes_csv,
 )
 from treespark.graph import clique_star, complete_graph, laplacian, ring_graph
-from treespark.leverage import leverage_scores
-from treespark.spectral import normalized_pencil
+from treespark.leverage import _laplacian_pinv, laplacian_decomposition, leverage_scores
+from treespark.spectral import eig_sym, normalized_pencil
 from treespark.srdiag import binomial_tail
 from treespark.treesample import (
+    _wilson_edge_ids,
     average_trees,
     enumerate_trees,
     reweight_tree,
@@ -145,6 +147,67 @@ def test_sum_trees_trial_matches_tree_object_route(name, g):
         got = _sum_trees_trial(run, seed)
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
+def test_sum_trees_trial_matches_edge_id_route(name, g):
+    # The trial on stacked exit choices counts exactly the edges that the
+    # per-tree edge-id lists count, so the extremes agree bit for bit.
+    t = 7
+    run = _certify_run(g, t)
+    for seed in range(3):
+        gen = np.random.Generator(np.random.Philox(seed))
+        ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
+        weights = np.bincount(ids, minlength=g.m) * run.edge_weights / t
+        want = normalized_pencil(run.lap, laplacian(g, weights), run.dec)
+        assert _sum_trees_trial(run, seed) == want
+
+
+def test_sum_trees_trial_rejects_a_walk_that_is_not_a_tree(monkeypatch):
+    g = complete_graph(5)
+    run = _certify_run(g, 3)
+    # Vertex 1 exits towards 2 and vertex 2 towards 1: a cycle off the root.
+    nbrs = g.adjacency[0]
+    bad = [0, nbrs[1].index(2), nbrs[2].index(1), 0, 0]
+    monkeypatch.setattr(experiments, "_wilson_exits", lambda g, gen: list(bad))
+    with pytest.raises(ValueError, match="cycle that misses the root"):
+        _sum_trees_trial(run, 0)
+
+
+def _count_eig_sym(monkeypatch) -> list:
+    """Count eig_sym calls from every treespark module, on cold caches."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eig_sym(*args, **kwargs)
+
+    for mod in (spectral, leverage, experiments, srdiag):
+        if getattr(mod, "eig_sym", None) is eig_sym:
+            monkeypatch.setattr(mod, "eig_sym", counted)
+    laplacian_decomposition.cache_clear()
+    _laplacian_pinv.cache_clear()
+    return calls
+
+
+def test_certify_run_decomposes_laplacian_once(monkeypatch):
+    calls = _count_eig_sym(monkeypatch)
+    g = random_connected_graph(30, 40, seed=21)
+    run_sum_trees(g, eps=0.5, trials=3, base_seed=0, t=4)
+    assert len(calls) == 1
+    # The decomposition is cached per graph, so a second run reuses it.
+    run_sum_trees(g, eps=0.5, trials=2, base_seed=9, t=4)
+    assert len(calls) == 1
+
+
+def test_martingale_traces_decompose_laplacian_once_per_graph(monkeypatch):
+    # Leverage scores, the transfer-current matrix and the edge matrices
+    # all read the one cached decomposition, across every seed.
+    calls = _count_eig_sym(monkeypatch)
+    g = random_connected_graph(7, 5, seed=22)
+    for seed in range(4):
+        srdiag.check_trace_bounds(srdiag.martingale_trace(g, seed))
+    assert len(calls) == 1
 
 
 def test_sum_trees_deviation_shrinks_with_t():

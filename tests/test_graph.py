@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from corpus import SMALL, path_graph, star_graph, weighted_triangle
+from corpus import SMALL, path_graph, random_connected_graph, star_graph, weighted_triangle
 from treespark.graph import (
     DisconnectedGraphError,
     GraphFileError,
@@ -245,6 +245,21 @@ def test_adjacency_cache_consistency():
         for nb, eid in zip(nbrs[v], eids[v]):
             u, w, _ = g.edges[eid]
             assert {u, w} == {v, nb}
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    SMALL + [("random_multigraph", random_connected_graph(15, 25, seed=4))],
+)
+def test_csr_matches_adjacency(name, g):
+    nbrs, eids, _, _, _ = g.adjacency
+    offsets, nbr, eid = g.csr
+    assert offsets.shape == (g.n + 1,)
+    assert nbr.shape == eid.shape == (2 * g.m,)
+    for v in range(g.n):
+        lo, hi = offsets[v], offsets[v + 1]
+        assert nbr[lo:hi].tolist() == nbrs[v]
+        assert eid[lo:hi].tolist() == eids[v]
 
 
 def test_log_weight_scale_is_finite():

@@ -1,18 +1,38 @@
 """Wilson sampling, exact enumeration, reweighting and tree averages."""
 
 import collections
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from corpus import SMALL, parallel_pair, path_graph, triangle, weighted_triangle
-from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, laplacian, ring_graph
+from corpus import (
+    SMALL,
+    doubled_triangle,
+    parallel_pair,
+    path_graph,
+    random_connected_graph,
+    triangle,
+    weighted_k4,
+    weighted_triangle,
+)
+from treespark.graph import (
+    SizeGuardError,
+    WeightedGraph,
+    clique_star,
+    complete_graph,
+    laplacian,
+    ring_graph,
+)
 from treespark.leverage import leverage_scores
 from treespark.spectral import eig_sym, pinv_sqrt
 from treespark.treesample import (
     SpanningTree,
+    _wilson_edge_ids,
+    _wilson_exits,
     average_trees,
+    check_parent_trees,
     check_tree_ids,
     edge_frequencies,
     enumerate_trees,
@@ -259,6 +279,100 @@ def test_check_tree_ids_rejects_cycle_count_and_range():
         check_tree_ids(g, [0, 1, 6])
     with pytest.raises(ValueError, match="out of range"):
         check_tree_ids(g, [-1, 0, 1])
+
+
+# Sorted edge ids of trees drawn by an earlier version of the walk, which
+# listed tree edges in branch order.  A seed fixes the tree itself, not
+# just its law, so these must not move.
+WILSON_TREES = [
+    (complete_graph(6), [(0, 3, 5, 9, 14), (0, 1, 2, 8, 14), (3, 4, 6, 7, 9), (0, 1, 6, 12, 14)]),
+    (weighted_k4(), [(0, 1, 4), (0, 1, 2), (2, 3, 4), (0, 1, 4)]),
+    (doubled_triangle(), [(0, 1), (0, 1), (2, 3), (0, 1)]),
+    (
+        clique_star(2, 4),
+        [(0, 1, 4, 6, 8, 11), (0, 1, 2, 7, 8, 10), (1, 4, 5, 8, 9, 10), (0, 1, 2, 7, 10, 11)],
+    ),
+    (
+        random_connected_graph(12, 20, seed=3),
+        [
+            (0, 1, 3, 4, 5, 14, 19, 25, 26, 29, 30),
+            (0, 1, 2, 3, 7, 17, 19, 23, 24, 26, 27),
+            (1, 3, 5, 11, 13, 14, 15, 18, 23, 27, 30),
+            (0, 2, 5, 12, 14, 16, 17, 19, 23, 24, 29),
+        ],
+    ),
+]
+
+# sha256 over repr(edge_ids) of seeds 0..39, at the same earlier version:
+# walks long enough to refill the draw buffer, on the uniform and the
+# bisect step paths.
+WILSON_DIGESTS = [
+    (complete_graph(60), "927fcd5e41feafc19e5a290b0b84ab2da643681652a313e5b29a22f2d2d5fcbc"),
+    (
+        random_connected_graph(80, 160, seed=5),
+        "c1229724e5063901b8acb0fd948022dbd2e87194736165ea3fd7283fbf27a815",
+    ),
+]
+
+
+def test_sample_tree_wilson_unchanged_per_seed():
+    for g, trees in WILSON_TREES:
+        assert [sample_tree_wilson(g, s).edge_ids for s in range(len(trees))] == trees
+    for g, digest in WILSON_DIGESTS:
+        h = hashlib.sha256()
+        for s in range(40):
+            h.update(repr(sample_tree_wilson(g, s).edge_ids).encode())
+        assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name,g", SMALL + [("random_multigraph", random_connected_graph(30, 50, seed=8))]
+)
+def test_wilson_exits_give_checked_parent_trees(name, g):
+    nbrs, eids, _, _, _ = g.adjacency
+    offsets, nbr, eid = g.csr
+    for seed in range(4):
+        exits = _wilson_exits(g, np.random.Generator(np.random.Philox(seed)))
+        ids = _wilson_edge_ids(g, np.random.Generator(np.random.Philox(seed)))
+        # Vertex v's exit edge sits at column v - 1.
+        assert ids == [eids[v][exits[v]] for v in range(1, g.n)]
+        check_tree_ids(g, ids)
+        at = offsets[:-1] + np.array([exits])
+        assert eid[at][0, 1:].tolist() == ids
+        assert nbr[at][0, 1:].tolist() == [nbrs[v][exits[v]] for v in range(1, g.n)]
+        check_parent_trees(g, nbr[at], eid[at])
+
+
+def test_check_parent_trees_rejects_non_trees():
+    g = complete_graph(4)  # edges 0-1, 0-2, 0-3, 1-2, 1-3, 2-3
+    # Star at 0 and the path 0-1-2-3; column 0 (the root) is ignored.
+    good_p = [[9, 0, 0, 0], [9, 0, 1, 2]]
+    good_e = [[9, 0, 1, 2], [9, 0, 3, 5]]
+    check_parent_trees(g, good_p, good_e)
+    check_parent_trees(g, np.zeros((0, 4)), np.zeros((0, 4)))
+    # 2 -> 3 -> 2 never reaches the root, though each edge joins its ends.
+    with pytest.raises(ValueError, match="cycle that misses the root"):
+        check_parent_trees(g, [[0, 0, 3, 2]], [[0, 0, 5, 5]])
+    # A repeated edge: 1 and 2 both leave by edge 1-2, so they are each
+    # other's parents, a 2-cycle.
+    with pytest.raises(ValueError, match="cycle that misses the root"):
+        check_parent_trees(g, good_p + [[0, 2, 1, 0]], good_e + [[0, 3, 3, 2]])
+    # Parents form a tree, but vertex 3's edge 1-3 does not join 3 to 0.
+    with pytest.raises(ValueError, match="does not join"):
+        check_parent_trees(g, [[0, 0, 0, 0]], [[0, 0, 1, 4]])
+    # A vertex that is its own parent.
+    with pytest.raises(ValueError, match="does not join"):
+        check_parent_trees(g, [[0, 0, 2, 0]], [[0, 0, 1, 2]])
+    with pytest.raises(ValueError, match="parent vertex out of range"):
+        check_parent_trees(g, [[0, 0, 4, 0]], [[0, 0, 1, 2]])
+    with pytest.raises(ValueError, match="parent vertex out of range"):
+        check_parent_trees(g, [[0, -1, 0, 0]], [[0, 0, 1, 2]])
+    with pytest.raises(ValueError, match="edge id out of range"):
+        check_parent_trees(g, [[0, 0, 0, 0]], [[0, 0, 1, 6]])
+    with pytest.raises(ValueError, match="matching"):
+        check_parent_trees(g, [[0, 0, 0]], [[0, 0, 1]])
+    with pytest.raises(ValueError, match="matching"):
+        check_parent_trees(g, [[0, 0, 0, 0]], [[0, 0, 1, 2], [0, 0, 1, 2]])
 
 
 def test_spanning_tree_sorts_ids_and_weights_together():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -38,6 +39,7 @@ from .graph import (
 from .leverage import DENSE_SOLVE_CAP
 from .spectral import check_symmetric_triangle
 from .srdiag import (
+    TRACE_VERTEX_CAP,
     check_trace_bounds,
     default_reverse_chernoff_grid,
     martingale_trace,
@@ -82,7 +84,7 @@ def _header_vertex_count(path: str) -> int | None:
 
 def _guard_vertices(n: int | None, max_n: int | None) -> None:
     if max_n is not None and n is not None and n > max_n:
-        raise SizeGuardError(f"dense Laplacian solve capped at n = {max_n}, got n = {n}")
+        raise SizeGuardError(f"this command is capped at n = {max_n}, got n = {n}")
 
 
 def parse_graph_spec(spec: str, seed: int, max_n: int | None = None):
@@ -130,15 +132,24 @@ _positive_int = _int_at_least(1)
 _seed_int = _int_at_least(0)
 
 
-def _fraction(text: str) -> float:
-    """argparse type for a float in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+def _fraction(low: float = 0.0, high: float = 1.0, closed: bool = True):
+    """argparse type for a float in ``[low, high]``, or ``(low, high)`` if not ``closed``.
+
+    NaN lies in no interval, so it is always rejected.
+    """
+    interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        inside = low <= value <= high if closed else low < value < high
+        if not inside:
+            raise argparse.ArgumentTypeError(f"must be in {interval}, got {text}")
+        return value
+
+    return parse
 
 
 def _default_seed() -> int:
@@ -231,7 +242,7 @@ def _envelope_margin(trace, seed: int) -> dict:
 
 
 def _diag_martingale(args) -> tuple[bool, dict]:
-    g = parse_graph_spec(args.graph, args.seed)
+    g = parse_graph_spec(args.graph, args.seed, max_n=TRACE_VERTEX_CAP)
     results = []
     dumps = []
     worst = None
@@ -337,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="tree-average sparsifier certificate")
     p_cert.add_argument("--graph", required=True)
-    p_cert.add_argument("--eps", type=float, required=True)
-    p_cert.add_argument("--t", type=int, default=None)
-    p_cert.add_argument("--cmult", type=float, default=None)
+    p_cert.add_argument("--eps", type=_fraction(closed=False), required=True)
+    p_cert.add_argument("--t", type=_positive_int, default=None)
+    p_cert.add_argument("--cmult", type=_fraction(high=math.inf, closed=False), default=None)
     p_cert.add_argument("--trials", type=_positive_int, default=10)
-    p_cert.add_argument("--gate", type=_fraction, default=0.9)
+    p_cert.add_argument("--gate", type=_fraction(), default=0.9)
     p_cert.add_argument("--seed", type=_seed_int, default=None)
     p_cert.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p_cert.add_argument("--json", action="store_true", help="machine output only")

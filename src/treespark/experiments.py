@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,14 +22,7 @@ from . import __version__
 from .graph import WeightedGraph, clique_star, complete_graph, laplacian
 from .leverage import laplacian_decomposition, leverage_scores
 from .spectral import SpectralDecomposition, normalized_pencil
-from .treesample import (
-    _wilson_edge_ids,
-    _wilson_exits,
-    check_parent_trees,
-    reweight_tree,
-    sample_tree_stream,
-    tree_laplacian,
-)
+from .treesample import wilson_tree_batches
 
 DEFAULT_PASS_GATE = 0.9
 
@@ -92,15 +85,9 @@ def run_single_tree_upper(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     start = time.perf_counter()
-    lap = laplacian(g)
-    dec = laplacian_decomposition(g)
-    prof = leverage_scores(g)
+    run = _certify_run(g, 1)
     seeds = _seeds(base_seed, trials)
-    extremes = []
-    for seed in seeds:
-        gen = np.random.Generator(np.random.Philox(seed))
-        tree = reweight_tree(sample_tree_stream(g, gen), prof)
-        extremes.append(normalized_pencil(lap, tree_laplacian(tree), dec))
+    extremes = [_sum_trees_trial(run, seed) for seed in seeds]
     highs = sorted(hi for _, hi in extremes)
     envelope = 100.0 * math.log(g.n)
     max_lambda = highs[-1]
@@ -150,8 +137,9 @@ class SparsifierReport:
 class _CertifyRun:
     """State every certify trial of one run shares, built once per run.
 
-    ``edge_weights`` is the inverse-leverage weight ``w_e / lev_e`` of
-    each edge; ``lap`` and ``dec`` are L_G and its shared
+    ``edge_weights`` is the weight each sampled tree gives each edge,
+    the inverse-leverage weight ``w_e / lev_e`` for certify runs;
+    ``lap`` and ``dec`` are L_G and its shared
     eigendecomposition (:func:`laplacian_decomposition`).
     """
 
@@ -173,19 +161,16 @@ def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
 
     Equals ``normalized_pencil(laplacian(g), average_trees([reweight_tree(
     sample_tree_stream(g, gen), prof) for _ in range(t)]))`` on the same
-    stream, but keeps each tree as the walk's exit choices: one stacked
-    ``(t, n)`` array, turned into parents and edge ids by two gathers
-    from ``g.csr``, checked as spanning trees all at once, then one
-    count per edge and one Laplacian assembly.
+    stream, but reads the trees as :func:`wilson_tree_batches` edge-id
+    arrays: one count per edge and one Laplacian assembly.
     """
     g = run.g
     gen = np.random.Generator(np.random.Philox(seed))
-    exits = np.array([_wilson_exits(g, gen) for _ in range(run.t)], dtype=np.int64)
-    offsets, nbr, eid = g.csr
-    at = offsets[:-1] + exits
-    ids = eid[at]
-    check_parent_trees(g, nbr[at], ids)
-    weights = np.bincount(ids[:, 1:].ravel(), minlength=g.m) * run.edge_weights / run.t
+    counts = sum(
+        np.bincount(ids.ravel(), minlength=g.m)
+        for _, ids in wilson_tree_batches(g, gen, run.t)
+    )
+    weights = counts * run.edge_weights / run.t
     return normalized_pencil(run.lap, laplacian(g, weights), run.dec)
 
 
@@ -367,18 +352,19 @@ def run_multi_tree_lower(
     base_deg = g.weighted_degrees()
     lo_win = (1.0 - eps) * base_deg
     hi_win = (1.0 + eps) * base_deg
+    us, vs, ws = g.edge_arrays
 
     seeds = _seeds(base_seed, trials)
     violations = []
     for seed in seeds:
         gen = np.random.Generator(np.random.Philox(seed))
         avg_deg = np.zeros(n)
-        for _ in range(t):
-            ids = _wilson_edge_ids(g, gen)
-            for eid in ids:
-                u, v, w = g.edges[eid]
-                avg_deg[u] += w * inv_lev
-                avg_deg[v] += w * inv_lev
+        for _, ids in wilson_tree_batches(g, gen, t):
+            # Both ends of each edge, interleaved in draw order; add.at
+            # keeps that order across batches too, so each degree is the
+            # same float sum a per-edge loop gives.
+            ends = np.stack((us[ids], vs[ids]), axis=-1).ravel()
+            np.add.at(avg_deg, ends, np.repeat(ws[ids].ravel() * inv_lev, 2))
         avg_deg /= t
         violations.append(bool(np.any(avg_deg > hi_win) or np.any(avg_deg < lo_win)))
 
@@ -447,7 +433,7 @@ def run_single_tree_lower(
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
     n = g.n
-    nbrs, eids, _, _, _ = g.adjacency
+    us, vs, ws = g.edge_arrays
     lev = clique_leverage_value(clique_size)
     inv_lev = 1.0 / lev
 
@@ -458,36 +444,20 @@ def run_single_tree_lower(
     certified = []
     for seed in seeds:
         gen = np.random.Generator(np.random.Philox(seed))
-        ids = _wilson_edge_ids(g, gen)
-        deg = [0] * n
-        adj: dict[int, list[int]] = {}
-        for eid in ids:
-            u, v, _ = g.edges[eid]
-            deg[u] += 1
-            deg[v] += 1
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        center = max(range(1, n), key=lambda v: deg[v])
-        d = deg[center]
-        x = {center: float(d)}
-        for u in adj[center]:
-            x[u] = -1.0
-        # x is supported on the star; only edges meeting the support
-        # contribute to either quadratic form.
-        tree_form = 0.0
-        for eid in ids:
-            u, v, w = g.edges[eid]
-            xu, xv = x.get(u, 0.0), x.get(v, 0.0)
-            if xu != xv:
-                tree_form += w * inv_lev * (xu - xv) ** 2
-        parent_form = 0.0
-        seen: set[int] = set()
-        for u, xu in x.items():
-            for v, eid in zip(nbrs[u], eids[u]):
-                if eid in seen:
-                    continue
-                seen.add(eid)
-                parent_form += g.edges[eid][2] * (xu - x.get(v, 0.0)) ** 2
+        [(parents, ids)] = wilson_tree_batches(g, gen, 1)
+        parents, ids = parents[0], ids[0]
+        tu, tv = us[ids], vs[ids]
+        deg = np.bincount(tu, minlength=n) + np.bincount(tv, minlength=n)
+        center = 1 + int(np.argmax(deg[1:]))
+        d = int(deg[center])
+        # The star: d at the centre, -1 at its tree neighbours, that is
+        # its parent and every vertex whose parent it is.
+        x = np.zeros(n)
+        x[parents[center - 1]] = -1.0
+        x[1:][parents == center] = -1.0
+        x[center] = float(d)
+        tree_form = float(np.sum(ws[ids] * inv_lev * (x[tu] - x[tv]) ** 2))
+        parent_form = float(np.sum(ws * (x[us] - x[vs]) ** 2))
         ratio = tree_form / parent_form
         max_degrees.append(d)
         factors.append(d / 2.0)
@@ -570,13 +540,11 @@ def run_degree_dist(n: int, samples: int, base_seed: int) -> DegreeHistogram:
     start = time.perf_counter()
     g = complete_graph(n)
     gen = np.random.Generator(np.random.Philox(base_seed))
-    counts = [0] * (n - 1)
-    # Edges (0, v) occupy ids 0 .. n-2 in the complete graph's edge order.
-    cut = n - 1
-    for _ in range(samples):
-        ids = _wilson_edge_ids(g, gen)
-        deg = sum(1 for eid in ids if eid < cut)
-        counts[deg - 1] += 1
+    hist = np.zeros(n - 1, dtype=np.int64)
+    # Vertex 0 is the root, so its tree degree counts its children.
+    for parents, _ in wilson_tree_batches(g, gen, samples):
+        hist += np.bincount((parents == 0).sum(axis=1) - 1, minlength=n - 1)
+    counts = hist.tolist()
     pmf = degree_reference_pmf(n)
     tv = 0.5 * math.fsum(abs(counts[j] / samples - pmf[j]) for j in range(n - 1))
     gate = 4.0 * math.sqrt((n - 1) / samples)
@@ -632,15 +600,11 @@ def run_unweighted_thin_tree(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     start = time.perf_counter()
-    lap = laplacian(g)
-    dec = laplacian_decomposition(g)
     max_lev = float(leverage_scores(g).values.max())
+    _, _, ws = g.edge_arrays
+    run = _CertifyRun(g, 1, ws, laplacian(g), laplacian_decomposition(g))
     seeds = _seeds(base_seed, trials)
-    extremes = []
-    for seed in seeds:
-        gen = np.random.Generator(np.random.Philox(seed))
-        tree = sample_tree_stream(g, gen)
-        extremes.append(normalized_pencil(lap, tree_laplacian(tree), dec))
+    extremes = [_sum_trees_trial(run, seed) for seed in seeds]
     max_lambda = max(hi for _, hi in extremes)
     envelope = 100.0 * max_lev * math.log(g.n)
     return ThinTreeReport(

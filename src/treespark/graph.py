@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -120,29 +121,20 @@ class WeightedGraph:
         incident weights are equal; random walk steps draw a uniform
         ``r`` and take the first index with ``cumw[v][i] > r * totw[v]``.
         """
-        nbrs = [[] for _ in range(self.n)]
-        eids = [[] for _ in range(self.n)]
-        wts = [[] for _ in range(self.n)]
-        for eid, (u, v, w) in enumerate(self.edges):
-            nbrs[u].append(v)
-            eids[u].append(eid)
-            wts[u].append(w)
-            nbrs[v].append(u)
-            eids[v].append(eid)
-            wts[v].append(w)
-        cumw = []
-        totw = []
-        uniform = []
-        for v in range(self.n):
-            run = 0.0
-            acc = []
-            for w in wts[v]:
-                run += w
-                acc.append(run)
-            cumw.append(acc)
-            totw.append(run)
-            uniform.append(bool(wts[v]) and min(wts[v]) == max(wts[v]))
-        return nbrs, eids, cumw, totw, uniform
+        offsets, nbr, eid = self.csr
+        wts = self.edge_arrays[2][eid]
+        bounds = offsets.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        nbr_list, eid_list, wt_list = nbr.tolist(), eid.tolist(), wts.tolist()
+        nbrs = [nbr_list[a:b] for a, b in spans]
+        eids = [eid_list[a:b] for a, b in spans]
+        cumw = [list(accumulate(wt_list[a:b])) for a, b in spans]
+        totw = [acc[-1] for acc in cumw]
+        # A connected graph leaves no vertex without entries, so no
+        # reduceat segment is empty.
+        lo = np.minimum.reduceat(wts, offsets[:-1])
+        hi = np.maximum.reduceat(wts, offsets[:-1])
+        return nbrs, eids, cumw, totw, (lo == hi).tolist()
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,31 +261,6 @@ def erdos_renyi_connected(
     raise ValueError(
         f"no connected G({n}, {p}) draw within {max_attempts} attempts"
     )
-
-
-def build_construction(kind: str, params: dict) -> WeightedGraph:
-    """Dispatch to a named unit-weight construction.
-
-    ``kind`` is one of ``complete`` (params: n), ``ring`` (n),
-    ``clique_star`` (num_cliques, clique_size) or
-    ``erdos_renyi_connected`` (n, p, seed).
-    """
-    builders = {
-        "complete": (complete_graph, ("n",)),
-        "ring": (ring_graph, ("n",)),
-        "clique_star": (clique_star, ("num_cliques", "clique_size")),
-        "erdos_renyi_connected": (erdos_renyi_connected, ("n", "p", "seed")),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown construction kind {kind!r}")
-    fn, names = builders[kind]
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise ValueError(f"{kind} construction needs parameters {missing}")
-    extra = set(params) - set(names)
-    if extra:
-        raise ValueError(f"{kind} construction got unknown parameters {sorted(extra)}")
-    return fn(**{name: params[name] for name in names})
 
 
 def write_graph(g: WeightedGraph, path: str) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SizeGuardError, WeightedGraph, laplacian
-from .spectral import SpectralDecomposition, eig_sym
+from .spectral import SpectralDecomposition, eig_sym, pinv_power
 
 DENSE_SOLVE_CAP = 2000
 
@@ -54,12 +54,7 @@ def laplacian_decomposition(g: WeightedGraph) -> SpectralDecomposition:
 
 @functools.lru_cache(maxsize=8)
 def _laplacian_pinv(g: WeightedGraph) -> np.ndarray:
-    dec = laplacian_decomposition(g)
-    vals = dec.eigenvalues
-    inv = np.zeros_like(vals)
-    pos = vals > dec.zero_cutoff
-    inv[pos] = 1.0 / vals[pos]
-    return (dec.basis * inv) @ dec.basis.T
+    return pinv_power(laplacian_decomposition(g), 1)
 
 
 def effective_resistance(g: WeightedGraph, u: int, v: int) -> float:

@@ -1,4 +1,4 @@
-"""Dense symmetric eigen-utilities: decompositions, pseudo square roots,
+"""Dense symmetric eigen-utilities: decompositions, pseudoinverse powers,
 relative condition numbers of Laplacian pencils and PSD order tests."""
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ def eig_sym(a: np.ndarray, rank_tol: float | None = None) -> SpectralDecompositi
     return SpectralDecomposition(vals, vecs, float(rank_tol))
 
 
-def pinv_sqrt(dec: SpectralDecomposition) -> np.ndarray:
-    """Inverse square root on the numerical range, zero on the null space.
+def pinv_power(dec: SpectralDecomposition, power: float) -> np.ndarray:
+    """``A^-power`` on the numerical range of a PSD ``A``, zero on its null space.
 
-    Eigenvalues at or below the zero cutoff map to 0; eigenvalues more
-    negative than the cutoff are rejected because the matrix was supposed
-    to be positive semidefinite.
+    ``power = 1`` gives the pseudoinverse and ``power = 0.5`` the inverse
+    square root.  Eigenvalues at or below the zero cutoff map to 0;
+    eigenvalues more negative than the cutoff are rejected because the
+    matrix was supposed to be positive semidefinite.
     """
     cutoff = dec.zero_cutoff
     vals = dec.eigenvalues
@@ -68,7 +69,7 @@ def pinv_sqrt(dec: SpectralDecomposition) -> np.ndarray:
         )
     inv = np.zeros_like(vals)
     pos = vals > cutoff
-    inv[pos] = 1.0 / np.sqrt(vals[pos])
+    inv[pos] = 1.0 / vals[pos] ** power
     return (dec.basis * inv) @ dec.basis.T
 
 

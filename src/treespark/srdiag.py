@@ -33,7 +33,7 @@ import numpy as np
 
 from .graph import SizeGuardError, WeightedGraph
 from .leverage import TransferCurrent, laplacian_decomposition, leverage_scores
-from .spectral import _opnorm, pinv_sqrt
+from .spectral import _opnorm, pinv_power
 from .treesample import sample_tree_stream
 
 SHRINKING_EDGE_CAP = 10
@@ -176,7 +176,7 @@ class MartingaleTrace:
 def _edge_matrices(g: WeightedGraph) -> np.ndarray:
     """Stack of normalised inverse-leverage edge matrices, shape (m, n, n)."""
     lev = leverage_scores(g).values
-    proot = pinv_sqrt(laplacian_decomposition(g))
+    proot = pinv_power(laplacian_decomposition(g), 0.5)
     us, vs, ws = g.edge_arrays
     diffs = proot[:, us] - proot[:, vs]
     scaled = diffs * np.sqrt(ws / lev)
@@ -379,10 +379,6 @@ class BinomialTailQuery:
             )
 
 
-def _validate_tail_args(k: int, p: float, threshold: int) -> None:
-    BinomialTailQuery(k, p, threshold)
-
-
 def _log_terms(k: int, p: float, lo: int, hi: int) -> list[float]:
     logc = math.lgamma(k + 1)
     logp = math.log(p)
@@ -395,7 +391,7 @@ def _log_terms(k: int, p: float, lo: int, hi: int) -> list[float]:
 
 def log_binomial_tail(k: int, p: float, threshold: int) -> float:
     """``log Pr[Bin(k, p) >= threshold]`` without underflow."""
-    _validate_tail_args(k, p, threshold)
+    BinomialTailQuery(k, p, threshold)
     if threshold == 0:
         return 0.0
     terms = _log_terms(k, p, threshold, k)
@@ -410,7 +406,7 @@ def binomial_tail(k: int, p: float, threshold: int) -> float:
 
 def log_binomial_tail_lower(k: int, p: float, threshold: int) -> float:
     """``log Pr[Bin(k, p) <= threshold]`` without underflow."""
-    _validate_tail_args(k, p, threshold)
+    BinomialTailQuery(k, p, threshold)
     if threshold == k:
         return 0.0
     terms = _log_terms(k, p, 0, threshold)
@@ -434,10 +430,7 @@ def reverse_chernoff_check(k: int, p: float, eps: float) -> bool:
     inward nudge on the thresholds absorbs float noise when ``(1 +- eps)
     p k`` is an exact integer.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"need integer k >= 1, got {k!r}")
-    if not (0.0 < p <= 0.5):
-        raise ValueError(f"success probability must lie in (0, 1/2], got {p}")
+    BinomialTailQuery(k, p, 0)
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"deviation must lie in (0, 1/2], got {eps}")
     exponent = eps * eps * p * k

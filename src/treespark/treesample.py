@@ -5,8 +5,9 @@ edge weights.  The sampler is the loop-erased random walk construction:
 walks step to a neighbour with probability proportional to the incident
 edge weight, loops are erased implicitly by overwriting each vertex's
 last exit choice, and the tree rooted at vertex 0 is returned as every
-vertex's exit choice.  :func:`check_parent_trees` certifies a stack of
-such trees at once from their parent pointers.
+vertex's exit choice.  :func:`wilson_tree_batches` stacks such trees
+into parent and edge-id arrays and certifies each stack at once with
+:func:`check_parent_trees`.
 Randomness comes from a Philox counter-based generator, so a seed fully
 determines the output at a fixed library version.
 
@@ -36,40 +37,35 @@ WEIGHT_MODES = ("original", "inverse_leverage")
 _BUF_START = 64
 _BUF_MAX = 8192
 
+# Most vertex slots (trees times n) one batch of
+# :func:`wilson_tree_batches` stacks.
+_BATCH_SLOTS = 1 << 20
+
 
 def check_tree_ids(g: WeightedGraph, ids) -> None:
     """Raise ValueError unless ``ids`` are the edge ids of a spanning tree.
 
     ``n - 1`` in-range ids without a cycle span all ``n`` vertices, so a
-    single union-find pass (path halving) settles it; a repeated id shows
-    up as a cycle.
+    single union-find pass settles it; a repeated id shows up as a cycle.
     """
     n = g.n
     if len(ids) != n - 1:
         raise ValueError(f"expected {n - 1} edges, got {len(ids)}")
     if not (0 <= min(ids) and max(ids) < g.m):
         raise ValueError("edge id out of range")
-    edges = g.edges
-    parent = list(range(n))
+    uf = UnionFind(n)
     for eid in ids:
-        a, b, _ = edges[eid]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
+        u, v, _ = g.edges[eid]
+        if not uf.union(u, v):
             raise ValueError(f"edge {eid} closes a cycle")
-        parent[a] = b
 
 
 def check_parent_trees(g: WeightedGraph, parents, edge_ids) -> None:
     """Raise ValueError unless every row is a spanning tree rooted at 0.
 
-    Row ``i`` gives each vertex ``v != 0`` a parent ``parents[i, v]`` and
-    the id ``edge_ids[i, v]`` of an edge joining the two; column 0 (the
-    root) is ignored.  Parent pointers that all lead to the root span
+    Row ``i`` gives each vertex ``v != 0``, at column ``v - 1``, a parent
+    ``parents[i, v - 1]`` and the id ``edge_ids[i, v - 1]`` of an edge
+    joining the two.  Parent pointers that all lead to the root span
     every vertex with ``n - 1`` links and no cycle, and an edge joins
     exactly one child to its parent, so the edges form a spanning tree
     of ``g``.  A repeated edge would make its two ends each other's
@@ -79,9 +75,8 @@ def check_parent_trees(g: WeightedGraph, parents, edge_ids) -> None:
     n, m = g.n, g.m
     parents = np.asarray(parents, dtype=np.int64)
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    if parents.ndim != 2 or parents.shape[1] != n or edge_ids.shape != parents.shape:
-        raise ValueError(f"expected matching (trees, {n}) parent and edge arrays")
-    parents, edge_ids = parents[:, 1:], edge_ids[:, 1:]
+    if parents.ndim != 2 or parents.shape[1] != n - 1 or edge_ids.shape != parents.shape:
+        raise ValueError(f"expected matching (trees, {n - 1}) parent and edge arrays")
     if parents.size and (parents.min() < 0 or parents.max() >= n):
         raise ValueError("parent vertex out of range")
     if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= m):
@@ -183,23 +178,40 @@ def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     return [eids[v][nxt[v]] for v in range(1, g.n)]
 
 
-def _tree_from_ids(g: WeightedGraph, ids) -> SpanningTree:
-    ids = tuple(sorted(ids))
-    return SpanningTree(g, ids, tuple(g.edges[e][2] for e in ids), "original")
-
-
 def sample_tree_wilson(g: WeightedGraph, rng_seed: int) -> SpanningTree:
     """Draw one spanning tree with probability proportional to its weight.
 
     The same ``(graph, rng_seed)`` pair always yields the same tree.
     """
-    gen = np.random.Generator(np.random.Philox(rng_seed))
-    return _tree_from_ids(g, _wilson_edge_ids(g, gen))
+    return sample_tree_stream(g, np.random.Generator(np.random.Philox(rng_seed)))
 
 
 def sample_tree_stream(g: WeightedGraph, gen: np.random.Generator) -> SpanningTree:
     """Draw one tree from a caller-owned generator (for multi-tree trials)."""
-    return _tree_from_ids(g, _wilson_edge_ids(g, gen))
+    ids = tuple(sorted(_wilson_edge_ids(g, gen)))
+    return SpanningTree(g, ids, tuple(g.edges[e][2] for e in ids), "original")
+
+
+def wilson_tree_batches(g: WeightedGraph, gen: np.random.Generator, count: int):
+    """Yield ``count`` Wilson trees from ``gen`` as checked array batches.
+
+    Each batch is a pair of ``(trees, n - 1)`` int64 arrays: column
+    ``v - 1`` holds vertex ``v``'s parent towards root 0 and the id of
+    the edge joining them.  Trees come in the order
+    :func:`sample_tree_stream` would draw them from the same generator,
+    and :func:`check_parent_trees` has certified every one.  A batch
+    holds at most ``_BATCH_SLOTS`` vertex slots, so long runs stay
+    bounded in memory.
+    """
+    offsets, nbr, eid = g.csr
+    per_batch = max(1, _BATCH_SLOTS // g.n)
+    for done in range(0, count, per_batch):
+        size = min(per_batch, count - done)
+        exits = np.array([_wilson_exits(g, gen) for _ in range(size)], dtype=np.int64)
+        at = offsets[1:-1] + exits[:, 1:]
+        parents, ids = nbr[at], eid[at]
+        check_parent_trees(g, parents, ids)
+        yield parents, ids
 
 
 def edge_frequencies(g: WeightedGraph, samples: int, rng_seed: int) -> np.ndarray:
@@ -211,10 +223,9 @@ def edge_frequencies(g: WeightedGraph, samples: int, rng_seed: int) -> np.ndarra
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     gen = np.random.Generator(np.random.Philox(rng_seed))
-    counts = np.zeros(g.m)
-    for _ in range(samples):
-        for eid in _wilson_edge_ids(g, gen):
-            counts[eid] += 1.0
+    counts = np.zeros(g.m, dtype=np.int64)
+    for _, ids in wilson_tree_batches(g, gen, samples):
+        counts += np.bincount(ids.ravel(), minlength=g.m)
     return counts / samples
 
 
@@ -247,9 +258,6 @@ class TreeDistributionTable:
         for tree, p in zip(self.trees, self.probabilities):
             out[list(tree)] += p
         return out
-
-    def spanning_tree(self, index: int) -> SpanningTree:
-        return _tree_from_ids(self.graph, self.trees[index])
 
 
 def enumerate_trees(g: WeightedGraph) -> TreeDistributionTable:

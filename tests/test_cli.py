@@ -271,6 +271,35 @@ def test_certify_size_guard_trips_before_the_graph_is_built(spec, capsys):
     assert "capped at n = 2000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--eps", "1.5"], "--eps: must be in (0, 1)"),
+        (["--eps", "nan"], "--eps: must be in (0, 1)"),
+        (["--eps", "0"], "--eps: must be in (0, 1)"),
+        (["--eps", "0.5", "--t", "0"], "--t: must be at least 1"),
+        (["--eps", "0.5", "--cmult", "-1"], "--cmult: must be in (0, inf)"),
+        (["--eps", "0.5", "--cmult", "nan"], "--cmult: must be in (0, inf)"),
+    ],
+)
+def test_certify_ranges_are_checked_before_the_graph_is_built(flags, message, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--graph", "k:2000", "--jobs", "1"] + flags)
+    assert exc.value.code == EXIT_USAGE
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {message}" in captured.err
+
+
+def test_martingale_size_guard_trips_before_the_graph_is_built(capsys):
+    start = time.perf_counter()
+    assert main(["diag", "martingale", "--graph", "k:1200"]) == EXIT_SIZE_GUARD
+    assert time.perf_counter() - start < 0.5
+    assert "capped at n = 12, got n = 1200" in capsys.readouterr().err
+
+
 def test_certify_size_guard_reads_only_the_file_header(tmp_path, capsys):
     # The header promises 3000 vertices; the edge lines are never parsed.
     path = tmp_path / "big.graph"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from corpus import SMALL, path_graph, random_connected_graph
-from treespark import experiments, leverage, spectral, srdiag
+from treespark import experiments, leverage, spectral, srdiag, treesample
 from treespark.experiments import (
     _certify_run,
     _sum_trees_trial,
@@ -31,9 +31,11 @@ from treespark.srdiag import binomial_tail
 from treespark.treesample import (
     _wilson_edge_ids,
     average_trees,
+    edge_frequencies,
     enumerate_trees,
     reweight_tree,
     sample_tree_stream,
+    tree_laplacian,
 )
 
 
@@ -163,13 +165,131 @@ def test_sum_trees_trial_matches_edge_id_route(name, g):
         assert _sum_trees_trial(run, seed) == want
 
 
+@pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
+def test_single_tree_runners_match_tree_object_route(name, g):
+    # Oracle: one validated SpanningTree per seed, reweighted by its
+    # leverage for the upper envelope and kept plain for thin trees.
+    lap, dec, prof = laplacian(g), laplacian_decomposition(g), leverage_scores(g)
+    seeds = range(5, 9)
+
+    def tree_route(reweight):
+        out = []
+        for seed in seeds:
+            tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
+            tree = reweight_tree(tree, prof) if reweight else tree
+            out.append(normalized_pencil(lap, tree_laplacian(tree), dec))
+        return out
+
+    upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])
+    assert upper.extremes == tree_route(reweight=True)
+    if all(w == 1.0 for _, _, w in g.edges):
+        thin = run_unweighted_thin_tree(g, trials=len(seeds), base_seed=seeds[0])
+        assert thin.extremes == tree_route(reweight=False)
+
+
+@pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
+def test_edge_frequencies_match_edge_id_route(name, g):
+    samples = 300
+    gen = np.random.Generator(np.random.Philox(17))
+    counts = np.zeros(g.m)
+    for _ in range(samples):
+        for eid in _wilson_edge_ids(g, gen):
+            counts[eid] += 1.0
+    assert np.array_equal(edge_frequencies(g, samples, 17), counts / samples)
+
+
+CLIQUE_STARS = [(1, 4), (2, 3), (3, 5), (4, 12)]
+
+
+@pytest.mark.parametrize("cliques,size", CLIQUE_STARS)
+def test_multi_tree_lower_matches_edge_id_route(cliques, size):
+    # Oracle: per-edge degree sums over edge-id lists, in draw order.
+    eps, t, base_seed, trials = 0.4, 6, 3, 12
+    g = clique_star(cliques, size)
+    inv_lev = 1.0 / clique_leverage_value(size)
+    base_deg = g.weighted_degrees()
+    want = []
+    for seed in range(base_seed, base_seed + trials):
+        gen = np.random.Generator(np.random.Philox(seed))
+        avg_deg = np.zeros(g.n)
+        for _ in range(t):
+            for eid in _wilson_edge_ids(g, gen):
+                u, v, w = g.edges[eid]
+                avg_deg[u] += w * inv_lev
+                avg_deg[v] += w * inv_lev
+        avg_deg /= t
+        high, low = avg_deg > (1.0 + eps) * base_deg, avg_deg < (1.0 - eps) * base_deg
+        want.append(bool(np.any(high) or np.any(low)))
+    report = run_multi_tree_lower(cliques, size, eps=eps, trials=trials, base_seed=base_seed, t=t)
+    assert report.violations == want
+
+
+@pytest.mark.parametrize("cliques,size", CLIQUE_STARS)
+def test_single_tree_lower_matches_edge_id_route(cliques, size):
+    # Oracle: tree degrees, the star vector and both quadratic forms
+    # summed edge by edge over the edge-id list.
+    g = clique_star(cliques, size)
+    inv_lev = 1.0 / clique_leverage_value(size)
+    base_seed, trials = 5, 20
+    report = run_single_tree_lower(cliques, size, trials=trials, base_seed=base_seed)
+    for j, seed in enumerate(range(base_seed, base_seed + trials)):
+        ids = _wilson_edge_ids(g, np.random.Generator(np.random.Philox(seed)))
+        deg = [0] * g.n
+        nbrs: dict[int, list[int]] = {}
+        for eid in ids:
+            u, v, _ = g.edges[eid]
+            deg[u] += 1
+            deg[v] += 1
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        center = max(range(1, g.n), key=lambda v: deg[v])
+        x = [0.0] * g.n
+        for u in nbrs[center]:
+            x[u] = -1.0
+        x[center] = float(deg[center])
+        tree_edges = [g.edges[eid] for eid in ids]
+        tree_form = sum(w * inv_lev * (x[u] - x[v]) ** 2 for u, v, w in tree_edges)
+        parent_form = sum(w * (x[u] - x[v]) ** 2 for u, v, w in g.edges)
+        ratio = tree_form / parent_form
+        assert report.max_degrees[j] == deg[center]
+        assert report.certified[j] == (ratio > deg[center] / 2.0)
+        assert abs(report.quadform_ratios[j] - ratio) <= 1e-12 * ratio
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_degree_dist_matches_edge_id_route(n):
+    # Edges (0, v) occupy ids 0 .. n-2 in the complete graph's edge order.
+    samples = 500
+    gen = np.random.Generator(np.random.Philox(11))
+    counts = [0] * (n - 1)
+    g = complete_graph(n)
+    for _ in range(samples):
+        counts[sum(1 for eid in _wilson_edge_ids(g, gen) if eid < n - 1) - 1] += 1
+    assert run_degree_dist(n, samples=samples, base_seed=11).counts == counts
+
+
+def test_drivers_do_not_depend_on_the_batch_size(monkeypatch):
+    def outputs():
+        return (
+            run_degree_dist(7, samples=300, base_seed=3).counts,
+            run_multi_tree_lower(3, 5, eps=0.4, trials=3, base_seed=2, t=40).violations,
+            edge_frequencies(random_connected_graph(24, 30, seed=2), 200, 4).tolist(),
+            run_sum_trees(complete_graph(9), eps=0.5, trials=2, base_seed=1, t=25).extremes,
+        )
+
+    whole = outputs()
+    # One to three trees a batch on the graphs above, so every run splits.
+    monkeypatch.setattr(treesample, "_BATCH_SLOTS", 26)
+    assert outputs() == whole
+
+
 def test_sum_trees_trial_rejects_a_walk_that_is_not_a_tree(monkeypatch):
     g = complete_graph(5)
     run = _certify_run(g, 3)
     # Vertex 1 exits towards 2 and vertex 2 towards 1: a cycle off the root.
     nbrs = g.adjacency[0]
     bad = [0, nbrs[1].index(2), nbrs[2].index(1), 0, 0]
-    monkeypatch.setattr(experiments, "_wilson_exits", lambda g, gen: list(bad))
+    monkeypatch.setattr(treesample, "_wilson_exits", lambda g, gen: list(bad))
     with pytest.raises(ValueError, match="cycle that misses the root"):
         _sum_trees_trial(run, 0)
 

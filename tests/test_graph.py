@@ -11,7 +11,6 @@ from treespark.graph import (
     GraphFileError,
     UnionFind,
     WeightedGraph,
-    build_construction,
     clique_star,
     complete_graph,
     erdos_renyi_connected,
@@ -169,21 +168,6 @@ def test_erdos_renyi_rejects_bad_probability():
         erdos_renyi_connected(5, 0.0, seed=1)
     with pytest.raises(ValueError):
         erdos_renyi_connected(5, 1.5, seed=1)
-
-
-def test_build_construction_dispatch():
-    assert build_construction("complete", {"n": 5}).m == 10
-    assert build_construction("ring", {"n": 6}).m == 6
-    g = build_construction("clique_star", {"num_cliques": 2, "clique_size": 3})
-    assert g.n == 5
-    r = build_construction("erdos_renyi_connected", {"n": 8, "p": 0.5, "seed": 3})
-    assert r.n == 8
-    with pytest.raises(ValueError):
-        build_construction("torus", {"n": 4})
-    with pytest.raises(ValueError):
-        build_construction("complete", {})
-    with pytest.raises(ValueError):
-        build_construction("complete", {"n": 4, "extra": 1})
 
 
 @pytest.mark.parametrize("name,g", SMALL)

@@ -10,7 +10,7 @@ from treespark.spectral import (
     check_symmetric_triangle,
     eig_sym,
     normalized_pencil,
-    pinv_sqrt,
+    pinv_power,
     psd_leq,
 )
 from treespark.treesample import enumerate_trees
@@ -73,20 +73,22 @@ def test_eig_sym_deterministic():
 
 
 def test_pinv_sqrt_identity_and_diag():
-    assert np.allclose(pinv_sqrt(eig_sym(np.eye(3))), np.eye(3), atol=1e-12)
-    got = pinv_sqrt(eig_sym(np.diag([0.0, 4.0])))
+    assert np.allclose(pinv_power(eig_sym(np.eye(3)), 0.5), np.eye(3), atol=1e-12)
+    got = pinv_power(eig_sym(np.diag([0.0, 4.0])), 0.5)
     assert np.allclose(got, np.diag([0.0, 0.5]), atol=1e-12)
+    got = pinv_power(eig_sym(np.diag([0.0, 4.0])), 1)
+    assert np.allclose(got, np.diag([0.0, 0.25]), atol=1e-12)
 
 
 def test_pinv_sqrt_rejects_negative():
     with pytest.raises(ValueError):
-        pinv_sqrt(eig_sym(np.diag([-1.0, 2.0])))
+        pinv_power(eig_sym(np.diag([-1.0, 2.0])), 0.5)
 
 
 @pytest.mark.parametrize("name,g", SMALL)
 def test_pinv_sqrt_projects_onto_range(name, g):
     lap = laplacian(g)
-    p = pinv_sqrt(eig_sym(lap))
+    p = pinv_power(eig_sym(lap), 0.5)
     pi = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
     # P L P must be the projector onto the complement of the all-ones line.
     assert np.abs(p @ lap @ p - pi).max() <= 1e-9
@@ -94,7 +96,7 @@ def test_pinv_sqrt_projects_onto_range(name, g):
 
 def test_pinv_sqrt_complete_graph_closed_form():
     n = 5
-    p = pinv_sqrt(eig_sym(laplacian(complete_graph(n))))
+    p = pinv_power(eig_sym(laplacian(complete_graph(n))), 0.5)
     pi = np.eye(n) - np.ones((n, n)) / n
     assert np.abs(p - pi / np.sqrt(n)).max() <= 1e-10
 

@@ -21,7 +21,7 @@ from corpus import (
 from quotient_oracle import forests, quotient_marginals, quotient_trace
 from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, laplacian, ring_graph
 from treespark.leverage import leverage_scores
-from treespark.spectral import eig_sym, pinv_sqrt, psd_leq
+from treespark.spectral import eig_sym, pinv_power, psd_leq
 from treespark.srdiag import (
     BinomialTailQuery,
     binomial_tail,
@@ -94,7 +94,7 @@ def test_shrinking_size_guard():
 
 def _edge_matrix(g, eid):
     lev = leverage_scores(g).values
-    p = pinv_sqrt(eig_sym(laplacian(g)))
+    p = pinv_power(eig_sym(laplacian(g)), 0.5)
     u, v, w = g.edges[eid]
     x = math.sqrt(w / lev[eid]) * (p[u] - p[v])
     return np.outer(x, x)

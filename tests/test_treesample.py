@@ -25,8 +25,9 @@ from treespark.graph import (
     laplacian,
     ring_graph,
 )
+from treespark import treesample
 from treespark.leverage import leverage_scores
-from treespark.spectral import eig_sym, pinv_sqrt
+from treespark.spectral import eig_sym, pinv_power
 from treespark.treesample import (
     SpanningTree,
     _wilson_edge_ids,
@@ -42,6 +43,7 @@ from treespark.treesample import (
     sample_tree_stream,
     sample_tree_wilson,
     tree_laplacian,
+    wilson_tree_batches,
 )
 
 
@@ -243,7 +245,7 @@ def test_average_validation():
 @pytest.mark.parametrize("name,g", [(n, g) for n, g in SMALL if g.n >= 3])
 def test_normalized_edge_matrices_have_unit_norm(name, g):
     lev = leverage_scores(g).values
-    p = pinv_sqrt(eig_sym(laplacian(g)))
+    p = pinv_power(eig_sym(laplacian(g)), 0.5)
     for eid, (u, v, w) in enumerate(g.edges):
         x = math.sqrt(w / lev[eid]) * (p[u] - p[v])
         assert np.dot(x, x) == pytest.approx(1.0, abs=1e-9)
@@ -337,42 +339,70 @@ def test_wilson_exits_give_checked_parent_trees(name, g):
         # Vertex v's exit edge sits at column v - 1.
         assert ids == [eids[v][exits[v]] for v in range(1, g.n)]
         check_tree_ids(g, ids)
-        at = offsets[:-1] + np.array([exits])
-        assert eid[at][0, 1:].tolist() == ids
-        assert nbr[at][0, 1:].tolist() == [nbrs[v][exits[v]] for v in range(1, g.n)]
+        at = offsets[1:-1] + np.array([exits[1:]])
+        assert eid[at][0].tolist() == ids
+        assert nbr[at][0].tolist() == [nbrs[v][exits[v]] for v in range(1, g.n)]
         check_parent_trees(g, nbr[at], eid[at])
+
+
+@pytest.mark.parametrize("slots", [None, 1, 40])
+@pytest.mark.parametrize(
+    "name,g", SMALL + [("random_multigraph", random_connected_graph(30, 50, seed=8))]
+)
+def test_tree_batches_list_the_stream_trees_in_order(name, g, slots, monkeypatch):
+    # Whatever the batch size, row i holds tree i of the stream: vertex
+    # v's parent and exit edge at column v - 1.
+    if slots is not None:
+        monkeypatch.setattr(treesample, "_BATCH_SLOTS", slots)
+    count = 7
+    gen = np.random.Generator(np.random.Philox(3))
+    batches = list(wilson_tree_batches(g, gen, count))
+    parents = np.concatenate([p for p, _ in batches])
+    ids = np.concatenate([e for _, e in batches])
+    assert parents.shape == ids.shape == (count, g.n - 1)
+    per_batch = max(1, (slots or treesample._BATCH_SLOTS) // g.n)
+    assert len(batches) == math.ceil(count / per_batch)
+    nbrs, eids, _, _, _ = g.adjacency
+    ref = np.random.Generator(np.random.Philox(3))
+    for row_parents, row_ids in zip(parents.tolist(), ids.tolist()):
+        exits = _wilson_exits(g, ref)
+        assert row_parents == [nbrs[v][exits[v]] for v in range(1, g.n)]
+        assert row_ids == [eids[v][exits[v]] for v in range(1, g.n)]
 
 
 def test_check_parent_trees_rejects_non_trees():
     g = complete_graph(4)  # edges 0-1, 0-2, 0-3, 1-2, 1-3, 2-3
-    # Star at 0 and the path 0-1-2-3; column 0 (the root) is ignored.
-    good_p = [[9, 0, 0, 0], [9, 0, 1, 2]]
-    good_e = [[9, 0, 1, 2], [9, 0, 3, 5]]
+    # Star at 0 and the path 0-1-2-3; column v - 1 belongs to vertex v.
+    good_p = [[0, 0, 0], [0, 1, 2]]
+    good_e = [[0, 1, 2], [0, 3, 5]]
     check_parent_trees(g, good_p, good_e)
-    check_parent_trees(g, np.zeros((0, 4)), np.zeros((0, 4)))
+    check_parent_trees(g, np.zeros((0, 3)), np.zeros((0, 3)))
     # 2 -> 3 -> 2 never reaches the root, though each edge joins its ends.
     with pytest.raises(ValueError, match="cycle that misses the root"):
-        check_parent_trees(g, [[0, 0, 3, 2]], [[0, 0, 5, 5]])
+        check_parent_trees(g, [[0, 3, 2]], [[0, 5, 5]])
     # A repeated edge: 1 and 2 both leave by edge 1-2, so they are each
     # other's parents, a 2-cycle.
     with pytest.raises(ValueError, match="cycle that misses the root"):
-        check_parent_trees(g, good_p + [[0, 2, 1, 0]], good_e + [[0, 3, 3, 2]])
+        check_parent_trees(g, good_p + [[2, 1, 0]], good_e + [[3, 3, 2]])
     # Parents form a tree, but vertex 3's edge 1-3 does not join 3 to 0.
     with pytest.raises(ValueError, match="does not join"):
-        check_parent_trees(g, [[0, 0, 0, 0]], [[0, 0, 1, 4]])
+        check_parent_trees(g, [[0, 0, 0]], [[0, 1, 4]])
     # A vertex that is its own parent.
     with pytest.raises(ValueError, match="does not join"):
-        check_parent_trees(g, [[0, 0, 2, 0]], [[0, 0, 1, 2]])
+        check_parent_trees(g, [[0, 2, 0]], [[0, 1, 2]])
     with pytest.raises(ValueError, match="parent vertex out of range"):
-        check_parent_trees(g, [[0, 0, 4, 0]], [[0, 0, 1, 2]])
+        check_parent_trees(g, [[0, 4, 0]], [[0, 1, 2]])
     with pytest.raises(ValueError, match="parent vertex out of range"):
-        check_parent_trees(g, [[0, -1, 0, 0]], [[0, 0, 1, 2]])
+        check_parent_trees(g, [[-1, 0, 0]], [[0, 1, 2]])
     with pytest.raises(ValueError, match="edge id out of range"):
-        check_parent_trees(g, [[0, 0, 0, 0]], [[0, 0, 1, 6]])
+        check_parent_trees(g, [[0, 0, 0]], [[0, 1, 6]])
     with pytest.raises(ValueError, match="matching"):
-        check_parent_trees(g, [[0, 0, 0]], [[0, 0, 1]])
+        check_parent_trees(g, [[0, 0]], [[0, 1]])
     with pytest.raises(ValueError, match="matching"):
-        check_parent_trees(g, [[0, 0, 0, 0]], [[0, 0, 1, 2], [0, 0, 1, 2]])
+        check_parent_trees(g, [[0, 0, 0]], [[0, 1, 2], [0, 1, 2]])
+    # The old layout with a column for the root is refused, not misread.
+    with pytest.raises(ValueError, match="matching"):
+        check_parent_trees(g, [[0, 0, 0, 0]], [[0, 0, 1, 2]])
 
 
 def test_spanning_tree_sorts_ids_and_weights_together():

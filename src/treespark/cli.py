@@ -48,7 +48,7 @@ from .srdiag import (
     shrinking_marginals_suite,
     trace_dump,
 )
-from .experiments import report_to_dict, run_sum_trees, write_extremes_csv
+from .experiments import DEFAULT_PASS_GATE, run_sum_trees, write_extremes_csv
 from .treesample import format_tree_line, sample_tree_wilson
 
 EXIT_PASS = 0
@@ -152,6 +152,16 @@ def _fraction(low: float = 0.0, high: float = 1.0, closed: bool = True):
     return parse
 
 
+def _output_path(text: str) -> str:
+    """argparse type for a file to write: its directory must already exist."""
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
+
+
 def _default_seed() -> int:
     raw = os.environ.get("TREESPARK_SEED", "0")
     try:
@@ -193,40 +203,35 @@ def _cmd_certify(args) -> int:
         jobs=args.jobs,
         graph_desc=args.graph,
     )
-    payload = report_to_dict(report)
-    payload["run_config"] = {
-        "command": "certify",
-        "graph": args.graph,
-        "eps": args.eps,
-        "t": args.t,
-        "cmult": args.cmult,
-        "trials": args.trials,
-        "seed": args.seed,
-        "gate": args.gate,
-        "jobs": args.jobs,
-        "library_version": __version__,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     if args.csv:
         write_extremes_csv(report, args.csv)
+    results = report.results
     if not args.json:
         print(
-            f"certify: pass_fraction={report.pass_fraction:g} gate={report.gate:g} "
-            f"{'PASS' if report.passed else 'FAIL'}",
+            f"certify: pass_fraction={results['pass_fraction']:g} gate={results['gate']:g} "
+            f"{'PASS' if results['passed'] else 'FAIL'}",
             file=sys.stderr,
         )
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return EXIT_PASS if results["passed"] else EXIT_FAIL
 
 
 def _diag_marginals(args) -> tuple[bool, dict]:
     g = parse_graph_spec(args.graph, args.seed)
     report = shrinking_marginals_suite(g)
+    forest, edge, conditional, unconditional = report.worst
     return report.passed, {
         "suite": "marginals",
         "graph": args.graph,
         "forests": report.num_forests,
         "pairs": report.num_pairs,
         "max_excess": report.max_excess,
+        "worst": {
+            "forest": forest,
+            "edge": edge,
+            "conditional": conditional,
+            "unconditional": unconditional,
+        },
         "passed": report.passed,
     }
 
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--graph", required=True)
     p_sample.add_argument("--count", type=_positive_int, default=1)
     p_sample.add_argument("--seed", type=_seed_int, default=None)
-    p_sample.add_argument("--out", default=None)
+    p_sample.add_argument("--out", type=_output_path, default=None)
     p_sample.set_defaults(func=_cmd_sample)
 
     p_cert = sub.add_parser("certify", help="tree-average sparsifier certificate")
@@ -352,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--t", type=_positive_int, default=None)
     p_cert.add_argument("--cmult", type=_fraction(high=math.inf, closed=False), default=None)
     p_cert.add_argument("--trials", type=_positive_int, default=10)
-    p_cert.add_argument("--gate", type=_fraction(), default=0.9)
+    p_cert.add_argument("--gate", type=_fraction(), default=DEFAULT_PASS_GATE)
     p_cert.add_argument("--seed", type=_seed_int, default=None)
     p_cert.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p_cert.add_argument("--json", action="store_true", help="machine output only")
-    p_cert.add_argument("--out", default=None)
-    p_cert.add_argument("--csv", default=None)
+    p_cert.add_argument("--out", type=_output_path, default=None)
+    p_cert.add_argument("--csv", type=_output_path, default=None)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_diag = sub.add_parser("diag", help="diagnostic suites")
@@ -368,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--pairs", type=_positive_int, default=200)
     p_diag.add_argument("--dim", type=_positive_int, default=8)
     p_diag.add_argument("--seed", type=_seed_int, default=None)
-    p_diag.add_argument("--dump", default=None)
-    p_diag.add_argument("--out", default=None)
+    p_diag.add_argument("--dump", type=_output_path, default=None)
+    p_diag.add_argument("--out", type=_output_path, default=None)
     p_diag.set_defaults(func=_cmd_diag)
 
     return parser

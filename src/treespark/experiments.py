@@ -1,5 +1,5 @@
 """Experiment drivers: tree-average sparsifier certificates, lower bound
-constructions and sampler law checks, with JSON-friendly reports.
+constructions and sampler law checks, each returning one :class:`Report`.
 
 Every driver derives per-trial seeds as ``base_seed + trial_index``, so
 trials are reproducible one by one and independent of how work is
@@ -27,26 +27,50 @@ from .treesample import wilson_tree_batches
 DEFAULT_PASS_GATE = 0.9
 
 
+@dataclass(frozen=True)
+class Report:
+    """What every experiment driver returns.
+
+    The envelope says which driver ran (``kind``), on which graph, with
+    which settings and for how long; ``results`` holds the driver's own
+    outputs.  ``config`` always carries ``ln n`` and ``log2 n``.
+    """
+
+    kind: str
+    graph_desc: str
+    n: int
+    config: dict
+    results: dict
+    wallclock_sec: float
+    library_version: str = __version__
+
+    def to_dict(self) -> dict:
+        """The JSON form: the envelope fields and ``results`` in one flat mapping."""
+        out = asdict(self)
+        out.update(out.pop("results"))
+        return out
+
+
+def _report(kind: str, graph_desc: str, n: int, start: float, config: dict, **results) -> Report:
+    config = {**config, "ln_n": math.log(n), "log2_n": math.log2(n)}
+    return Report(kind, graph_desc, n, config, results, time.perf_counter() - start)
+
+
 def _seeds(base_seed: int, trials: int) -> list[int]:
-    return [base_seed + j for j in range(trials)]
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    return list(range(base_seed, base_seed + trials))
 
 
-def _log_notes(n: int) -> dict:
-    return {"ln_n": math.log(n), "log2_n": math.log2(n)}
-
-
-def report_to_dict(report) -> dict:
-    return asdict(report)
-
-
-def write_extremes_csv(report, path: str) -> None:
+def write_extremes_csv(report: Report, path: str) -> None:
     """Per-trial extremes as CSV: trial, seed, lambda_min, lambda_max."""
     import csv
 
+    results = report.results
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "seed", "lambda_min", "lambda_max"])
-        for j, (seed, (lo, hi)) in enumerate(zip(report.seeds, report.extremes)):
+        for j, (seed, (lo, hi)) in enumerate(zip(results["seeds"], results["extremes"])):
             writer.writerow([j, seed, repr(lo), repr(hi)])
 
 
@@ -55,82 +79,41 @@ def write_extremes_csv(report, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingleTreeUpperReport:
-    kind: str
-    graph_desc: str
-    n: int
-    trials: int
-    seeds: list[int]
-    envelope: float
-    extremes: list[tuple[float, float]]
-    max_lambda: float
-    median_lambda: float
-    empirical_constant: float
-    passed: bool
-    config: dict
-    wallclock_sec: float
-    library_version: str
-
-
 def run_single_tree_upper(
     g: WeightedGraph, trials: int, base_seed: int, graph_desc: str | None = None
-) -> SingleTreeUpperReport:
+) -> Report:
     """Largest pencil eigenvalue of single inverse-leverage trees.
 
     Passes when every trial's ``lambda_max`` stays at or below ``100 ln
     n``; the report also records the tighter constant the data actually
     supports (``max / ln n``).
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    start = time.perf_counter()
-    run = _certify_run(g, 1)
     seeds = _seeds(base_seed, trials)
-    extremes = [_sum_trees_trial(run, seed) for seed in seeds]
+    start = time.perf_counter()
+    extremes = _run_trials(_certify_run(g, 1), seeds)
     highs = sorted(hi for _, hi in extremes)
     envelope = 100.0 * math.log(g.n)
     max_lambda = highs[-1]
-    return SingleTreeUpperReport(
-        kind="single_tree_upper",
-        graph_desc=graph_desc or f"n={g.n},m={g.m}",
-        n=g.n,
+    return _report(
+        "single_tree_upper",
+        graph_desc or f"n={g.n},m={g.m}",
+        g.n,
+        start,
+        {"base_seed": base_seed},
         trials=trials,
         seeds=seeds,
         envelope=envelope,
-        extremes=[(float(lo), float(hi)) for lo, hi in extremes],
-        max_lambda=float(max_lambda),
-        median_lambda=float(highs[len(highs) // 2]),
-        empirical_constant=float(max_lambda / math.log(g.n)),
-        passed=bool(max_lambda <= envelope),
-        config={"base_seed": base_seed, **_log_notes(g.n)},
-        wallclock_sec=time.perf_counter() - start,
-        library_version=__version__,
+        extremes=extremes,
+        max_lambda=max_lambda,
+        median_lambda=highs[len(highs) // 2],
+        empirical_constant=max_lambda / math.log(g.n),
+        passed=max_lambda <= envelope,
     )
 
 
 # ---------------------------------------------------------------------------
 # Averaged trees as sparsifier candidates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SparsifierReport:
-    kind: str
-    graph_desc: str
-    n: int
-    eps_target: float
-    t: int
-    c_mult: float | None
-    trials: int
-    seeds: list[int]
-    extremes: list[tuple[float, float]]
-    pass_fraction: float
-    gate: float
-    passed: bool
-    config: dict
-    wallclock_sec: float
-    library_version: str
 
 
 @dataclass(frozen=True)
@@ -188,6 +171,25 @@ def _worker_trial(seed: int) -> tuple[float, float]:
     return _sum_trees_trial(_WORKER_RUN, seed)
 
 
+def _run_trials(run: _CertifyRun, seeds: list[int], jobs: int = 1) -> list[tuple[float, float]]:
+    """Pencil extremes of every trial seed, in seed order.
+
+    At most ``jobs`` worker processes run the trials, and never more
+    than there are seeds, since each worker receives the whole run;
+    one worker means the trials run in this process.
+    """
+    workers = min(jobs, len(seeds))
+    if workers == 1:
+        return [_sum_trees_trial(run, seed) for seed in seeds]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install_run, initargs=(run,)
+    ) as pool:
+        extremes = list(pool.map(_worker_trial, seeds))
+    return extremes
+
+
 def run_sum_trees(
     g: WeightedGraph,
     eps: float,
@@ -198,22 +200,21 @@ def run_sum_trees(
     gate: float = DEFAULT_PASS_GATE,
     jobs: int = 1,
     graph_desc: str | None = None,
-) -> SparsifierReport:
+) -> Report:
     """Average ``t`` independent inverse-leverage trees per trial and
     test the two-sided pencil bound ``1 - eps <= lambda <= 1 + eps``.
 
     ``t`` defaults to ``ceil(c_mult * eps^-2 * (ln n)^2)``.  A trial
     passes when both extremes fall inside the window; the report gate is
     the fraction of passing trials required, 0.9 by default.  With
-    ``jobs > 1`` trials run in separate processes, each of which receives
-    the leverage weights and the factored L_G once; per-trial seeds are
-    ``base_seed + trial_index`` either way, so results do not depend on
-    the schedule.
+    ``jobs > 1`` trials run in up to ``jobs`` separate processes, each of
+    which receives the leverage weights and the factored L_G once;
+    per-trial seeds are ``base_seed + trial_index`` either way, so
+    results do not depend on the schedule.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"need eps in (0, 1), got {eps}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     if t is None:
         if c_mult is None or c_mult <= 0.0:
@@ -221,42 +222,26 @@ def run_sum_trees(
         t = math.ceil(c_mult * eps**-2 * math.log(g.n) ** 2)
     elif t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    seeds = _seeds(base_seed, trials)
-    run = _certify_run(g, t)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_install_run, initargs=(run,)
-        ) as pool:
-            extremes = list(pool.map(_worker_trial, seeds))
-    else:
-        extremes = [_sum_trees_trial(run, seed) for seed in seeds]
+    extremes = _run_trials(_certify_run(g, t), seeds, jobs)
     ok = [lo >= 1.0 - eps and hi <= 1.0 + eps for lo, hi in extremes]
     pass_fraction = sum(ok) / trials
-    return SparsifierReport(
-        kind="sum_trees",
-        graph_desc=graph_desc or f"n={g.n},m={g.m}",
-        n=g.n,
+    # Increments of the tree average have range 1/t in the normalised frame.
+    config = {"base_seed": base_seed, "jobs": jobs, "range_per_tree": 1.0 / t}
+    return _report(
+        "sum_trees",
+        graph_desc or f"n={g.n},m={g.m}",
+        g.n,
+        start,
+        config,
         eps_target=eps,
         t=int(t),
         c_mult=c_mult,
         trials=trials,
         seeds=seeds,
-        extremes=[(float(lo), float(hi)) for lo, hi in extremes],
-        pass_fraction=float(pass_fraction),
+        extremes=extremes,
+        pass_fraction=pass_fraction,
         gate=gate,
-        passed=bool(pass_fraction >= gate),
-        config={
-            "base_seed": base_seed,
-            "jobs": jobs,
-            # increments of the tree average have range 1/t in the
-            # normalised frame
-            "range_per_tree": 1.0 / t,
-            **_log_notes(g.n),
-        },
-        wallclock_sec=time.perf_counter() - start,
-        library_version=__version__,
+        passed=pass_fraction >= gate,
     )
 
 
@@ -284,30 +269,6 @@ def clique_leverage_value(clique_size: int) -> float:
     return float(vals.mean())
 
 
-@dataclass(frozen=True)
-class MultiTreeLowerReport:
-    kind: str
-    graph_desc: str
-    num_cliques: int
-    clique_size: int
-    n: int
-    eps: float
-    t: int
-    t_formula: float
-    eps_window: tuple[float, float]
-    eps_window_ok: bool
-    leverage_value: float
-    leverage_method: str
-    degree_role: str
-    trials: int
-    seeds: list[int]
-    violations: list[bool]
-    violation_fraction: float
-    config: dict
-    wallclock_sec: float
-    library_version: str
-
-
 def run_multi_tree_lower(
     num_cliques: int,
     clique_size: int,
@@ -315,7 +276,7 @@ def run_multi_tree_lower(
     trials: int,
     base_seed: int,
     t: int | None = None,
-) -> MultiTreeLowerReport:
+) -> Report:
     """Weighted-degree violations of few-tree averages on a clique-star.
 
     Builds the clique-star, averages ``t`` inverse-leverage trees per
@@ -330,8 +291,7 @@ def run_multi_tree_lower(
     ``(5 / clique_size, 1/2)``.  An explicit ``t`` skips the refusal and
     only records whether the window held.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
     n = g.n
@@ -354,7 +314,6 @@ def run_multi_tree_lower(
     hi_win = (1.0 + eps) * base_deg
     us, vs, ws = g.edge_arrays
 
-    seeds = _seeds(base_seed, trials)
     violations = []
     for seed in seeds:
         gen = np.random.Generator(np.random.Philox(seed))
@@ -368,55 +327,32 @@ def run_multi_tree_lower(
         avg_deg /= t
         violations.append(bool(np.any(avg_deg > hi_win) or np.any(avg_deg < lo_win)))
 
-    return MultiTreeLowerReport(
-        kind="multi_tree_lower",
-        graph_desc=f"cliquestar:{num_cliques},{clique_size}",
+    return _report(
+        "multi_tree_lower",
+        f"cliquestar:{num_cliques},{clique_size}",
+        n,
+        start,
+        {"base_seed": base_seed},
         num_cliques=num_cliques,
         clique_size=clique_size,
-        n=n,
         eps=eps,
         t=int(t),
-        t_formula=float(t_formula),
+        t_formula=t_formula,
         eps_window=window,
-        eps_window_ok=bool(window_ok),
+        eps_window_ok=window_ok,
         leverage_value=lev,
         leverage_method="clique factorization (edges see one clique; the rest dangles at the hub)",
         degree_role="per-vertex clique degree (clique_size - 1)",
         trials=trials,
         seeds=seeds,
         violations=violations,
-        violation_fraction=float(sum(violations) / trials),
-        config={"base_seed": base_seed, **_log_notes(n)},
-        wallclock_sec=time.perf_counter() - start,
-        library_version=__version__,
+        violation_fraction=sum(violations) / trials,
     )
-
-
-@dataclass(frozen=True)
-class SingleTreeLowerReport:
-    kind: str
-    graph_desc: str
-    num_cliques: int
-    clique_size: int
-    n: int
-    trials: int
-    seeds: list[int]
-    max_degrees: list[int]
-    certified_factors: list[float]
-    quadform_ratios: list[float]
-    certified: list[bool]
-    certified_fraction: float
-    freq_factor_ge_half_log_s: float
-    freq_ratio_ge_half_log_s: float
-    leverage_value: float
-    config: dict
-    wallclock_sec: float
-    library_version: str
 
 
 def run_single_tree_lower(
     num_cliques: int, clique_size: int, trials: int, base_seed: int
-) -> SingleTreeLowerReport:
+) -> Report:
     """Star-vector certificates against single-tree approximation.
 
     Per trial, draws one tree of the clique-star, finds the maximum tree
@@ -428,8 +364,7 @@ def run_single_tree_lower(
     the realised ratios and how often the certified factor reached
     ``ln(clique_size) / 2``.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
     n = g.n
@@ -437,7 +372,6 @@ def run_single_tree_lower(
     lev = clique_leverage_value(clique_size)
     inv_lev = 1.0 / lev
 
-    seeds = _seeds(base_seed, trials)
     max_degrees = []
     factors = []
     ratios = []
@@ -465,51 +399,32 @@ def run_single_tree_lower(
         certified.append(bool(ratio > d / 2.0))
 
     half_log_s = math.log(clique_size) / 2.0
-    return SingleTreeLowerReport(
-        kind="single_tree_lower",
-        graph_desc=f"cliquestar:{num_cliques},{clique_size}",
+    return _report(
+        "single_tree_lower",
+        f"cliquestar:{num_cliques},{clique_size}",
+        n,
+        start,
+        {"base_seed": base_seed},
         num_cliques=num_cliques,
         clique_size=clique_size,
-        n=n,
         trials=trials,
         seeds=seeds,
         max_degrees=max_degrees,
         certified_factors=factors,
-        quadform_ratios=[float(r) for r in ratios],
+        quadform_ratios=ratios,
         certified=certified,
-        certified_fraction=float(sum(certified) / trials),
-        freq_factor_ge_half_log_s=float(
+        certified_fraction=sum(certified) / trials,
+        freq_factor_ge_half_log_s=(
             sum(1 for c, f in zip(certified, factors) if c and f >= half_log_s) / trials
         ),
-        freq_ratio_ge_half_log_s=float(
-            sum(1 for r in ratios if r >= half_log_s) / trials
-        ),
+        freq_ratio_ge_half_log_s=sum(1 for r in ratios if r >= half_log_s) / trials,
         leverage_value=lev,
-        config={"base_seed": base_seed, **_log_notes(n)},
-        wallclock_sec=time.perf_counter() - start,
-        library_version=__version__,
     )
 
 
 # ---------------------------------------------------------------------------
 # Degree law of a fixed vertex
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DegreeHistogram:
-    kind: str
-    n: int
-    samples: int
-    base_seed: int
-    counts: list[int]
-    reference_pmf: list[float]
-    tv_distance: float
-    gate: float
-    passed: bool
-    config: dict
-    wallclock_sec: float
-    library_version: str
 
 
 def degree_reference_pmf(n: int) -> list[float]:
@@ -525,7 +440,7 @@ def degree_reference_pmf(n: int) -> list[float]:
     return out
 
 
-def run_degree_dist(n: int, samples: int, base_seed: int) -> DegreeHistogram:
+def run_degree_dist(n: int, samples: int, base_seed: int) -> Report:
     """Empirical degree of vertex 0 over uniform trees of the complete graph.
 
     Compares against the exact ``1 + Binomial(n - 2, 1/n)`` law in total
@@ -548,19 +463,19 @@ def run_degree_dist(n: int, samples: int, base_seed: int) -> DegreeHistogram:
     pmf = degree_reference_pmf(n)
     tv = 0.5 * math.fsum(abs(counts[j] / samples - pmf[j]) for j in range(n - 1))
     gate = 4.0 * math.sqrt((n - 1) / samples)
-    return DegreeHistogram(
-        kind="degree_dist",
-        n=n,
+    return _report(
+        "degree_dist",
+        f"k:{n}",
+        n,
+        start,
+        {},
         samples=samples,
         base_seed=base_seed,
         counts=counts,
         reference_pmf=pmf,
-        tv_distance=float(tv),
-        gate=float(gate),
-        passed=bool(tv <= gate),
-        config=_log_notes(n),
-        wallclock_sec=time.perf_counter() - start,
-        library_version=__version__,
+        tv_distance=tv,
+        gate=gate,
+        passed=tv <= gate,
     )
 
 
@@ -569,26 +484,9 @@ def run_degree_dist(n: int, samples: int, base_seed: int) -> DegreeHistogram:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThinTreeReport:
-    kind: str
-    graph_desc: str
-    n: int
-    trials: int
-    seeds: list[int]
-    max_leverage: float
-    envelope: float
-    extremes: list[tuple[float, float]]
-    max_lambda: float
-    passed: bool
-    config: dict
-    wallclock_sec: float
-    library_version: str
-
-
 def run_unweighted_thin_tree(
     g: WeightedGraph, trials: int, base_seed: int, graph_desc: str | None = None
-) -> ThinTreeReport:
+) -> Report:
     """Pencil extremes of plain (unreweighted) trees of a unit graph.
 
     Requires all parent weights to be 1.  Passes when every trial's
@@ -597,28 +495,24 @@ def run_unweighted_thin_tree(
     """
     if any(w != 1.0 for _, _, w in g.edges):
         raise ValueError("thin tree runs need a unit-weight graph")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     max_lev = float(leverage_scores(g).values.max())
     _, _, ws = g.edge_arrays
-    run = _CertifyRun(g, 1, ws, laplacian(g), laplacian_decomposition(g))
-    seeds = _seeds(base_seed, trials)
-    extremes = [_sum_trees_trial(run, seed) for seed in seeds]
+    extremes = _run_trials(_CertifyRun(g, 1, ws, laplacian(g), laplacian_decomposition(g)), seeds)
     max_lambda = max(hi for _, hi in extremes)
     envelope = 100.0 * max_lev * math.log(g.n)
-    return ThinTreeReport(
-        kind="unweighted_thin_tree",
-        graph_desc=graph_desc or f"n={g.n},m={g.m}",
-        n=g.n,
+    return _report(
+        "unweighted_thin_tree",
+        graph_desc or f"n={g.n},m={g.m}",
+        g.n,
+        start,
+        {"base_seed": base_seed},
         trials=trials,
         seeds=seeds,
         max_leverage=max_lev,
-        envelope=float(envelope),
-        extremes=[(float(lo), float(hi)) for lo, hi in extremes],
-        max_lambda=float(max_lambda),
-        passed=bool(max_lambda <= envelope),
-        config={"base_seed": base_seed, **_log_notes(g.n)},
-        wallclock_sec=time.perf_counter() - start,
-        library_version=__version__,
+        envelope=envelope,
+        extremes=extremes,
+        max_lambda=max_lambda,
+        passed=max_lambda <= envelope,
     )

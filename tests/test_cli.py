@@ -14,9 +14,11 @@ from treespark.cli import (
     EXIT_PASS,
     EXIT_SIZE_GUARD,
     EXIT_USAGE,
+    build_parser,
     main,
     parse_graph_spec,
 )
+from treespark.experiments import DEFAULT_PASS_GATE
 from treespark.graph import complete_graph, write_graph
 from treespark.treesample import parse_tree_line
 
@@ -70,8 +72,8 @@ def test_certify_tree_graph_passes(tmp_path, capsys):
     assert code == EXIT_PASS
     payload = json.loads(captured.out)
     assert payload["pass_fraction"] == 1.0
-    assert payload["run_config"]["command"] == "certify"
-    assert payload["run_config"]["graph"] == str(path)
+    assert payload["kind"] == "sum_trees"
+    assert payload["graph_desc"] == str(path)
     assert "PASS" in captured.err
 
 
@@ -127,6 +129,15 @@ def test_diag_marginals_pass_and_guard(capsys):
     assert payload["forests"] > 0
     # K_6 has 15 edges, past the exhaustive-conditioning cap
     assert main(["diag", "marginals", "--graph", "k:6"]) == EXIT_SIZE_GUARD
+
+
+def test_diag_marginals_reports_its_worst_pair(capsys):
+    assert main(["diag", "marginals", "--graph", "cliquestar:2,3"]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    worst = payload["worst"]
+    assert set(worst) == {"forest", "edge", "conditional", "unconditional"}
+    assert worst["conditional"] - worst["unconditional"] == payload["max_excess"]
+    assert worst["edge"] not in worst["forest"]
 
 
 def test_diag_martingale_with_dump(tmp_path, capsys):
@@ -355,3 +366,65 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+# The certify JSON keys as the parent report class and ``run_config`` gave
+# them, less ``run_config``: every setting it repeated is a report key.
+CERTIFY_KEYS = {
+    "kind", "graph_desc", "n", "eps_target", "t", "c_mult", "trials", "seeds", "extremes",
+    "pass_fraction", "gate", "passed", "config", "wallclock_sec", "library_version",
+}
+
+
+def test_certify_json_names_each_setting_once(capsys):
+    argv = ["certify", "--graph", "k:8", "--eps", "0.5", "--t", "2", "--trials", "3"]
+    main(argv + ["--seed", "4", "--jobs", "1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == CERTIFY_KEYS
+    assert payload["kind"] == "sum_trees"
+    assert payload["graph_desc"] == "k:8"
+    assert (payload["t"], payload["c_mult"], payload["trials"]) == (2, None, 3)
+    assert payload["seeds"] == [4, 5, 6]
+    assert payload["gate"] == DEFAULT_PASS_GATE
+    assert payload["config"]["jobs"] == 1
+
+
+def test_certify_gate_default_is_the_library_default():
+    args = build_parser().parse_args(["certify", "--graph", "k:5", "--eps", "0.5"])
+    assert args.gate == DEFAULT_PASS_GATE
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["certify", "--graph", "k:2000", "--eps", "0.5", "--out"], "--out"),
+        (["certify", "--graph", "k:2000", "--eps", "0.5", "--csv"], "--csv"),
+        (["diag", "martingale", "--graph", "k:12", "--dump"], "--dump"),
+        (["diag", "martingale", "--graph", "k:12", "--out"], "--out"),
+        (["sample", "--graph", "k:2000", "--out"], "--out"),
+    ],
+)
+def test_unwritable_output_paths_exit_before_the_run(argv, flag, tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.out"
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(missing)])
+    assert exc.value.code == EXIT_USAGE
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: directory" in captured.err
+    assert not missing.parent.exists()
+
+
+def test_output_path_that_is_a_directory_exits_before_the_run(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--graph", "k:2000", "--eps", "0.5", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --out: " in capsys.readouterr().err
+
+
+def test_output_path_in_the_working_directory_is_accepted(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--graph", "k:4", "--seed", "1", "--out", "trees.txt"]) == EXIT_PASS
+    assert (tmp_path / "trees.txt").read_text().strip()

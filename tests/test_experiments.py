@@ -15,7 +15,6 @@ from treespark.experiments import (
     _sum_trees_trial,
     clique_leverage_value,
     degree_reference_pmf,
-    report_to_dict,
     run_degree_dist,
     run_multi_tree_lower,
     run_single_tree_lower,
@@ -40,7 +39,7 @@ from treespark.treesample import (
 
 
 def _without_wallclock(report) -> dict:
-    d = report_to_dict(report)
+    d = report.to_dict()
     d.pop("wallclock_sec")
     return d
 
@@ -52,27 +51,27 @@ def _without_wallclock(report) -> dict:
 
 def test_single_tree_upper_on_tree_graph():
     report = run_single_tree_upper(path_graph(6), trials=4, base_seed=0)
-    for lo, hi in report.extremes:
+    for lo, hi in report.results["extremes"]:
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
-    assert report.passed
-    assert report.envelope == pytest.approx(100.0 * math.log(6))
+    assert report.results["passed"]
+    assert report.results["envelope"] == pytest.approx(100.0 * math.log(6))
 
 
 def test_single_tree_upper_ring_recorded():
     report = run_single_tree_upper(ring_graph(100), trials=50, base_seed=1)
-    assert report.passed  # envelope 100 ln 100 is generous at this size
-    assert report.max_lambda > 1.0
-    assert report.median_lambda <= report.max_lambda
-    assert report.empirical_constant == pytest.approx(
-        report.max_lambda / math.log(100)
+    assert report.results["passed"]  # envelope 100 ln 100 is generous at this size
+    assert report.results["max_lambda"] > 1.0
+    assert report.results["median_lambda"] <= report.results["max_lambda"]
+    assert report.results["empirical_constant"] == pytest.approx(
+        report.results["max_lambda"] / math.log(100)
     )
-    assert len(report.extremes) == 50
+    assert len(report.results["extremes"]) == 50
 
 
 def test_single_tree_upper_json_round_trip():
     report = run_single_tree_upper(complete_graph(8), trials=3, base_seed=2)
-    payload = json.dumps(report_to_dict(report))
+    payload = json.dumps(report.to_dict())
     assert json.loads(payload)["kind"] == "single_tree_upper"
     assert json.loads(payload)["config"]["ln_n"] == pytest.approx(math.log(8))
     assert json.loads(payload)["config"]["log2_n"] == pytest.approx(math.log2(8))
@@ -85,22 +84,22 @@ def test_single_tree_upper_json_round_trip():
 
 def test_sum_trees_tree_graph_exact():
     report = run_sum_trees(path_graph(5), eps=0.1, trials=3, base_seed=0, t=1)
-    assert report.pass_fraction == 1.0
-    for lo, hi in report.extremes:
+    assert report.results["pass_fraction"] == 1.0
+    for lo, hi in report.results["extremes"]:
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sum_trees_single_tree_cannot_approximate_k200():
     report = run_sum_trees(complete_graph(200), eps=0.5, trials=10, base_seed=3, t=1)
-    assert report.pass_fraction == 0.0
-    assert not report.passed
+    assert report.results["pass_fraction"] == 0.0
+    assert not report.results["passed"]
 
 
 def test_sum_trees_default_t_formula():
     report = run_sum_trees(complete_graph(16), eps=0.5, trials=2, base_seed=4)
-    assert report.t == math.ceil(0.5**-2 * math.log(16) ** 2)
-    assert report.config["range_per_tree"] == pytest.approx(1.0 / report.t)
+    assert report.results["t"] == math.ceil(0.5**-2 * math.log(16) ** 2)
+    assert report.config["range_per_tree"] == pytest.approx(1.0 / report.results["t"])
     # the desk-scale reference instance resolves to t = 113
     assert math.ceil(1.0 * 0.5**-2 * math.log(200) ** 2) == 113
 
@@ -125,8 +124,8 @@ def test_sum_trees_parallel_matches_serial():
         kwargs = dict(eps=0.5, trials=4, base_seed=7, t=5)
         serial = run_sum_trees(g, jobs=1, **kwargs)
         parallel = run_sum_trees(g, jobs=2, **kwargs)
-        assert serial.extremes == parallel.extremes
-        assert serial.pass_fraction == parallel.pass_fraction
+        assert serial.results["extremes"] == parallel.results["extremes"]
+        assert serial.results["pass_fraction"] == parallel.results["pass_fraction"]
 
 
 ORACLE_GRAPHS = [(name, g) for name, g in SMALL if g.n >= 3] + [
@@ -181,10 +180,10 @@ def test_single_tree_runners_match_tree_object_route(name, g):
         return out
 
     upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])
-    assert upper.extremes == tree_route(reweight=True)
+    assert upper.results["extremes"] == tree_route(reweight=True)
     if all(w == 1.0 for _, _, w in g.edges):
         thin = run_unweighted_thin_tree(g, trials=len(seeds), base_seed=seeds[0])
-        assert thin.extremes == tree_route(reweight=False)
+        assert thin.results["extremes"] == tree_route(reweight=False)
 
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
@@ -221,7 +220,7 @@ def test_multi_tree_lower_matches_edge_id_route(cliques, size):
         high, low = avg_deg > (1.0 + eps) * base_deg, avg_deg < (1.0 - eps) * base_deg
         want.append(bool(np.any(high) or np.any(low)))
     report = run_multi_tree_lower(cliques, size, eps=eps, trials=trials, base_seed=base_seed, t=t)
-    assert report.violations == want
+    assert report.results["violations"] == want
 
 
 @pytest.mark.parametrize("cliques,size", CLIQUE_STARS)
@@ -251,9 +250,9 @@ def test_single_tree_lower_matches_edge_id_route(cliques, size):
         tree_form = sum(w * inv_lev * (x[u] - x[v]) ** 2 for u, v, w in tree_edges)
         parent_form = sum(w * (x[u] - x[v]) ** 2 for u, v, w in g.edges)
         ratio = tree_form / parent_form
-        assert report.max_degrees[j] == deg[center]
-        assert report.certified[j] == (ratio > deg[center] / 2.0)
-        assert abs(report.quadform_ratios[j] - ratio) <= 1e-12 * ratio
+        assert report.results["max_degrees"][j] == deg[center]
+        assert report.results["certified"][j] == (ratio > deg[center] / 2.0)
+        assert abs(report.results["quadform_ratios"][j] - ratio) <= 1e-12 * ratio
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
@@ -265,16 +264,20 @@ def test_degree_dist_matches_edge_id_route(n):
     g = complete_graph(n)
     for _ in range(samples):
         counts[sum(1 for eid in _wilson_edge_ids(g, gen) if eid < n - 1) - 1] += 1
-    assert run_degree_dist(n, samples=samples, base_seed=11).counts == counts
+    assert run_degree_dist(n, samples=samples, base_seed=11).results["counts"] == counts
 
 
 def test_drivers_do_not_depend_on_the_batch_size(monkeypatch):
     def outputs():
         return (
-            run_degree_dist(7, samples=300, base_seed=3).counts,
-            run_multi_tree_lower(3, 5, eps=0.4, trials=3, base_seed=2, t=40).violations,
+            run_degree_dist(7, samples=300, base_seed=3).results["counts"],
+            run_multi_tree_lower(
+                3, 5, eps=0.4, trials=3, base_seed=2, t=40
+            ).results["violations"],
             edge_frequencies(random_connected_graph(24, 30, seed=2), 200, 4).tolist(),
-            run_sum_trees(complete_graph(9), eps=0.5, trials=2, base_seed=1, t=25).extremes,
+            run_sum_trees(
+                complete_graph(9), eps=0.5, trials=2, base_seed=1, t=25
+            ).results["extremes"],
         )
 
     whole = outputs()
@@ -336,7 +339,8 @@ def test_sum_trees_deviation_shrinks_with_t():
 
     def mean_dev(t):
         report = run_sum_trees(g, eps=0.5, trials=8, base_seed=11, t=t)
-        return np.mean([max(abs(lo - 1.0), abs(hi - 1.0)) for lo, hi in report.extremes])
+        extremes = report.results["extremes"]
+        return np.mean([max(abs(lo - 1.0), abs(hi - 1.0)) for lo, hi in extremes])
 
     d2, d4, d8 = mean_dev(2), mean_dev(4), mean_dev(8)
     assert d8 < d2
@@ -353,8 +357,8 @@ def test_write_extremes_csv(tmp_path):
     for j, line in enumerate(lines[1:]):
         trial, seed, lo, hi = line.split(",")
         assert int(trial) == j
-        assert int(seed) == report.seeds[j]
-        assert (float(lo), float(hi)) == report.extremes[j]
+        assert int(seed) == report.results["seeds"][j]
+        assert (float(lo), float(hi)) == report.results["extremes"][j]
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +386,8 @@ def test_multi_tree_lower_window_refusal():
         run_multi_tree_lower(2, 100, eps=0.6, trials=2, base_seed=0)  # above 1/2
     # an explicit t runs anyway but records the violated window
     report = run_multi_tree_lower(1, 4, eps=0.4, trials=2, base_seed=0, t=1)
-    assert not report.eps_window_ok
-    assert report.eps_window == (1.25, 0.5)
+    assert not report.results["eps_window_ok"]
+    assert report.results["eps_window"] == (1.25, 0.5)
 
 
 def test_multi_tree_lower_exact_oracle_on_k4():
@@ -409,31 +413,31 @@ def test_multi_tree_lower_exact_oracle_on_k4():
     trials = 400
     report = run_multi_tree_lower(1, 4, eps=0.4, trials=trials, base_seed=13, t=1)
     sigma = math.sqrt(exact * (1.0 - exact) / trials)
-    assert abs(report.violation_fraction - exact) <= 4.0 * sigma
+    assert abs(report.results["violation_fraction"] - exact) <= 4.0 * sigma
 
 
 def test_multi_tree_lower_large_t_restores_approximation():
     report = run_multi_tree_lower(2, 5, eps=0.4, trials=10, base_seed=17, t=300)
-    assert report.violation_fraction <= 0.1
+    assert report.results["violation_fraction"] <= 0.1
 
 
 def test_multi_tree_lower_formula_fields():
     report = run_multi_tree_lower(4, 12, eps=0.45, trials=2, base_seed=19)
     n = 4 * 11 + 1
     formula = 0.05 * 0.45**-2 * math.log(n)
-    assert report.t == max(1, math.floor(formula))
-    assert report.t_formula == pytest.approx(formula)
-    assert report.eps_window_ok
-    assert report.leverage_value == pytest.approx(2.0 / 12.0, abs=1e-12)
-    assert "clique" in report.leverage_method
-    assert report.degree_role
+    assert report.results["t"] == max(1, math.floor(formula))
+    assert report.results["t_formula"] == pytest.approx(formula)
+    assert report.results["eps_window_ok"]
+    assert report.results["leverage_value"] == pytest.approx(2.0 / 12.0, abs=1e-12)
+    assert "clique" in report.results["leverage_method"]
+    assert report.results["degree_role"]
 
 
 def test_single_tree_lower_smallest_clique():
     report = run_single_tree_lower(2, 3, trials=30, base_seed=23)
-    assert all(d <= 2 for d in report.max_degrees)
-    assert all(f <= 1.0 for f in report.certified_factors)
-    assert report.leverage_value == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert all(d <= 2 for d in report.results["max_degrees"])
+    assert all(f <= 1.0 for f in report.results["certified_factors"])
+    assert report.results["leverage_value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_single_tree_lower_single_clique_always_certifies():
@@ -441,10 +445,11 @@ def test_single_tree_lower_single_clique_always_certifies():
     # the tree form is at least (s/2) d (d+1)^2, so the ratio clears d/2
     # in every trial.
     report = run_single_tree_lower(1, 32, trials=200, base_seed=29)
-    assert report.certified_fraction == 1.0
-    assert 0.0 <= report.freq_factor_ge_half_log_s <= 1.0
-    assert report.freq_ratio_ge_half_log_s >= report.freq_factor_ge_half_log_s - 1e-12
-    for d, ratio in zip(report.max_degrees, report.quadform_ratios):
+    results = report.results
+    assert results["certified_fraction"] == 1.0
+    assert 0.0 <= results["freq_factor_ge_half_log_s"] <= 1.0
+    assert results["freq_ratio_ge_half_log_s"] >= results["freq_factor_ge_half_log_s"] - 1e-12
+    for d, ratio in zip(results["max_degrees"], results["quadform_ratios"]):
         assert ratio > d / 2.0
 
 
@@ -453,7 +458,7 @@ def test_single_tree_lower_degree_tail_consistent_with_binomial():
     # second-order bounds from the exact 1 + Bin(98, 1/100) law.
     trials = 10000
     report = run_single_tree_lower(1, 100, trials=trials, base_seed=31)
-    frac = sum(1 for d in report.max_degrees if d >= 7) / trials
+    frac = sum(1 for d in report.results["max_degrees"] if d >= 7) / trials
     q = binomial_tail(98, 0.01, 6)
     vertices = 99  # non-hub vertices scanned for the maximum
     upper = vertices * q
@@ -485,9 +490,9 @@ def test_degree_pmf_matches_enumeration_at_n3():
 
 def test_degree_dist_small_run():
     report = run_degree_dist(6, samples=20000, base_seed=37)
-    assert sum(report.counts) == 20000
-    assert report.tv_distance <= report.gate
-    assert report.passed
+    assert sum(report.results["counts"]) == 20000
+    assert report.results["tv_distance"] <= report.results["gate"]
+    assert report.results["passed"]
 
 
 def test_degree_dist_rejects_tiny_n():
@@ -502,10 +507,10 @@ def test_degree_dist_rejects_tiny_n():
 
 def test_thin_tree_on_tree_graph():
     report = run_unweighted_thin_tree(path_graph(5), trials=3, base_seed=41)
-    assert report.max_leverage == pytest.approx(1.0, abs=1e-12)
-    for lo, hi in report.extremes:
+    assert report.results["max_leverage"] == pytest.approx(1.0, abs=1e-12)
+    for lo, hi in report.results["extremes"]:
         assert hi == pytest.approx(1.0, abs=1e-9)
-    assert report.passed
+    assert report.results["passed"]
 
 
 def test_thin_tree_rejects_weighted_graph():
@@ -517,15 +522,15 @@ def test_thin_tree_rejects_weighted_graph():
 
 def test_thin_tree_ring_vacuous_but_recorded():
     report = run_unweighted_thin_tree(ring_graph(24), trials=5, base_seed=43)
-    assert report.max_leverage == pytest.approx(23.0 / 24.0, abs=1e-10)
-    assert report.passed
+    assert report.results["max_leverage"] == pytest.approx(23.0 / 24.0, abs=1e-10)
+    assert report.results["passed"]
 
 
 def test_thin_tree_complete_graph():
     report = run_unweighted_thin_tree(complete_graph(64), trials=10, base_seed=47)
-    assert report.max_leverage == pytest.approx(2.0 / 64.0, abs=1e-10)
-    assert report.envelope == pytest.approx(100.0 * (2.0 / 64.0) * math.log(64))
-    assert report.passed
+    assert report.results["max_leverage"] == pytest.approx(2.0 / 64.0, abs=1e-10)
+    assert report.results["envelope"] == pytest.approx(100.0 * (2.0 / 64.0) * math.log(64))
+    assert report.results["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +558,114 @@ def test_reports_carry_provenance():
     assert report.library_version
     assert report.wallclock_sec >= 0.0
     assert dataclasses.is_dataclass(report)
+
+
+# ---------------------------------------------------------------------------
+# The report envelope
+# ---------------------------------------------------------------------------
+
+# Each driver's JSON keys, written out as the per-driver report classes
+# gave them; the degree law gains only ``graph_desc``.
+DRIVER_KEYS = {
+    "single_tree_upper": {
+        "kind", "graph_desc", "n", "trials", "seeds", "envelope", "extremes", "max_lambda",
+        "median_lambda", "empirical_constant", "passed", "config", "wallclock_sec",
+        "library_version",
+    },
+    "sum_trees": {
+        "kind", "graph_desc", "n", "eps_target", "t", "c_mult", "trials", "seeds", "extremes",
+        "pass_fraction", "gate", "passed", "config", "wallclock_sec", "library_version",
+    },
+    "multi_tree_lower": {
+        "kind", "graph_desc", "num_cliques", "clique_size", "n", "eps", "t", "t_formula",
+        "eps_window", "eps_window_ok", "leverage_value", "leverage_method", "degree_role",
+        "trials", "seeds", "violations", "violation_fraction", "config", "wallclock_sec",
+        "library_version",
+    },
+    "single_tree_lower": {
+        "kind", "graph_desc", "num_cliques", "clique_size", "n", "trials", "seeds",
+        "max_degrees", "certified_factors", "quadform_ratios", "certified",
+        "certified_fraction", "freq_factor_ge_half_log_s", "freq_ratio_ge_half_log_s",
+        "leverage_value", "config", "wallclock_sec", "library_version",
+    },
+    "degree_dist": {
+        "kind", "graph_desc", "n", "samples", "base_seed", "counts", "reference_pmf",
+        "tv_distance", "gate", "passed", "config", "wallclock_sec", "library_version",
+    },
+    "unweighted_thin_tree": {
+        "kind", "graph_desc", "n", "trials", "seeds", "max_leverage", "envelope", "extremes",
+        "max_lambda", "passed", "config", "wallclock_sec", "library_version",
+    },
+}
+
+DRIVER_RUNS = {
+    "single_tree_upper": lambda: run_single_tree_upper(complete_graph(8), trials=2, base_seed=1),
+    "sum_trees": lambda: run_sum_trees(complete_graph(8), eps=0.5, trials=2, base_seed=1, t=2),
+    "multi_tree_lower": lambda: run_multi_tree_lower(2, 5, eps=0.4, trials=2, base_seed=1, t=1),
+    "single_tree_lower": lambda: run_single_tree_lower(2, 5, trials=2, base_seed=1),
+    "degree_dist": lambda: run_degree_dist(5, samples=50, base_seed=1),
+    "unweighted_thin_tree": lambda: run_unweighted_thin_tree(ring_graph(6), trials=2, base_seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRIVER_KEYS))
+def test_driver_json_keys_are_pinned(kind):
+    report = DRIVER_RUNS[kind]()
+    payload = json.loads(json.dumps(report.to_dict()))
+    assert set(payload) == DRIVER_KEYS[kind]
+    assert payload["kind"] == report.kind == kind
+    assert {"ln_n", "log2_n"} <= set(payload["config"])
+    # Everything but the envelope comes from ``results``, unrenamed.
+    envelope = {"kind", "graph_desc", "n", "config", "wallclock_sec", "library_version"}
+    assert set(report.results) == DRIVER_KEYS[kind] - envelope
+
+
+def test_degree_dist_names_its_graph():
+    assert run_degree_dist(5, samples=10, base_seed=0).graph_desc == "k:5"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_single_tree_upper(complete_graph(5), trials=0, base_seed=0),
+        lambda: run_sum_trees(complete_graph(5), eps=0.5, trials=-1, base_seed=0, t=1),
+        lambda: run_multi_tree_lower(1, 4, eps=0.4, trials=0, base_seed=0, t=1),
+        lambda: run_single_tree_lower(1, 4, trials=0, base_seed=0),
+        lambda: run_unweighted_thin_tree(ring_graph(5), trials=0, base_seed=0),
+    ],
+)
+def test_drivers_refuse_zero_trials(run):
+    with pytest.raises(ValueError, match="need at least one trial"):
+        run()
+
+
+def test_sum_trees_starts_no_pool_for_one_trial(monkeypatch):
+    import concurrent.futures
+
+    g = random_connected_graph(24, 30, seed=2)
+    kwargs = dict(eps=0.5, trials=1, base_seed=7, t=5)
+    serial = run_sum_trees(g, jobs=1, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started for a single trial")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    wide = run_sum_trees(g, jobs=4, **kwargs)
+    assert wide.results["extremes"] == serial.results["extremes"]
+    assert wide.config["jobs"] == 4
+
+
+def test_sum_trees_starts_no_more_workers_than_trials(monkeypatch):
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    sizes = []
+
+    def recording(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    report = run_sum_trees(complete_graph(8), eps=0.5, trials=2, base_seed=3, t=2, jobs=4)
+    assert sizes == [2]
+    assert report.config["jobs"] == 4

@@ -50,6 +50,13 @@ class Report:
         out.update(out.pop("results"))
         return out
 
+    def __getattr__(self, name: str):
+        """Read a driver output as an attribute: ``report.t`` is ``report.results["t"]``."""
+        try:
+            return self.__dict__["results"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
 
 def _report(kind: str, graph_desc: str, n: int, start: float, config: dict, **results) -> Report:
     config = {**config, "ln_n": math.log(n), "log2_n": math.log2(n)}
@@ -176,10 +183,10 @@ def _run_trials(run: _CertifyRun, seeds: list[int], jobs: int = 1) -> list[tuple
 
     At most ``jobs`` worker processes run the trials, and never more
     than there are seeds, since each worker receives the whole run;
-    one worker means the trials run in this process.
+    one worker or none means the trials run in this process.
     """
     workers = min(jobs, len(seeds))
-    if workers == 1:
+    if workers <= 1:
         return [_sum_trees_trial(run, seed) for seed in seeds]
     from concurrent.futures import ProcessPoolExecutor
 

@@ -8,13 +8,13 @@ import time
 import pytest
 
 from corpus import weighted_triangle
+from test_experiments import DRIVER_KEYS
 from treespark.cli import (
     EXIT_BAD_GRAPH,
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_SIZE_GUARD,
     EXIT_USAGE,
-    build_parser,
     main,
     parse_graph_spec,
 )
@@ -368,30 +368,17 @@ def test_installed_entry_point_runs():
     assert proc.stdout.strip()
 
 
-# The certify JSON keys as the parent report class and ``run_config`` gave
-# them, less ``run_config``: every setting it repeated is a report key.
-CERTIFY_KEYS = {
-    "kind", "graph_desc", "n", "eps_target", "t", "c_mult", "trials", "seeds", "extremes",
-    "pass_fraction", "gate", "passed", "config", "wallclock_sec", "library_version",
-}
-
-
 def test_certify_json_names_each_setting_once(capsys):
     argv = ["certify", "--graph", "k:8", "--eps", "0.5", "--t", "2", "--trials", "3"]
     main(argv + ["--seed", "4", "--jobs", "1", "--json"])
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == CERTIFY_KEYS
+    assert set(payload) == DRIVER_KEYS["sum_trees"]
     assert payload["kind"] == "sum_trees"
     assert payload["graph_desc"] == "k:8"
     assert (payload["t"], payload["c_mult"], payload["trials"]) == (2, None, 3)
     assert payload["seeds"] == [4, 5, 6]
     assert payload["gate"] == DEFAULT_PASS_GATE
     assert payload["config"]["jobs"] == 1
-
-
-def test_certify_gate_default_is_the_library_default():
-    args = build_parser().parse_args(["certify", "--graph", "k:5", "--eps", "0.5"])
-    assert args.gate == DEFAULT_PASS_GATE
 
 
 @pytest.mark.parametrize(

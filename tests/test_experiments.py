@@ -2,8 +2,12 @@
 constructions, degree law and reproducibility."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,6 +624,30 @@ def test_driver_json_keys_are_pinned(kind):
     assert set(report.results) == DRIVER_KEYS[kind] - envelope
 
 
+def test_report_reads_results_as_attributes():
+    report = DRIVER_RUNS["sum_trees"]()
+    assert report.t == report.results["t"] == 2
+    assert report.extremes is report.results["extremes"]
+    with pytest.raises(AttributeError, match="no_such_output"):
+        report.no_such_output
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
+def test_reference_capture_reads_the_sum_trees_report(monkeypatch):
+    # perfbench/capture_reference.py regenerates the benchmark's reference
+    # outputs from run_sum_trees; nothing else runs it between releases.
+    script = Path(__file__).resolve().parent.parent / "perfbench" / "capture_reference.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("capture_reference", script)
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    workload = capture.W.Workload("k8", "certify", "k:8", ops_per_call=2, pool=2)
+    t, extremes = capture.certify_extremes(workload, "k:8")
+    report = run_sum_trees(complete_graph(8), eps=0.5, trials=2, base_seed=0)
+    assert t == report.results["t"]
+    assert extremes == [list(x) for x in report.results["extremes"]]
+
+
 def test_degree_dist_names_its_graph():
     assert run_degree_dist(5, samples=10, base_seed=0).graph_desc == "k:5"
 
@@ -650,9 +678,10 @@ def test_sum_trees_starts_no_pool_for_one_trial(monkeypatch):
         raise AssertionError("a pool was started for a single trial")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    wide = run_sum_trees(g, jobs=4, **kwargs)
-    assert wide.results["extremes"] == serial.results["extremes"]
-    assert wide.config["jobs"] == 4
+    for jobs in (4, 0):
+        wide = run_sum_trees(g, jobs=jobs, **kwargs)
+        assert wide.results["extremes"] == serial.results["extremes"]
+        assert wide.config["jobs"] == jobs
 
 
 def test_sum_trees_starts_no_more_workers_than_trials(monkeypatch):

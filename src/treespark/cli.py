@@ -39,6 +39,7 @@ from .graph import (
 from .leverage import DENSE_SOLVE_CAP
 from .spectral import check_symmetric_triangle
 from .srdiag import (
+    SHRINKING_EDGE_CAP,
     TRACE_VERTEX_CAP,
     check_trace_bounds,
     default_reverse_chernoff_grid,
@@ -217,7 +218,8 @@ def _cmd_certify(args) -> int:
 
 
 def _diag_marginals(args) -> tuple[bool, dict]:
-    g = parse_graph_spec(args.graph, args.seed)
+    # A connected graph within the edge cap has at most one more vertex than edges.
+    g = parse_graph_spec(args.graph, args.seed, max_n=SHRINKING_EDGE_CAP + 1)
     report = shrinking_marginals_suite(g)
     forest, edge, conditional, unconditional = report.worst
     return report.passed, {

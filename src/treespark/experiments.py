@@ -129,27 +129,28 @@ class _CertifyRun:
 
     ``edge_weights`` is the weight each sampled tree gives each edge,
     the inverse-leverage weight ``w_e / lev_e`` for certify runs;
-    ``lap`` and ``dec`` are L_G and its shared
-    eigendecomposition (:func:`laplacian_decomposition`).
+    ``dec`` is the shared eigendecomposition of L_G
+    (:func:`laplacian_decomposition`), the only form of L_G a trial reads.
     """
 
     g: WeightedGraph
     t: int
     edge_weights: np.ndarray
-    lap: np.ndarray
     dec: SpectralDecomposition
 
 
 def _certify_run(g: WeightedGraph, t: int) -> _CertifyRun:
     _, _, ws = g.edge_arrays
     lev = leverage_scores(g).values
-    return _CertifyRun(g, t, ws / lev, laplacian(g), laplacian_decomposition(g))
+    dec = laplacian_decomposition(g)
+    dec.frame  # built before any pool starts, so forked workers share one copy
+    return _CertifyRun(g, t, ws / lev, dec)
 
 
 def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
     """Pencil extremes of the average of ``run.t`` reweighted trees.
 
-    Equals ``normalized_pencil(laplacian(g), average_trees([reweight_tree(
+    Equals ``normalized_pencil(run.dec, average_trees([reweight_tree(
     sample_tree_stream(g, gen), prof) for _ in range(t)]))`` on the same
     stream, but reads the trees as :func:`wilson_tree_batches` edge-id
     arrays: one count per edge and one Laplacian assembly.
@@ -161,7 +162,7 @@ def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
         for _, ids in wilson_tree_batches(g, gen, run.t)
     )
     weights = counts * run.edge_weights / run.t
-    return normalized_pencil(run.lap, laplacian(g, weights), run.dec)
+    return normalized_pencil(run.dec, laplacian(g, weights))
 
 
 # Set only inside pool workers, by the executor's initializer, so each
@@ -226,7 +227,10 @@ def run_sum_trees(
     if t is None:
         if c_mult is None or c_mult <= 0.0:
             raise ValueError("need either an explicit t or a positive c_mult")
-        t = math.ceil(c_mult * eps**-2 * math.log(g.n) ** 2)
+        try:
+            t = math.ceil(c_mult * eps**-2 * math.log(g.n) ** 2)
+        except (OverflowError, ValueError):
+            raise ValueError(f"t is not finite for eps = {eps!r}, c_mult = {c_mult!r}") from None
     elif t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     extremes = _run_trials(_certify_run(g, t), seeds, jobs)
@@ -506,7 +510,7 @@ def run_unweighted_thin_tree(
     start = time.perf_counter()
     max_lev = float(leverage_scores(g).values.max())
     _, _, ws = g.edge_arrays
-    extremes = _run_trials(_CertifyRun(g, 1, ws, laplacian(g), laplacian_decomposition(g)), seeds)
+    extremes = _run_trials(_CertifyRun(g, 1, ws, laplacian_decomposition(g)), seeds)
     max_lambda = max(hi for _, hi in extremes)
     envelope = 100.0 * max_lev * math.log(g.n)
     return _report(

@@ -16,6 +16,8 @@ from itertools import accumulate
 
 import numpy as np
 
+ER_MAX_ATTEMPTS = 1000
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when an edge list does not connect all vertices."""
@@ -196,24 +198,24 @@ def laplacian(g: WeightedGraph, weights=None) -> np.ndarray:
     return lap
 
 
-def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Complete graph on n vertices with a common edge weight."""
+def complete_graph(n: int) -> WeightedGraph:
+    """Complete graph on n vertices with unit edge weights."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    edges = tuple((u, v, weight) for u in range(n) for v in range(u + 1, n))
+    edges = tuple((u, v, 1.0) for u in range(n) for v in range(u + 1, n))
     return WeightedGraph(n, edges)
 
 
-def ring_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Cycle on n >= 3 vertices."""
+def ring_graph(n: int) -> WeightedGraph:
+    """Unit-weight cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError(f"ring needs n >= 3, got {n}")
-    edges = tuple((v, (v + 1) % n, weight) for v in range(n))
+    edges = tuple((v, (v + 1) % n, 1.0) for v in range(n))
     return WeightedGraph(n, edges)
 
 
-def clique_star(num_cliques: int, clique_size: int, weight: float = 1.0) -> WeightedGraph:
-    """Cliques glued at a shared hub vertex.
+def clique_star(num_cliques: int, clique_size: int) -> WeightedGraph:
+    """Unit-weight cliques glued at a shared hub vertex.
 
     Builds ``num_cliques`` copies of the complete graph on ``clique_size``
     vertices, all sharing vertex 0, so ``n = num_cliques * (clique_size - 1)
@@ -231,18 +233,15 @@ def clique_star(num_cliques: int, clique_size: int, weight: float = 1.0) -> Weig
         members = [0] + list(range(1 + i * block, 1 + (i + 1) * block))
         for a in range(clique_size):
             for b in range(a + 1, clique_size):
-                edges.append((members[a], members[b], weight))
+                edges.append((members[a], members[b], 1.0))
     return WeightedGraph(num_cliques * block + 1, tuple(edges))
 
 
-def erdos_renyi_connected(
-    n: int, p: float, seed: int, max_attempts: int = 1000
-) -> WeightedGraph:
+def erdos_renyi_connected(n: int, p: float, seed: int) -> WeightedGraph:
     """G(n, p) conditioned on connectivity by rejection sampling.
 
     Uses a Philox counter-based generator so the same seed reproduces the
-    same graph.  Raises ValueError if no connected draw appears within
-    ``max_attempts``.
+    same graph; raises ValueError after ``ER_MAX_ATTEMPTS`` disconnected draws.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"edge probability must lie in (0, 1], got {p}")
@@ -250,7 +249,7 @@ def erdos_renyi_connected(
         raise ValueError(f"need n >= 2, got {n}")
     gen = np.random.Generator(np.random.Philox(seed))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(max_attempts):
+    for _ in range(ER_MAX_ATTEMPTS):
         draws = gen.random(len(pairs))
         picked = [pairs[i] for i in np.flatnonzero(draws < p)]
         uf = UnionFind(n)
@@ -258,9 +257,7 @@ def erdos_renyi_connected(
             uf.union(u, v)
         if uf.count == 1:
             return WeightedGraph(n, tuple((u, v, 1.0) for u, v in picked))
-    raise ValueError(
-        f"no connected G({n}, {p}) draw within {max_attempts} attempts"
-    )
+    raise ValueError(f"no connected G({n}, {p}) draw within {ER_MAX_ATTEMPTS} attempts")
 
 
 def write_graph(g: WeightedGraph, path: str) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,44 +14,58 @@ import numpy as np
 class SpectralDecomposition:
     """Eigenvalues (nondecreasing) and orthonormal eigenbasis columns.
 
-    ``rank_tol`` is relative: eigenvalues at or below ``rank_tol *
-    max_eigenvalue`` count as zero wherever rank matters.
+    Eigenvalues at or below :attr:`zero_cutoff`, ``n * 2.2e-16`` times
+    the largest eigenvalue, count as zero wherever rank matters; every
+    rank decision reads the one :attr:`keep` mask.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-    rank_tol: float
 
     @property
     def zero_cutoff(self) -> float:
-        return self.rank_tol * max(float(self.eigenvalues[-1]), 0.0)
+        return len(self.eigenvalues) * 2.2e-16 * max(float(self.eigenvalues[-1]), 0.0)
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Mask of the eigenvalues above the zero cutoff: the numerical range."""
+        keep = self.eigenvalues > self.zero_cutoff
+        keep.flags.writeable = False
+        return keep
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(M, U_0)``: ``M = U_r diag(lambda_r)^-1/2`` whitens the
+        range, so ``M^T H M`` is the pencil of ``H``; ``U_0`` is the null basis."""
+        keep = self.keep
+        scaled = self.basis[:, keep] * (1.0 / np.sqrt(self.eigenvalues[keep]))
+        null = self.basis[:, ~keep]
+        scaled.flags.writeable = null.flags.writeable = False
+        return scaled, null
 
 
-def _check_symmetric(a: np.ndarray, rel: float = 1e-12) -> None:
+def _check_symmetric(a: np.ndarray) -> None:
     scale = float(np.abs(a).max()) if a.size else 1.0
     if not math.isfinite(scale):
         raise ValueError("matrix has a non-finite entry")
     scale = max(scale, 1e-300)
     skew = float(np.abs(a - a.T).max())
-    if skew > rel * scale:
+    if skew > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {skew:g}")
 
 
-def eig_sym(a: np.ndarray, rank_tol: float | None = None) -> SpectralDecomposition:
+def eig_sym(a: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix via LAPACK.
 
     The input must be symmetric to relative 1e-12; it is symmetrised
     before the solve so tiny asymmetries cannot leak into the result.
-    The default ``rank_tol`` is ``n * 2.2e-16``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     _check_symmetric(a)
-    if rank_tol is None:
-        rank_tol = a.shape[0] * 2.2e-16
     vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
-    return SpectralDecomposition(vals, vecs, float(rank_tol))
+    return SpectralDecomposition(vals, vecs)
 
 
 def pinv_power(dec: SpectralDecomposition, power: float) -> np.ndarray:
@@ -61,54 +76,37 @@ def pinv_power(dec: SpectralDecomposition, power: float) -> np.ndarray:
     eigenvalues more negative than the cutoff are rejected because the
     matrix was supposed to be positive semidefinite.
     """
-    cutoff = dec.zero_cutoff
     vals = dec.eigenvalues
-    if float(vals[0]) < -max(cutoff, 1e-300):
+    if float(vals[0]) < -max(dec.zero_cutoff, 1e-300):
         raise ValueError(
-            f"matrix has a negative eigenvalue {float(vals[0]):g} beyond rank_tol"
+            f"matrix has a negative eigenvalue {float(vals[0]):g} beyond the zero cutoff"
         )
     inv = np.zeros_like(vals)
-    pos = vals > cutoff
-    inv[pos] = 1.0 / vals[pos] ** power
+    inv[dec.keep] = 1.0 / vals[dec.keep] ** power
     return (dec.basis * inv) @ dec.basis.T
 
 
-def normalized_pencil(
-    lap_g: np.ndarray,
-    lap_h: np.ndarray,
-    dec: SpectralDecomposition | None = None,
-) -> tuple[float, float]:
-    """Extreme eigenvalues of ``lap_h`` relative to ``lap_g``.
+def normalized_pencil(dec: SpectralDecomposition, lap_h: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues of ``lap_h`` relative to ``L_G``, given as its decomposition.
 
-    Conjugates ``lap_h`` by the inverse square root of ``lap_g`` and
-    restricts to the range of ``lap_g``, deflating the null direction
-    explicitly instead of trusting a tiny eigenvalue.  Returns
+    Conjugates ``lap_h`` by the frame of ``dec``, which restricts to the
+    range of ``L_G`` and deflates its null direction explicitly instead
+    of trusting a tiny eigenvalue.  Returns
     ``(lambda_min_pos, lambda_max)``; the pair is ``(1, 1)`` exactly when
     the two matrices agree on that range.  A rank-deficient ``lap_h``
     reports ``lambda_min_pos = 0`` rather than raising.
-
-    ``dec`` lets callers reuse a decomposition of ``lap_g`` across many
-    right-hand sides.
     """
     lap_h = np.asarray(lap_h, dtype=np.float64)
     _check_symmetric(lap_h)
-    if dec is None:
-        dec = eig_sym(np.asarray(lap_g, dtype=np.float64))
-    cutoff = dec.zero_cutoff
-    keep = dec.eigenvalues > cutoff
-    if not np.any(keep):
+    if not np.any(dec.keep):
         raise ValueError("left Laplacian is identically zero")
-    basis = dec.basis[:, keep]
-    null = dec.basis[:, ~keep]
+    scaled, null = dec.frame
     if null.shape[1]:
         leak = float(np.abs(lap_h @ null).max())
         h_scale = max(float(np.abs(lap_h).max()), 1.0)
         if leak > 1e-8 * h_scale:
-            raise ValueError(
-                "right Laplacian does not vanish on the null space of the left"
-            )
-    inv_sqrt = 1.0 / np.sqrt(dec.eigenvalues[keep])
-    core = (basis * inv_sqrt).T @ lap_h @ (basis * inv_sqrt)
+            raise ValueError("right Laplacian does not vanish on the null space of the left")
+    core = scaled.T @ lap_h @ scaled
     vals = np.linalg.eigvalsh((core + core.T) / 2.0)
     return float(vals[0]), float(vals[-1])
 
@@ -155,20 +153,18 @@ def psd_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> PsdOrderVerdict:
     _check_symmetric(a)
     _check_symmetric(b)
     scale = max(_opnorm(a), _opnorm(b), 1.0)
-    gram = a @ a + b @ b
-    dec = eig_sym((gram + gram.T) / 2.0)
-    keep = dec.eigenvalues > dec.zero_cutoff
-    if not np.any(keep):
+    dec = eig_sym(a @ a + b @ b)
+    if not np.any(dec.keep):
         return PsdOrderVerdict(True, 0.0, tol, scale)
-    basis = dec.basis[:, keep]
+    basis = dec.basis[:, dec.keep]
     restricted = basis.T @ (b - a) @ basis
     gap = float(np.linalg.eigvalsh((restricted + restricted.T) / 2.0)[0])
     return PsdOrderVerdict(gap >= -tol * scale, gap, tol, scale)
 
 
-def check_symmetric_triangle(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+def check_symmetric_triangle(a: np.ndarray, b: np.ndarray) -> bool:
     """Verify ``(a - b)^2 <= 2 a^2 + 2 b^2`` for symmetric a, b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     diff = a - b
-    return psd_leq(diff @ diff, 2.0 * a @ a + 2.0 * b @ b, tol).holds
+    return psd_leq(diff @ diff, 2.0 * a @ a + 2.0 * b @ b).holds

@@ -277,28 +277,28 @@ def martingale_trace(g: WeightedGraph, rng_seed: int) -> MartingaleTrace:
     return trace_for_ordering(g, ordering)
 
 
-def check_step_variance_bound(trace: MartingaleTrace, slack: float = STEP_SLACK) -> bool:
+def check_step_variance_bound(trace: MartingaleTrace) -> bool:
     """Per-step predictable variance and conditional mean bounds.
 
     Step i (with ``s = k - i + 1`` unrevealed slots) must satisfy
-    ``lambda_max(E[X_i^2 | past]) <= 4 * mu * R / s`` up to slack, where
-    ``mu`` is the frame norm and ``R`` the edge norm range.  Also
-    verifies the per-edge conditional mean bound ``||E[A | past]|| <= mu
-    / s`` at every step.
+    ``lambda_max(E[X_i^2 | past]) <= 4 * mu * R / s`` up to
+    ``STEP_SLACK``, where ``mu`` is the frame norm and ``R`` the edge
+    norm range.  Also verifies the per-edge conditional mean bound
+    ``||E[A | past]|| <= mu / s`` at every step.
     """
     k = trace.k
     mu = trace.frame_norm
     mu_r = mu * trace.max_edge_norm
     for i, second in enumerate(trace.second_moments, start=1):
         slots = k - i + 1
-        if trace.cond_mean_norms[i - 1] > mu / slots + slack:
+        if trace.cond_mean_norms[i - 1] > mu / slots + STEP_SLACK:
             return False
-        if float(np.linalg.eigvalsh(second)[-1]) > 4.0 * mu_r / slots + slack:
+        if float(np.linalg.eigvalsh(second)[-1]) > 4.0 * mu_r / slots + STEP_SLACK:
             return False
     return True
 
 
-def check_trace_bounds(trace: MartingaleTrace, slack: float = STEP_SLACK) -> bool:
+def check_trace_bounds(trace: MartingaleTrace) -> bool:
     """All trace invariants at once.
 
     Checks the zero-mean residuals, the increment range ``max step norm
@@ -309,11 +309,11 @@ def check_trace_bounds(trace: MartingaleTrace, slack: float = STEP_SLACK) -> boo
     same normalised matrix, so all increments vanish.
     """
     r = trace.max_edge_norm
-    if any(res > slack for res in trace.zero_mean_residuals):
+    if any(res > STEP_SLACK for res in trace.zero_mean_residuals):
         return False
-    if any(x > r + slack for x in trace.step_norms):
+    if any(x > r + STEP_SLACK for x in trace.step_norms):
         return False
-    if not check_step_variance_bound(trace, slack):
+    if not check_step_variance_bound(trace):
         return False
     if trace.variation_norms[-1] > trace.cumulative_bound() + CUMULATIVE_SLACK:
         return False

@@ -1,0 +1,54 @@
+"""The benchmark's hooks still bind to the program.
+
+``perfbench/child.py`` runs one CLI call with every ``spans.TARGETS``
+function wrapped and reads ``_laplacian_pinv.cache_info()`` afterwards;
+a refactor that unbinds either makes the call fail here instead of only
+in a traced benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "kind,argv,names",
+    [
+        (
+            "certify",
+            ["certify", "--graph", "k:8", "--eps", "0.5", "--trials", "2", "--jobs", "1", "--json"],
+            {"spectral.pencil", "experiments.trial"},
+        ),
+        (
+            "martingale",
+            ["diag", "martingale", "--graph", "k:5", "--seeds", "2"],
+            {"srdiag.trace", "srdiag.check"},
+        ),
+    ],
+)
+def test_traced_child_call_records_the_layer_spans(kind, argv, names, tmp_path):
+    marks_path = tmp_path / "marks.json"
+    spec = {
+        "argv": argv + ["--seed", "0", "--out", str(tmp_path / "report.json")],
+        "kind": kind,
+        "trace": True,
+        "out": str(marks_path),
+    }
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    marks = json.loads(marks_path.read_text())
+    assert marks["rc"] == 0
+    assert names <= {span[0] for span in marks["spans"]}
+    assert isinstance(marks["pinv_hits"], int) and isinstance(marks["pinv_misses"], int)

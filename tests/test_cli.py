@@ -131,6 +131,24 @@ def test_diag_marginals_pass_and_guard(capsys):
     assert main(["diag", "marginals", "--graph", "k:6"]) == EXIT_SIZE_GUARD
 
 
+@pytest.mark.parametrize("header", [None, "3000 4499500\n0 1 1.0\n"])
+def test_marginals_size_guard_trips_before_the_graph_is_built(header, tmp_path, capsys):
+    spec = "k:3000"
+    if header is not None:
+        spec = str(tmp_path / "big.graph")
+        (tmp_path / "big.graph").write_text(header)
+    start = time.perf_counter()
+    assert main(["diag", "marginals", "--graph", spec]) == EXIT_SIZE_GUARD
+    assert time.perf_counter() - start < 0.5
+    assert "capped at n = 11, got n = 3000" in capsys.readouterr().err
+
+
+def test_marginals_runs_at_the_edge_cap(capsys):
+    # K_5 has m = 10, the largest edge count the suite accepts.
+    assert main(["diag", "marginals", "--graph", "k:5"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_diag_marginals_reports_its_worst_pair(capsys):
     assert main(["diag", "marginals", "--graph", "cliquestar:2,3"]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
@@ -302,6 +320,16 @@ def test_certify_ranges_are_checked_before_the_graph_is_built(flags, message, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {message}" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--eps", "1e-200"], ["--eps", "0.01", "--cmult", "1e308"]])
+def test_certify_overflowing_t_exits_usage(flags, capsys):
+    argv = ["certify", "--graph", "k:10", "--trials", "1", "--jobs", "1"] + flags
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "not finite for eps = " in captured.err and "c_mult = " in captured.err
 
 
 def test_martingale_size_guard_trips_before_the_graph_is_built(capsys):

@@ -108,6 +108,16 @@ def test_sum_trees_default_t_formula():
     assert math.ceil(1.0 * 0.5**-2 * math.log(200) ** 2) == 113
 
 
+@pytest.mark.parametrize("eps,c_mult", [(1e-200, 1.0), (0.01, 1e308)])
+def test_sum_trees_rejects_a_t_that_is_not_finite(eps, c_mult, monkeypatch):
+    # eps**-2 overflows in the first case, ceil(inf) in the second; both
+    # are refused before L_G is factored.
+    calls = _count_eig_sym(monkeypatch)
+    with pytest.raises(ValueError, match=r"not finite for eps = .*, c_mult = "):
+        run_sum_trees(complete_graph(10), eps=eps, trials=1, base_seed=0, c_mult=c_mult)
+    assert calls == []
+
+
 def test_sum_trees_rejects_bad_parameters():
     g = complete_graph(6)
     with pytest.raises(ValueError):
@@ -148,7 +158,7 @@ def test_sum_trees_trial_matches_tree_object_route(name, g):
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         trees = [reweight_tree(sample_tree_stream(g, gen), prof) for _ in range(t)]
-        want = normalized_pencil(laplacian(g), average_trees(trees))
+        want = normalized_pencil(eig_sym(laplacian(g)), average_trees(trees))
         got = _sum_trees_trial(run, seed)
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
@@ -164,15 +174,46 @@ def test_sum_trees_trial_matches_edge_id_route(name, g):
         gen = np.random.Generator(np.random.Philox(seed))
         ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
         weights = np.bincount(ids, minlength=g.m) * run.edge_weights / t
-        want = normalized_pencil(run.lap, laplacian(g, weights), run.dec)
+        want = normalized_pencil(run.dec, laplacian(g, weights))
         assert _sum_trees_trial(run, seed) == want
+
+
+@pytest.mark.parametrize(
+    "g", [complete_graph(30), random_connected_graph(40, 80, seed=9)], ids=["k30", "multigraph"]
+)
+def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
+    # The pencil reads the cached frame; its extremes equal the formula
+    # that rebuilt U_r diag(lambda_r)^-1/2 from the eigenvalues each call.
+    t = 7
+    run = _certify_run(g, t)
+    vals = run.dec.eigenvalues
+    keep = vals > g.n * 2.2e-16 * max(float(vals[-1]), 0.0)
+    basis, inv_sqrt = run.dec.basis[:, keep], 1.0 / np.sqrt(vals[keep])
+    for seed in range(3):
+        gen = np.random.Generator(np.random.Philox(seed))
+        ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
+        lap_h = laplacian(g, np.bincount(ids, minlength=g.m) * run.edge_weights / t)
+        core = (basis * inv_sqrt).T @ lap_h @ (basis * inv_sqrt)
+        want = np.linalg.eigvalsh((core + core.T) / 2.0)
+        assert _sum_trees_trial(run, seed) == (float(want[0]), float(want[-1]))
+
+
+def test_certify_run_holds_no_dense_laplacian():
+    g = complete_graph(12)
+    run = _certify_run(g, 3)
+    assert [f.name for f in dataclasses.fields(run)] == ["g", "t", "edge_weights", "dec"]
+    assert not any(
+        isinstance(value, np.ndarray) and value.shape == (g.n, g.n) for value in vars(run).values()
+    )
+    # The frame exists before any pool forks, so workers inherit it.
+    assert "frame" in vars(run.dec)
 
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
 def test_single_tree_runners_match_tree_object_route(name, g):
     # Oracle: one validated SpanningTree per seed, reweighted by its
     # leverage for the upper envelope and kept plain for thin trees.
-    lap, dec, prof = laplacian(g), laplacian_decomposition(g), leverage_scores(g)
+    dec, prof = laplacian_decomposition(g), leverage_scores(g)
     seeds = range(5, 9)
 
     def tree_route(reweight):
@@ -180,7 +221,7 @@ def test_single_tree_runners_match_tree_object_route(name, g):
         for seed in seeds:
             tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
             tree = reweight_tree(tree, prof) if reweight else tree
-            out.append(normalized_pencil(lap, tree_laplacian(tree), dec))
+            out.append(normalized_pencil(dec, tree_laplacian(tree)))
         return out
 
     upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])

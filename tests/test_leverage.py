@@ -26,6 +26,7 @@ from treespark.leverage import (
     TransferCurrent,
     conditional_marginals,
     effective_resistance,
+    laplacian_decomposition,
     leverage_scores,
 )
 
@@ -248,6 +249,19 @@ def test_quotient_single_block():
     g = path_graph(3)
     quot, _, eid_map, loops = ContractionState.from_edges(g, [0, 1]).quotient()
     assert quot is None and eid_map == {} and loops == []
+
+
+def test_shared_decomposition_builds_one_read_only_frame():
+    g = random_connected_graph(30, 40, seed=21)
+    dec = laplacian_decomposition(g)
+    scaled, null = dec.frame
+    # Every caller gets the same decomposition, so the same frame arrays.
+    again = laplacian_decomposition(g).frame
+    assert again[0] is scaled and again[1] is null
+    assert scaled.shape == (g.n, g.n - 1) and null.shape == (g.n, 1)
+    for arr in (scaled, null):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
 
 
 def test_size_guard_on_large_graph():

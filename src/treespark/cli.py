@@ -33,6 +33,7 @@ from .graph import (
     complete_graph,
     clique_star,
     erdos_renyi_connected,
+    guard_vertices,
     read_graph,
     ring_graph,
 )
@@ -73,21 +74,6 @@ _CONSTRUCTORS = {
 }
 
 
-def _header_vertex_count(path: str) -> int | None:
-    """``n`` from a graph file's ``n m`` header, or None if it does not parse."""
-    with open(path) as fh:
-        for line in fh:
-            head = line.split()
-            if head:
-                return int(head[0]) if len(head) == 2 and head[0].isdigit() else None
-    return None
-
-
-def _guard_vertices(n: int | None, max_n: int | None) -> None:
-    if max_n is not None and n is not None and n > max_n:
-        raise SizeGuardError(f"this command is capped at n = {max_n}, got n = {n}")
-
-
 def parse_graph_spec(spec: str, seed: int, max_n: int | None = None):
     """Build a graph from a constructor spec or read it from a file.
 
@@ -102,15 +88,14 @@ def parse_graph_spec(spec: str, seed: int, max_n: int | None = None):
             if len(fields) != len(types):
                 raise ValueError(f"expected {len(types)} comma-separated values")
             args = [typ(field) for typ, field in zip(types, fields)]
-            _guard_vertices(vertices(*args), max_n)
+            guard_vertices(vertices(*args), max_n)
             return build(*args, seed) if kind == "er" else build(*args)
         except (DisconnectedGraphError, SizeGuardError):
             raise
         except ValueError as exc:
             raise UsageError(f"bad graph spec {spec!r}: {exc}") from exc
     if os.path.exists(spec):
-        _guard_vertices(_header_vertex_count(spec), max_n)
-        return read_graph(spec)
+        return read_graph(spec, max_n)
     raise UsageError(f"graph spec {spec!r} is neither a constructor nor a file")
 
 

@@ -26,6 +26,11 @@ from .treesample import wilson_tree_batches
 
 DEFAULT_PASS_GATE = 0.9
 
+# Most tree-edge slots (t trees times n - 1 edges) one certify trial may
+# walk: about 1.5 h at ~0.11 ms per K_200 tree on a 2-vCPU VM, while
+# K_2000 at eps = 0.01 (1.2e9 slots) still runs.
+MAX_TREE_SLOTS = 10**10
+
 
 @dataclass(frozen=True)
 class Report:
@@ -212,13 +217,14 @@ def run_sum_trees(
     """Average ``t`` independent inverse-leverage trees per trial and
     test the two-sided pencil bound ``1 - eps <= lambda <= 1 + eps``.
 
-    ``t`` defaults to ``ceil(c_mult * eps^-2 * (ln n)^2)``.  A trial
-    passes when both extremes fall inside the window; the report gate is
-    the fraction of passing trials required, 0.9 by default.  With
-    ``jobs > 1`` trials run in up to ``jobs`` separate processes, each of
-    which receives the leverage weights and the factored L_G once;
-    per-trial seeds are ``base_seed + trial_index`` either way, so
-    results do not depend on the schedule.
+    ``t`` defaults to ``ceil(c_mult * eps^-2 * (ln n)^2)``, and a ``t``
+    with ``t * (n - 1) > MAX_TREE_SLOTS`` is refused before L_G is
+    factored.  A trial passes when both extremes fall inside the window;
+    the report gate is the fraction of passing trials required, 0.9 by
+    default.  With ``jobs > 1`` trials run in up to ``jobs`` separate
+    processes, each of which receives the leverage weights and the
+    factored L_G once; per-trial seeds are ``base_seed + trial_index``
+    either way, so results do not depend on the schedule.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"need eps in (0, 1), got {eps}")
@@ -233,6 +239,11 @@ def run_sum_trees(
             raise ValueError(f"t is not finite for eps = {eps!r}, c_mult = {c_mult!r}") from None
     elif t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    if t * (g.n - 1) > MAX_TREE_SLOTS:
+        raise ValueError(
+            f"t = {t} trees on n = {g.n} vertices exceed the cap of "
+            f"MAX_TREE_SLOTS = {MAX_TREE_SLOTS} tree-edge slots per trial"
+        )
     extremes = _run_trials(_certify_run(g, t), seeds, jobs)
     ok = [lo >= 1.0 - eps and hi <= 1.0 + eps for lo, hi in extremes]
     pass_fraction = sum(ok) / trials

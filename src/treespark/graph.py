@@ -113,30 +113,30 @@ class WeightedGraph:
         return us, vs, ws
 
     @cached_property
-    def adjacency(self) -> tuple[list, list, list, list, list]:
-        """Per-vertex neighbour, edge-id and cumulative-weight lists.
+    def adjacency(self) -> tuple[list, list, list, list]:
+        """Per-vertex neighbour and cumulative-weight lists.
 
         Entries follow stored edge order, one entry per incident edge, so
-        parallel edges appear once each.  Returns ``(nbrs, eids, cumw,
-        totw, uniform)`` where ``cumw[v]`` is the running sum of incident
-        weights, ``totw[v]`` its total and ``uniform[v]`` says all
-        incident weights are equal; random walk steps draw a uniform
-        ``r`` and take the first index with ``cumw[v][i] > r * totw[v]``.
+        parallel edges appear once each; their edge ids sit at the same
+        positions of :attr:`csr`.  Returns ``(nbrs, cumw, totw, uniform)``
+        where ``cumw[v]`` is the running sum of incident weights,
+        ``totw[v]`` its total and ``uniform[v]`` says all incident
+        weights are equal; random walk steps draw a uniform ``r`` and
+        take the first index with ``cumw[v][i] > r * totw[v]``.
         """
         offsets, nbr, eid = self.csr
         wts = self.edge_arrays[2][eid]
         bounds = offsets.tolist()
         spans = list(zip(bounds, bounds[1:]))
-        nbr_list, eid_list, wt_list = nbr.tolist(), eid.tolist(), wts.tolist()
+        nbr_list, wt_list = nbr.tolist(), wts.tolist()
         nbrs = [nbr_list[a:b] for a, b in spans]
-        eids = [eid_list[a:b] for a, b in spans]
         cumw = [list(accumulate(wt_list[a:b])) for a, b in spans]
         totw = [acc[-1] for acc in cumw]
         # A connected graph leaves no vertex without entries, so no
         # reduceat segment is empty.
         lo = np.minimum.reduceat(wts, offsets[:-1])
         hi = np.maximum.reduceat(wts, offsets[:-1])
-        return nbrs, eids, cumw, totw, (lo == hi).tolist()
+        return nbrs, cumw, totw, (lo == hi).tolist()
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,7 +144,7 @@ class WeightedGraph:
 
         Vertex ``v``'s entries sit at ``offsets[v]:offsets[v + 1]`` in the
         same order as ``adjacency``, so ``offsets[v] + j`` locates the
-        ``j``-th entry of ``adjacency[0][v]`` and ``adjacency[1][v]``.
+        ``j``-th entry of ``adjacency[0][v]``.
         """
         us, vs, _ = self.edge_arrays
         ends = np.concatenate((us, vs))
@@ -162,18 +162,6 @@ class WeightedGraph:
         np.add.at(deg, us, ws)
         np.add.at(deg, vs, ws)
         return deg
-
-
-def incidence_row(g: WeightedGraph, edge_id: int) -> np.ndarray:
-    """Signed incidence vector of one edge: +1 at the smaller endpoint,
-    -1 at the larger, 0 elsewhere."""
-    if not (0 <= edge_id < g.m):
-        raise ValueError(f"edge id {edge_id} out of range")
-    u, v, _ = g.edges[edge_id]
-    row = np.zeros(g.n)
-    row[u] = 1.0
-    row[v] = -1.0
-    return row
 
 
 def laplacian(g: WeightedGraph, weights=None) -> np.ndarray:
@@ -272,25 +260,36 @@ def write_graph(g: WeightedGraph, path: str) -> None:
             fh.write(f"{u} {v} {w:.17g}\n")
 
 
-def read_graph(path: str) -> WeightedGraph:
-    """Parse the text format written by :func:`write_graph`."""
+def guard_vertices(n: int, max_n: int | None) -> None:
+    """Raise SizeGuardError when ``max_n`` is set and ``n`` exceeds it."""
+    if max_n is not None and n > max_n:
+        raise SizeGuardError(f"this command is capped at n = {max_n}, got n = {n}")
+
+
+def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
+    """Parse the text format written by :func:`write_graph`.
+
+    With ``max_n`` set, a header naming more vertices raises
+    SizeGuardError before any edge line is read.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise GraphFileError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFileError(f"{path}: header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphFileError(f"{path}: bad header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise GraphFileError(
-            f"{path}: header promises {m} edges, file has {len(lines) - 1}"
-        )
+        lines = (ln.strip() for ln in fh if ln.strip())
+        header = next(lines, None)
+        if header is None:
+            raise GraphFileError(f"{path}: empty graph file")
+        head = header.split()
+        if len(head) != 2:
+            raise GraphFileError(f"{path}: header must be 'n m', got {header!r}")
+        try:
+            n, m = int(head[0]), int(head[1])
+        except ValueError as exc:
+            raise GraphFileError(f"{path}: bad header {header!r}") from exc
+        guard_vertices(n, max_n)
+        body = list(lines)
+    if len(body) != m:
+        raise GraphFileError(f"{path}: header promises {m} edges, file has {len(body)}")
     edges = []
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) != 3:
             raise GraphFileError(f"{path}: bad edge line {ln!r}")

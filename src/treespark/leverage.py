@@ -1,4 +1,4 @@
-"""Effective resistances, leverage scores and conditioning by contraction.
+"""Leverage scores and conditioning on a forest by contraction.
 
 Leverage scores of a weighted graph are the spanning tree marginals:
 ``lev_e = w_e * reff(u_e, v_e)`` is the probability that edge ``e``
@@ -11,9 +11,9 @@ W^1/2`` (Burton & Pemantle), whose diagonal holds the leverage scores.
 Contracting edge ``e`` is the ``w_e -> inf`` limit of Sherman-Morrison,
 a rank-one Schur-complement step ``Y <- Y - Y[:, e] Y[e, :] / Y[e, e]``,
 so conditional marginals come from one pseudoinverse of the parent
-graph with no quotient graph built.  :meth:`ContractionState.quotient`
-builds that quotient multigraph explicitly; tests read its leverage
-scores as the independent oracle for the updates.
+graph with no quotient graph built.  The tests build that quotient
+multigraph explicitly and read its leverage scores as the independent
+oracle for the updates.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ DENSE_SOLVE_CAP = 2000
 
 
 class InvalidConditioningError(ValueError):
-    """Raised when a conditioning edge set contains a cycle."""
+    """Raised when a conditioning edge set contains a cycle or repeats an edge."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -55,16 +55,6 @@ def laplacian_decomposition(g: WeightedGraph) -> SpectralDecomposition:
 @functools.lru_cache(maxsize=8)
 def _laplacian_pinv(g: WeightedGraph) -> np.ndarray:
     return pinv_power(laplacian_decomposition(g), 1)
-
-
-def effective_resistance(g: WeightedGraph, u: int, v: int) -> float:
-    """Resistance between two vertices with conductances ``w_e``."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range: ({u}, {v})")
-    if u == v:
-        return 0.0
-    pinv = _laplacian_pinv(g)
-    return float(pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v])
 
 
 @dataclass(frozen=True)
@@ -101,78 +91,6 @@ def leverage_scores(g: WeightedGraph) -> LeverageProfile:
     us, vs, ws = g.edge_arrays
     reff = pinv[us, us] + pinv[vs, vs] - 2.0 * pinv[us, vs]
     return LeverageProfile(g, ws * reff)
-
-
-@dataclass(frozen=True)
-class ContractionState:
-    """A forest of contracted edges over a parent graph.
-
-    ``reps[v]`` is the canonical representative (smallest member) of the
-    merged block containing vertex ``v``.  Growing the state with an edge
-    whose endpoints are already merged would close a cycle, which cannot
-    be conditioned on, so that raises :class:`InvalidConditioningError`.
-    """
-
-    graph: WeightedGraph
-    contracted: tuple[int, ...]
-    reps: tuple[int, ...]
-
-    @classmethod
-    def initial(cls, g: WeightedGraph) -> "ContractionState":
-        return cls(g, (), tuple(range(g.n)))
-
-    @classmethod
-    def from_edges(cls, g: WeightedGraph, edge_ids) -> "ContractionState":
-        state = cls.initial(g)
-        for eid in edge_ids:
-            state = state.contract(eid)
-        return state
-
-    def contract(self, edge_id: int) -> "ContractionState":
-        if not (0 <= edge_id < self.graph.m):
-            raise ValueError(f"edge id {edge_id} out of range")
-        if edge_id in self.contracted:
-            raise InvalidConditioningError(f"edge {edge_id} already contracted")
-        u, v, _ = self.graph.edges[edge_id]
-        ru, rv = self.reps[u], self.reps[v]
-        if ru == rv:
-            raise InvalidConditioningError(
-                f"edge {edge_id} closes a cycle in the contracted set"
-            )
-        keep, drop = min(ru, rv), max(ru, rv)
-        reps = tuple(keep if r == drop else r for r in self.reps)
-        return ContractionState(
-            self.graph, tuple(sorted(self.contracted + (edge_id,))), reps
-        )
-
-    def quotient(self):
-        """Contracted multigraph and the edge bookkeeping to map back.
-
-        Returns ``(quot, vmap, eid_map, loops)``: the quotient graph (or
-        None when everything merged to a single vertex), the original
-        vertex to quotient vertex map, a dict from surviving original
-        edge ids to quotient edge ids, and the list of original edge ids
-        that became self loops.
-        """
-        classes = sorted(set(self.reps))
-        index = {r: i for i, r in enumerate(classes)}
-        vmap = tuple(index[r] for r in self.reps)
-        edges = []
-        eid_map = {}
-        loops = []
-        contracted = set(self.contracted)
-        for eid, (u, v, w) in enumerate(self.graph.edges):
-            if eid in contracted:
-                continue
-            qu, qv = vmap[u], vmap[v]
-            if qu == qv:
-                loops.append(eid)
-            else:
-                eid_map[eid] = len(edges)
-                edges.append((qu, qv, w))
-        if len(classes) == 1:
-            return None, vmap, eid_map, loops
-        return WeightedGraph(len(classes), tuple(edges)), vmap, eid_map, loops
 
 
 class TransferCurrent:
@@ -258,18 +176,17 @@ class TransferCurrent:
         self.contracted[edge_id] = True
 
 
-def conditional_marginals(g: WeightedGraph, state: ContractionState) -> np.ndarray:
-    """Spanning tree marginals conditioned on the contracted forest.
+def conditional_marginals(g: WeightedGraph, edge_ids) -> np.ndarray:
+    """Spanning tree marginals conditioned on containing the forest ``edge_ids``.
 
     Returns an array over all edge ids of ``g``: contracted edges report
     1, edges whose endpoints were merged (self loops in the quotient)
     report 0, and every other edge reports its leverage score in the
     quotient multigraph, computed by one transfer-current update per
-    contracted edge.
+    contracted edge.  A repeated id or a cycle raises
+    :class:`InvalidConditioningError`, an id outside ``g`` ValueError.
     """
-    if state.graph != g:
-        raise ValueError("contraction state belongs to a different graph")
     tc = TransferCurrent(g)
-    for eid in state.contracted:
+    for eid in edge_ids:
         tc.contract(eid)
     return tc.marginals()

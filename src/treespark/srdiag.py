@@ -389,14 +389,18 @@ def _log_terms(k: int, p: float, lo: int, hi: int) -> list[float]:
     ]
 
 
+def _log_sum_exp(terms: list[float]) -> float:
+    """``log sum exp(terms)``, shifted by the largest term and summed by ``fsum``."""
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
 def log_binomial_tail(k: int, p: float, threshold: int) -> float:
     """``log Pr[Bin(k, p) >= threshold]`` without underflow."""
     BinomialTailQuery(k, p, threshold)
     if threshold == 0:
         return 0.0
-    terms = _log_terms(k, p, threshold, k)
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    return _log_sum_exp(_log_terms(k, p, threshold, k))
 
 
 def binomial_tail(k: int, p: float, threshold: int) -> float:
@@ -409,9 +413,7 @@ def log_binomial_tail_lower(k: int, p: float, threshold: int) -> float:
     BinomialTailQuery(k, p, threshold)
     if threshold == k:
         return 0.0
-    terms = _log_terms(k, p, 0, threshold)
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    return _log_sum_exp(_log_terms(k, p, 0, threshold))
 
 
 def binomial_tail_lower(k: int, p: float, threshold: int) -> float:
@@ -472,67 +474,3 @@ def check_stirling_binom_lower(k: int, l: int) -> bool:
         + (k - l) * math.log(k / (k - l))
     )
     return log_binom >= log_floor
-
-
-# ---------------------------------------------------------------------------
-# Deviation tail record
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TailEnvelopeRecord:
-    """Observed deviation tail of single-tree matrices, with the implied
-    constants for two exponential envelope shapes.
-
-    For each threshold ``eps`` the record holds the fraction of sampled
-    trees whose normalised matrix deviates from the projector by at
-    least ``eps`` in norm, together with the constant ``c`` that would
-    make ``n * exp(-c * E(eps))`` match the observed fraction for the
-    exponent shapes ``E_a = eps^2 / (ln k + eps)`` and ``E_b = 3 eps^2 /
-    (60 ln k + 2 eps)`` (unit range and frame norm).  Zero counts floor
-    the fraction at ``1 / trials``, so those constants are lower bounds.
-    """
-
-    graph: WeightedGraph
-    trials: int
-    thresholds: tuple[float, ...]
-    fractions: tuple[float, ...]
-    implied_const_a: tuple[float, ...]
-    implied_const_b: tuple[float, ...]
-
-
-def tail_envelope_record(
-    g: WeightedGraph, trials: int, thresholds, rng_seed: int
-) -> TailEnvelopeRecord:
-    """Sample single-tree deviations and fit envelope constants."""
-    thresholds = tuple(sorted(float(t) for t in thresholds))
-    mats = _edge_matrices(g)
-    pi = np.eye(g.n) - 1.0 / g.n
-    k = g.n - 1
-    gen = np.random.Generator(np.random.Philox(rng_seed))
-    deviations = []
-    for _ in range(trials):
-        tree = sample_tree_stream(g, gen)
-        dev = mats[list(tree.edge_ids)].sum(axis=0) - pi
-        deviations.append(_opnorm(dev))
-    deviations = np.array(deviations)
-    fractions = []
-    const_a = []
-    const_b = []
-    logk = math.log(k)
-    for eps in thresholds:
-        frac = float((deviations >= eps).mean())
-        floor = max(frac, 1.0 / trials)
-        expo_a = eps * eps / (logk + eps)
-        expo_b = 3.0 * eps * eps / (60.0 * logk + 2.0 * eps)
-        fractions.append(frac)
-        const_a.append(math.log(g.n / floor) / expo_a)
-        const_b.append(math.log(g.n / floor) / expo_b)
-    return TailEnvelopeRecord(
-        graph=g,
-        trials=trials,
-        thresholds=thresholds,
-        fractions=tuple(fractions),
-        implied_const_a=tuple(const_a),
-        implied_const_b=tuple(const_b),
-    )

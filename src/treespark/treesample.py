@@ -1,4 +1,4 @@
-"""Random spanning tree sampling, exhaustive enumeration and reweighting.
+"""Random spanning tree sampling, reweighting and averaging.
 
 Trees are drawn with probability proportional to the product of their
 edge weights.  The sampler is the loop-erased random walk construction:
@@ -11,9 +11,8 @@ into parent and edge-id arrays and certifies each stack at once with
 Randomness comes from a Philox counter-based generator, so a seed fully
 determines the output at a fixed library version.
 
-Enumeration recurses over edge subsets with cycle and cardinality
-pruning and cross-checks the total tree weight against the Laplacian
-minor determinant; the two routes must agree or enumeration aborts.
+Exhaustive enumeration of the tree law lives with the tests, as the
+oracle the sampler and the marginals are checked against.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SizeGuardError, UnionFind, WeightedGraph, laplacian
+from .graph import UnionFind, WeightedGraph, laplacian
 from .leverage import LeverageProfile
-
-ENUMERATION_EDGE_CAP = 22
 
 WEIGHT_MODES = ("original", "inverse_leverage")
 
@@ -130,11 +127,11 @@ class SpanningTree:
 def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     """Exit choices of one Wilson tree rooted at vertex 0.
 
-    Entry ``v`` (for ``v != 0``) indexes ``g.adjacency[0][v]`` and
-    ``g.adjacency[1][v]``: the tree edge by which ``v`` leaves towards
-    the root.  Entry 0 is 0 and means nothing.
+    Entry ``v`` (for ``v != 0``) indexes ``g.adjacency[0][v]``, and
+    ``g.csr`` entry ``offsets[v] + nxt[v]``: the tree edge by which ``v``
+    leaves towards the root.  Entry 0 is 0 and means nothing.
     """
-    nbrs, _, cumw, totw, uniform = g.adjacency
+    nbrs, cumw, totw, uniform = g.adjacency
     n = g.n
     in_tree = bytearray(n)
     in_tree[0] = 1
@@ -174,8 +171,9 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
 
 def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     """Edge ids of one Wilson tree, ordered by the vertex that exits by each."""
-    eids, nxt = g.adjacency[1], _wilson_exits(g, gen)
-    return [eids[v][nxt[v]] for v in range(1, g.n)]
+    offsets, _, eid = g.csr
+    nxt = _wilson_exits(g, gen)
+    return eid[offsets[1:-1] + nxt[1:]].tolist()
 
 
 def sample_tree_wilson(g: WeightedGraph, rng_seed: int) -> SpanningTree:
@@ -227,84 +225,6 @@ def edge_frequencies(g: WeightedGraph, samples: int, rng_seed: int) -> np.ndarra
     for _, ids in wilson_tree_batches(g, gen, samples):
         counts += np.bincount(ids.ravel(), minlength=g.m)
     return counts / samples
-
-
-@dataclass(frozen=True)
-class TreeDistributionTable:
-    """Every spanning tree with its exact sampling probability.
-
-    ``trees`` holds sorted edge-id tuples in lexicographic order;
-    ``probabilities`` are the normalised weight products and sum to 1
-    within 1e-12.  ``total_tree_weight`` is the unnormalised sum, equal
-    to the Laplacian minor determinant.
-    """
-
-    graph: WeightedGraph
-    trees: tuple[tuple[int, ...], ...]
-    probabilities: np.ndarray
-    total_tree_weight: float
-
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=np.float64)
-        if probs.shape != (len(self.trees),):
-            raise ValueError("probabilities do not align with trees")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError("tree probabilities must sum to 1")
-        object.__setattr__(self, "probabilities", probs)
-
-    def marginals(self) -> np.ndarray:
-        """Per-edge containment probabilities implied by the table."""
-        out = np.zeros(self.graph.m)
-        for tree, p in zip(self.trees, self.probabilities):
-            out[list(tree)] += p
-        return out
-
-
-def enumerate_trees(g: WeightedGraph) -> TreeDistributionTable:
-    """List all spanning trees of a small graph with exact probabilities.
-
-    Guarded at ``m <= 22`` edges.  The summed tree weight is checked
-    against the Laplacian minor determinant; disagreement beyond 1e-9
-    relative aborts with ArithmeticError since one of the two routes
-    must then be wrong.
-    """
-    if g.m > ENUMERATION_EDGE_CAP:
-        raise SizeGuardError(
-            f"enumeration capped at m = {ENUMERATION_EDGE_CAP} edges, got m = {g.m}"
-        )
-    need = g.n - 1
-    trees: list[tuple[int, ...]] = []
-    products: list[float] = []
-
-    def recurse(next_eid: int, chosen: list[int], product: float, uf: UnionFind):
-        if len(chosen) == need:
-            trees.append(tuple(chosen))
-            products.append(product)
-            return
-        if g.m - next_eid < need - len(chosen):
-            return
-        u, v, w = g.edges[next_eid]
-        if uf.find(u) != uf.find(v):
-            sub = UnionFind(g.n)
-            sub.parent = list(uf.parent)
-            sub.size = list(uf.size)
-            sub.count = uf.count
-            sub.union(u, v)
-            chosen.append(next_eid)
-            recurse(next_eid + 1, chosen, product * w, sub)
-            chosen.pop()
-        recurse(next_eid + 1, chosen, product, uf)
-
-    recurse(0, [], 1.0, UnionFind(g.n))
-    total = math.fsum(products)
-    minor = float(np.linalg.det(laplacian(g)[1:, 1:]))
-    if abs(minor - total) > 1e-9 * max(abs(minor), abs(total), 1.0):
-        raise ArithmeticError(
-            f"tree weight mismatch: enumeration gives {total!r}, "
-            f"Laplacian minor determinant gives {minor!r}"
-        )
-    probs = np.array(products) / total
-    return TreeDistributionTable(g, tuple(trees), probs, total)
 
 
 def reweight_tree(tree: SpanningTree, profile: LeverageProfile) -> SpanningTree:

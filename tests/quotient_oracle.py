@@ -3,16 +3,93 @@
 The library conditions by rank-one transfer-current updates.  This
 module conditions the slow, independent way: contract the forest with
 :meth:`ContractionState.quotient`, build the quotient multigraph and read
-its leverage scores back through the edge map.  Tests compare the two.
+its leverage scores back through the edge map.  ``ContractionState``
+keeps its own vertex blocks, so the oracle shares no bookkeeping with
+``TransferCurrent``.  Tests compare the two.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from treespark.leverage import ContractionState, InvalidConditioningError, leverage_scores
+from treespark.graph import WeightedGraph
+from treespark.leverage import InvalidConditioningError, leverage_scores
 from treespark.spectral import _opnorm
 from treespark.srdiag import _edge_matrices
+
+
+@dataclass(frozen=True)
+class ContractionState:
+    """A forest of contracted edges over a parent graph.
+
+    ``reps[v]`` is the canonical representative (smallest member) of the
+    merged block containing vertex ``v``.  Growing the state with an edge
+    whose endpoints are already merged would close a cycle, which cannot
+    be conditioned on, so that raises :class:`InvalidConditioningError`.
+    """
+
+    graph: WeightedGraph
+    contracted: tuple[int, ...]
+    reps: tuple[int, ...]
+
+    @classmethod
+    def initial(cls, g: WeightedGraph) -> "ContractionState":
+        return cls(g, (), tuple(range(g.n)))
+
+    @classmethod
+    def from_edges(cls, g: WeightedGraph, edge_ids) -> "ContractionState":
+        state = cls.initial(g)
+        for eid in edge_ids:
+            state = state.contract(eid)
+        return state
+
+    def contract(self, edge_id: int) -> "ContractionState":
+        if not (0 <= edge_id < self.graph.m):
+            raise ValueError(f"edge id {edge_id} out of range")
+        if edge_id in self.contracted:
+            raise InvalidConditioningError(f"edge {edge_id} already contracted")
+        u, v, _ = self.graph.edges[edge_id]
+        ru, rv = self.reps[u], self.reps[v]
+        if ru == rv:
+            raise InvalidConditioningError(
+                f"edge {edge_id} closes a cycle in the contracted set"
+            )
+        keep, drop = min(ru, rv), max(ru, rv)
+        reps = tuple(keep if r == drop else r for r in self.reps)
+        return ContractionState(
+            self.graph, tuple(sorted(self.contracted + (edge_id,))), reps
+        )
+
+    def quotient(self):
+        """Contracted multigraph and the edge bookkeeping to map back.
+
+        Returns ``(quot, vmap, eid_map, loops)``: the quotient graph (or
+        None when everything merged to a single vertex), the original
+        vertex to quotient vertex map, a dict from surviving original
+        edge ids to quotient edge ids, and the list of original edge ids
+        that became self loops.
+        """
+        classes = sorted(set(self.reps))
+        index = {r: i for i, r in enumerate(classes)}
+        vmap = tuple(index[r] for r in self.reps)
+        edges = []
+        eid_map = {}
+        loops = []
+        contracted = set(self.contracted)
+        for eid, (u, v, w) in enumerate(self.graph.edges):
+            if eid in contracted:
+                continue
+            qu, qv = vmap[u], vmap[v]
+            if qu == qv:
+                loops.append(eid)
+            else:
+                eid_map[eid] = len(edges)
+                edges.append((qu, qv, w))
+        if len(classes) == 1:
+            return None, vmap, eid_map, loops
+        return WeightedGraph(len(classes), tuple(edges)), vmap, eid_map, loops
 
 
 def quotient_marginals(g, state: ContractionState) -> np.ndarray:

@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 
 from corpus import SHRINKING, SMALL, TRACE, random_connected_graph
+from enumeration_oracle import enumerate_trees
 from treespark.experiments import (
     clique_leverage_value,
     degree_reference_pmf,
@@ -34,7 +35,7 @@ from treespark.srdiag import (
     reverse_chernoff_check,
     shrinking_marginals_suite,
 )
-from treespark.treesample import edge_frequencies, enumerate_trees
+from treespark.treesample import edge_frequencies
 
 
 @contextlib.contextmanager

@@ -332,6 +332,20 @@ def test_certify_overflowing_t_exits_usage(flags, capsys):
     assert "not finite for eps = " in captured.err and "c_mult = " in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--eps", "1e-100"], ["--eps", "0.5", "--t", "1000000000000"]])
+def test_certify_huge_finite_t_exits_usage_at_once(flags, capsys):
+    # t = ceil(1e200 (ln 10)^2) and t = 1e12 are finite but past the
+    # tree-slot cap; both are refused before any tree is walked.
+    argv = ["certify", "--graph", "k:10", "--trials", "1", "--jobs", "1"] + flags
+    start = time.perf_counter()
+    assert main(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "on n = 10 vertices exceed the cap of MAX_TREE_SLOTS = 10000000000" in captured.err
+
+
 def test_martingale_size_guard_trips_before_the_graph_is_built(capsys):
     start = time.perf_counter()
     assert main(["diag", "martingale", "--graph", "k:1200"]) == EXIT_SIZE_GUARD

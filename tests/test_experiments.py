@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from corpus import SMALL, path_graph, random_connected_graph
+from enumeration_oracle import enumerate_trees
 from treespark import experiments, leverage, spectral, srdiag, treesample
 from treespark.experiments import (
     _certify_run,
@@ -35,7 +36,6 @@ from treespark.treesample import (
     _wilson_edge_ids,
     average_trees,
     edge_frequencies,
-    enumerate_trees,
     reweight_tree,
     sample_tree_stream,
     tree_laplacian,
@@ -116,6 +116,18 @@ def test_sum_trees_rejects_a_t_that_is_not_finite(eps, c_mult, monkeypatch):
     with pytest.raises(ValueError, match=r"not finite for eps = .*, c_mult = "):
         run_sum_trees(complete_graph(10), eps=eps, trials=1, base_seed=0, c_mult=c_mult)
     assert calls == []
+
+
+def test_sum_trees_caps_tree_slots(monkeypatch):
+    # t trees of n - 1 edges: 5 * 4 = 20 slots fit the cap, 6 * 4 do not
+    # and are refused before L_G is factored.
+    monkeypatch.setattr(experiments, "MAX_TREE_SLOTS", 20)
+    calls = _count_eig_sym(monkeypatch)
+    g = complete_graph(5)
+    with pytest.raises(ValueError, match=r"t = 6 trees on n = 5 .* MAX_TREE_SLOTS = 20 "):
+        run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=6)
+    assert calls == []
+    assert run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=5).results["t"] == 5
 
 
 def test_sum_trees_rejects_bad_parameters():

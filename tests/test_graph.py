@@ -9,12 +9,12 @@ from corpus import SMALL, path_graph, random_connected_graph, star_graph, weight
 from treespark.graph import (
     DisconnectedGraphError,
     GraphFileError,
+    SizeGuardError,
     UnionFind,
     WeightedGraph,
     clique_star,
     complete_graph,
     erdos_renyi_connected,
-    incidence_row,
     laplacian,
     read_graph,
     ring_graph,
@@ -63,17 +63,11 @@ def test_laplacian_structure(name, g):
     assert vals[1] > 1e-12, f"{name} should be connected"
     # The Laplacian is the sum of rank-one edge terms.
     total = np.zeros((g.n, g.n))
-    for eid, (_, _, w) in enumerate(g.edges):
-        b = incidence_row(g, eid)
+    for u, v, w in g.edges:
+        b = np.zeros(g.n)
+        b[u], b[v] = 1.0, -1.0
         total += w * np.outer(b, b)
     assert np.allclose(total, lap, atol=1e-12)
-
-
-def test_incidence_row_orientation():
-    g = weighted_triangle()
-    row = incidence_row(g, 0)
-    assert row[g.edges[0][0]] == 1.0 and row[g.edges[0][1]] == -1.0
-    assert row.sum() == 0.0
 
 
 def test_edges_canonicalized():
@@ -205,6 +199,19 @@ def test_read_graph_rejects_malformed(tmp_path, text):
         read_graph(str(path))
 
 
+def test_read_graph_size_guard_fires_on_the_header(tmp_path):
+    # Too few edge lines, and a malformed one: the guard still wins, and
+    # the GraphFileError wrapper does not swallow it.
+    path = tmp_path / "big.graph"
+    path.write_text("3000 4499500\n0 1 abc\n")
+    with pytest.raises(SizeGuardError, match="capped at n = 11, got n = 3000") as exc:
+        read_graph(str(path), max_n=11)
+    assert not isinstance(exc.value, GraphFileError)
+    # At the cap the same file reaches the full parser.
+    with pytest.raises(GraphFileError):
+        read_graph(str(path), max_n=3000)
+
+
 def test_read_graph_disconnected_file(tmp_path):
     path = tmp_path / "disc.graph"
     path.write_text("4 2\n0 1 1.0\n2 3 1.0\n")
@@ -219,7 +226,9 @@ def test_missing_file_raises_file_error(tmp_path):
 
 def test_adjacency_cache_consistency():
     g = weighted_triangle()
-    nbrs, eids, cumw, totw, uniform = g.adjacency
+    nbrs, cumw, totw, uniform = g.adjacency
+    offsets, _, ids = g.csr
+    eids = [ids[offsets[v]:offsets[v + 1]].tolist() for v in range(g.n)]
     assert [len(x) for x in nbrs] == [2, 2, 2]
     assert totw[1] == pytest.approx(3.0)
     assert cumw[1][-1] == pytest.approx(3.0)
@@ -236,14 +245,16 @@ def test_adjacency_cache_consistency():
     SMALL + [("random_multigraph", random_connected_graph(15, 25, seed=4))],
 )
 def test_csr_matches_adjacency(name, g):
-    nbrs, eids, _, _, _ = g.adjacency
+    nbrs = g.adjacency[0]
     offsets, nbr, eid = g.csr
     assert offsets.shape == (g.n + 1,)
     assert nbr.shape == eid.shape == (2 * g.m,)
     for v in range(g.n):
         lo, hi = offsets[v], offsets[v + 1]
         assert nbr[lo:hi].tolist() == nbrs[v]
-        assert eid[lo:hi].tolist() == eids[v]
+        # Each entry's edge id names an edge joining v to that neighbour.
+        for nb, e in zip(nbrs[v], eid[lo:hi].tolist()):
+            assert {v, nb} == set(g.edges[e][:2])
 
 
 def test_log_weight_scale_is_finite():

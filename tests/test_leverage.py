@@ -1,4 +1,4 @@
-"""Effective resistance, leverage scores and conditioning by contraction."""
+"""Leverage scores and conditioning by contraction."""
 
 import math
 
@@ -17,40 +17,16 @@ from corpus import (
     weighted_k4,
     weighted_triangle,
 )
-from quotient_oracle import forests, quotient_marginals
-from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, ring_graph
+from quotient_oracle import ContractionState, forests, quotient_marginals
+from treespark.graph import SizeGuardError, ring_graph
 from treespark.leverage import (
-    ContractionState,
     InvalidConditioningError,
     LeverageProfile,
     TransferCurrent,
     conditional_marginals,
-    effective_resistance,
     laplacian_decomposition,
     leverage_scores,
 )
-
-
-def test_single_edge_resistance():
-    for w in (1.0, 2.0, 0.25):
-        g = WeightedGraph(2, ((0, 1, w),))
-        assert effective_resistance(g, 0, 1) == pytest.approx(1.0 / w, abs=1e-12)
-
-
-def test_same_vertex_resistance_zero():
-    assert effective_resistance(triangle(), 1, 1) == 0.0
-
-
-def test_triangle_resistance():
-    g = triangle()
-    for u, v in ((0, 1), (0, 2), (1, 2)):
-        assert effective_resistance(g, u, v) == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_complete_graph_resistance(n):
-    g = complete_graph(n)
-    assert effective_resistance(g, 0, n - 1) == pytest.approx(2.0 / n, abs=1e-12)
 
 
 def test_tree_leverage_all_one():
@@ -100,14 +76,14 @@ def test_empty_state_matches_leverage():
     for _, g in SMALL[:8]:
         state = ContractionState.initial(g)
         assert np.allclose(
-            conditional_marginals(g, state), leverage_scores(g).values, atol=1e-12
+            conditional_marginals(g, state.contracted), leverage_scores(g).values, atol=1e-12
         )
 
 
 def test_triangle_conditional_frozen():
     g = triangle()
     state = ContractionState.from_edges(g, [0])
-    assert np.allclose(conditional_marginals(g, state), [1.0, 0.5, 0.5], atol=1e-12)
+    assert np.allclose(conditional_marginals(g, state.contracted), [1.0, 0.5, 0.5], atol=1e-12)
 
 
 def test_weighted_triangle_conditional_frozen():
@@ -115,7 +91,7 @@ def test_weighted_triangle_conditional_frozen():
     # merged block and vertex 2; marginals are the weight shares 1/3, 2/3.
     g = weighted_triangle()
     state = ContractionState.from_edges(g, [0])
-    got = conditional_marginals(g, state)
+    got = conditional_marginals(g, state.contracted)
     assert np.allclose(got, [1.0, 1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
 
@@ -127,7 +103,7 @@ def test_conditioning_never_raises_marginals(name, g):
         if base[eid] > 1.0 - 1e-9:
             continue  # bridge: conditioning is vacuous
         state = ContractionState.from_edges(g, [eid])
-        cond = conditional_marginals(g, state)
+        cond = conditional_marginals(g, state.contracted)
         for j in range(g.m):
             if j == eid:
                 assert cond[j] == 1.0
@@ -138,7 +114,7 @@ def test_conditioning_never_raises_marginals(name, g):
 def test_self_loop_marginal_zero():
     g = triangle()
     state = ContractionState.from_edges(g, [0, 1])
-    got = conditional_marginals(g, state)
+    got = conditional_marginals(g, state.contracted)
     assert got[0] == 1.0 and got[1] == 1.0
     assert got[2] == 0.0
 
@@ -159,6 +135,16 @@ def test_double_contraction_rejected():
 def test_contract_out_of_range():
     with pytest.raises(ValueError):
         ContractionState.initial(triangle()).contract(99)
+
+
+def test_conditional_marginals_rejects_bad_forests():
+    g = triangle()
+    with pytest.raises(InvalidConditioningError, match="closes a cycle"):
+        conditional_marginals(g, [0, 1, 2])
+    with pytest.raises(InvalidConditioningError, match="already contracted"):
+        conditional_marginals(g, [0, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        conditional_marginals(g, [99])
 
 
 def test_transfer_current_rejects_bad_contractions():
@@ -188,8 +174,8 @@ def test_chained_contraction_order_independent():
                 rev = ContractionState.from_edges(g, ids[::-1])
             except InvalidConditioningError:
                 continue
-            a = conditional_marginals(g, fwd)
-            b = conditional_marginals(g, rev)
+            a = conditional_marginals(g, fwd.contracted)
+            b = conditional_marginals(g, rev.contracted)
             assert np.abs(a - b).max() <= 1e-10
             for j in range(g.m):
                 if j in ids:
@@ -211,7 +197,7 @@ def test_conditional_marginals_match_quotient_oracle(name, g):
     # the explicitly contracted multigraph.  Loops and contracted edges
     # are decided from the vertex blocks, so they hold exactly.
     for state in forests(g):
-        got = conditional_marginals(g, state)
+        got = conditional_marginals(g, state.contracted)
         assert np.abs(got - quotient_marginals(g, state)).max() <= 1e-12
         _, _, _, loops = state.quotient()
         assert all(got[e] == 0.0 for e in loops)
@@ -268,5 +254,3 @@ def test_size_guard_on_large_graph():
     big = ring_graph(2001)
     with pytest.raises(SizeGuardError):
         leverage_scores(big)
-    with pytest.raises(SizeGuardError):
-        effective_resistance(big, 0, 1)

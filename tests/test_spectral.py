@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corpus import SMALL, triangle, weighted_triangle
+from enumeration_oracle import enumerate_trees
 from treespark.graph import WeightedGraph, complete_graph, laplacian
 from treespark.spectral import (
     _opnorm,
@@ -13,7 +14,6 @@ from treespark.spectral import (
     pinv_power,
     psd_leq,
 )
-from treespark.treesample import enumerate_trees
 from treespark.leverage import leverage_scores
 
 

@@ -18,6 +18,7 @@ from corpus import (
     weighted_k4,
     weighted_triangle,
 )
+from enumeration_oracle import enumerate_trees
 from quotient_oracle import forests, quotient_marginals, quotient_trace
 from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, laplacian, ring_graph
 from treespark.leverage import leverage_scores
@@ -35,11 +36,9 @@ from treespark.srdiag import (
     martingale_trace,
     reverse_chernoff_check,
     shrinking_marginals_suite,
-    tail_envelope_record,
     trace_dump,
     trace_for_ordering,
 )
-from treespark.treesample import enumerate_trees
 
 
 # ---------------------------------------------------------------------------
@@ -240,56 +239,6 @@ def test_trace_dump_format():
     summary = json.loads(lines[-1])
     assert summary["passed"] is True
     assert summary["k"] == tr.k
-
-
-# ---------------------------------------------------------------------------
-# Deviation tail record
-# ---------------------------------------------------------------------------
-
-
-def _binomial_ge(trials: int, p: float, count: int) -> float:
-    """Pr[Bin(trials, p) >= count] for any p in (0, 1)."""
-    if count <= 0:
-        return 1.0
-    if p <= 0.5:
-        return binomial_tail(trials, p, count)
-    return binomial_tail_lower(trials, 1.0 - p, trials - count)
-
-
-def test_tail_envelope_record_structure():
-    g = complete_graph(8)
-    thresholds = (0.25, 0.5, 0.75, 1.0)
-    rec = tail_envelope_record(g, 2000, thresholds, rng_seed=5)
-    assert rec.trials == 2000
-    assert rec.thresholds == thresholds
-    # tails can only shrink as the threshold grows
-    assert list(rec.fractions) == sorted(rec.fractions, reverse=True)
-    for eps, frac, ca, cb in zip(
-        rec.thresholds, rec.fractions, rec.implied_const_a, rec.implied_const_b
-    ):
-        assert 0.0 <= frac <= 1.0
-        assert math.isfinite(ca) and ca > 0.0
-        assert math.isfinite(cb) and cb > 0.0
-        # the implied constant reproduces the observed (floored) fraction
-        floor = max(frac, 1.0 / rec.trials)
-        expo = eps * eps / (math.log(g.n - 1) + eps)
-        assert g.n * math.exp(-ca * expo) == pytest.approx(floor, rel=1e-9)
-
-
-def test_tail_envelope_cross_seed_consistency():
-    # Two independent 2000-tree records; each observed count must be
-    # plausible (one-sided binomial test at level 0.01) under the rate
-    # fitted from the other record.
-    g = complete_graph(8)
-    thresholds = (0.25, 0.5, 0.75)
-    rec1 = tail_envelope_record(g, 2000, thresholds, rng_seed=5)
-    rec2 = tail_envelope_record(g, 2000, thresholds, rng_seed=6)
-    for frac1, frac2 in zip(rec1.fractions, rec2.fractions):
-        count1 = round(frac1 * rec1.trials)
-        rate = max(frac2, 1.0 / rec2.trials)
-        if count1 <= rate * rec1.trials:
-            continue  # below the envelope, nothing to test one-sidedly
-        assert _binomial_ge(rec1.trials, rate, count1) >= 0.01
 
 
 # ---------------------------------------------------------------------------

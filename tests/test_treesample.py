@@ -17,6 +17,7 @@ from corpus import (
     weighted_k4,
     weighted_triangle,
 )
+from enumeration_oracle import enumerate_trees
 from treespark.graph import (
     SizeGuardError,
     WeightedGraph,
@@ -36,7 +37,6 @@ from treespark.treesample import (
     check_parent_trees,
     check_tree_ids,
     edge_frequencies,
-    enumerate_trees,
     format_tree_line,
     parse_tree_line,
     reweight_tree,
@@ -331,8 +331,9 @@ def test_sample_tree_wilson_unchanged_per_seed():
     "name,g", SMALL + [("random_multigraph", random_connected_graph(30, 50, seed=8))]
 )
 def test_wilson_exits_give_checked_parent_trees(name, g):
-    nbrs, eids, _, _, _ = g.adjacency
+    nbrs = g.adjacency[0]
     offsets, nbr, eid = g.csr
+    eids = [eid[offsets[v]:offsets[v + 1]].tolist() for v in range(g.n)]
     for seed in range(4):
         exits = _wilson_exits(g, np.random.Generator(np.random.Philox(seed)))
         ids = _wilson_edge_ids(g, np.random.Generator(np.random.Philox(seed)))
@@ -362,7 +363,9 @@ def test_tree_batches_list_the_stream_trees_in_order(name, g, slots, monkeypatch
     assert parents.shape == ids.shape == (count, g.n - 1)
     per_batch = max(1, (slots or treesample._BATCH_SLOTS) // g.n)
     assert len(batches) == math.ceil(count / per_batch)
-    nbrs, eids, _, _, _ = g.adjacency
+    nbrs = g.adjacency[0]
+    offsets, _, eid = g.csr
+    eids = [eid[offsets[v]:offsets[v + 1]].tolist() for v in range(g.n)]
     ref = np.random.Generator(np.random.Philox(3))
     for row_parents, row_ids in zip(parents.tolist(), ids.tolist()):
         exits = _wilson_exits(g, ref)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .graph import WeightedGraph, clique_star, complete_graph, laplacian
-from .leverage import laplacian_decomposition, leverage_scores
-from .spectral import SpectralDecomposition, normalized_pencil
+from .leverage import laplacian_frame, leverage_scores
+from .spectral import normalized_pencil
 from .treesample import wilson_tree_batches
 
 DEFAULT_PASS_GATE = 0.9
@@ -134,28 +134,27 @@ class _CertifyRun:
 
     ``edge_weights`` is the weight each sampled tree gives each edge,
     the inverse-leverage weight ``w_e / lev_e`` for certify runs;
-    ``dec`` is the shared eigendecomposition of L_G
-    (:func:`laplacian_decomposition`), the only form of L_G a trial reads.
+    ``frame`` is the shared whitening frame of L_G
+    (:func:`laplacian_frame`), the only form of L_G a trial reads.  It
+    is built before any pool starts, so forked workers share one copy.
     """
 
     g: WeightedGraph
     t: int
     edge_weights: np.ndarray
-    dec: SpectralDecomposition
+    frame: tuple[np.ndarray, np.ndarray]
 
 
 def _certify_run(g: WeightedGraph, t: int) -> _CertifyRun:
     _, _, ws = g.edge_arrays
     lev = leverage_scores(g).values
-    dec = laplacian_decomposition(g)
-    dec.frame  # built before any pool starts, so forked workers share one copy
-    return _CertifyRun(g, t, ws / lev, dec)
+    return _CertifyRun(g, t, ws / lev, laplacian_frame(g))
 
 
 def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
     """Pencil extremes of the average of ``run.t`` reweighted trees.
 
-    Equals ``normalized_pencil(run.dec, average_trees([reweight_tree(
+    Equals ``normalized_pencil(run.frame, average_trees([reweight_tree(
     sample_tree_stream(g, gen), prof) for _ in range(t)]))`` on the same
     stream, but reads the trees as :func:`wilson_tree_batches` edge-id
     arrays: one count per edge and one Laplacian assembly.
@@ -167,7 +166,7 @@ def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
         for _, ids in wilson_tree_batches(g, gen, run.t)
     )
     weights = counts * run.edge_weights / run.t
-    return normalized_pencil(run.dec, laplacian(g, weights))
+    return normalized_pencil(run.frame, laplacian(g, weights))
 
 
 # Set only inside pool workers, by the executor's initializer, so each
@@ -521,7 +520,7 @@ def run_unweighted_thin_tree(
     start = time.perf_counter()
     max_lev = float(leverage_scores(g).values.max())
     _, _, ws = g.edge_arrays
-    extremes = _run_trials(_CertifyRun(g, 1, ws, laplacian_decomposition(g)), seeds)
+    extremes = _run_trials(_CertifyRun(g, 1, ws, laplacian_frame(g)), seeds)
     max_lambda = max(hi for _, hi in extremes)
     envelope = 100.0 * max_lev * math.log(g.n)
     return _report(

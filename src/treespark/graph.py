@@ -236,15 +236,14 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> WeightedGraph:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     gen = np.random.Generator(np.random.Philox(seed))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    us, vs = np.triu_indices(n, 1)
     for _ in range(ER_MAX_ATTEMPTS):
-        draws = gen.random(len(pairs))
-        picked = [pairs[i] for i in np.flatnonzero(draws < p)]
-        uf = UnionFind(n)
-        for u, v in picked:
-            uf.union(u, v)
-        if uf.count == 1:
-            return WeightedGraph(n, tuple((u, v, 1.0) for u, v in picked))
+        picked = np.flatnonzero(gen.random(len(us)) < p)
+        edges = tuple(zip(us[picked].tolist(), vs[picked].tolist(), [1.0] * len(picked)))
+        try:
+            return WeightedGraph(n, edges)
+        except DisconnectedGraphError:
+            continue
     raise ValueError(f"no connected G({n}, {p}) draw within {ER_MAX_ATTEMPTS} attempts")
 
 

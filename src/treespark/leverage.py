@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +30,83 @@ from .spectral import SpectralDecomposition, eig_sym, pinv_power
 
 DENSE_SOLVE_CAP = 2000
 
+# Float64 entries in one chunk of frame rows (512 kB, so it stays in cache).
+_CHUNK_ENTRIES = 2**16
+
+# Dense graphs read R_eff off Gram blocks of the frame, sq_u + sq_v - 2
+# <M[u], M[v]>, which cancels when R_eff is small next to the squared row
+# norms; edges below this ratio are redone as squared row differences.
+_GRAM_CANCEL = 1e-2
+
 
 class InvalidConditioningError(ValueError):
     """Raised when a conditioning edge set contains a cycle or repeats an edge."""
+
+
+def _guard_dense(g: WeightedGraph) -> None:
+    if g.n > DENSE_SOLVE_CAP:
+        raise SizeGuardError(
+            f"dense Laplacian solve capped at n = {DENSE_SOLVE_CAP}, got n = {g.n}"
+        )
+
+
+def _lower_triangular_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix by recursive 2 x 2 blocking.
+
+    ``[[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]]``, so only
+    the diagonal blocks of at most 64 rows are inverted directly and the
+    rest is matrix products.  The upper triangle of the result is zero.
+    """
+    n = c.shape[0]
+    if n <= 64:
+        return np.tril(np.linalg.inv(c))
+    h = n // 2
+    a, d = _lower_triangular_inverse(c[:h, :h]), _lower_triangular_inverse(c[h:, h:])
+    out = np.zeros_like(c)
+    out[:h, :h] = a
+    out[h:, h:] = d
+    out[h:, :h] = -(d @ c[h:, :h]) @ a
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def laplacian_frame(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(M, U_0)`` that whitens ``L_G``, computed once per graph.
+
+    Grounding vertex 0 leaves ``L_G[1:, 1:] = C C^T`` positive definite,
+    and ``M = [0; C^-T]`` (n x (n - 1)) satisfies ``M^T L_G M = I``;
+    ``U_0`` is the null vector ``1 / sqrt(n)``.  ``M M^T`` acts as
+    ``L_G^+`` on differences of vertices, so ``R_eff(u, v) = ||M[u] -
+    M[v]||^2``.  No eigenvalue is thresholded, so no weight range can
+    be mistaken for rank loss.  The certify pencil and the leverage
+    scores read this one frame.
+    """
+    _guard_dense(g)
+    try:
+        chol = np.linalg.cholesky(laplacian(g)[1:, 1:])
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "grounded Laplacian is not numerically positive definite"
+        ) from None
+    scaled = np.zeros((g.n, g.n - 1))
+    scaled[1:] = _lower_triangular_inverse(chol).T
+    if not np.isfinite(scaled).all():
+        raise ValueError("grounded Laplacian frame has a non-finite entry")
+    null = np.full((g.n, 1), 1.0 / math.sqrt(g.n))
+    scaled.flags.writeable = null.flags.writeable = False
+    return scaled, null
 
 
 @functools.lru_cache(maxsize=8)
 def laplacian_decomposition(g: WeightedGraph) -> SpectralDecomposition:
     """``eig_sym(laplacian(g))``, computed once per graph and shared.
 
-    The pseudoinverse, the leverage scores, the certify pencil and the
-    martingale's edge matrices all read this one decomposition; its
-    arrays are read-only because every caller gets the same object.
+    The transfer-current matrix and the martingale's edge matrices read
+    this one decomposition through :func:`_laplacian_pinv` and
+    ``pinv_power``; its arrays are read-only because every caller gets
+    the same object.
     """
-    if g.n > DENSE_SOLVE_CAP:
-        raise SizeGuardError(
-            f"dense Laplacian solve capped at n = {DENSE_SOLVE_CAP}, got n = {g.n}"
-        )
+    _guard_dense(g)
     dec = eig_sym(laplacian(g))
     dec.eigenvalues.flags.writeable = False
     dec.basis.flags.writeable = False
@@ -86,10 +147,34 @@ class LeverageProfile:
 
 
 def leverage_scores(g: WeightedGraph) -> LeverageProfile:
-    """Leverage score of every edge, via one pseudoinverse per graph."""
-    pinv = _laplacian_pinv(g)
+    """Leverage score ``w_e R_eff(u_e, v_e)`` of every edge.
+
+    ``R_eff(u, v) = ||M[u] - M[v]||^2`` for the frame ``M`` of
+    :func:`laplacian_frame`, read a bounded chunk of rows at a time, so
+    no n x n pseudoinverse is formed.  Differences of gathered rows cost
+    ``m n``; once ``m > n^2 / 32`` and they fill more than one chunk,
+    Gram blocks of ``M`` are cheaper, and only the edges where those
+    cancel are redone as row differences.
+    """
+    scaled, _ = laplacian_frame(g)
     us, vs, ws = g.edge_arrays
-    reff = pinv[us, us] + pinv[vs, vs] - 2.0 * pinv[us, vs]
+    step = max(1, _CHUNK_ENTRIES // g.n)
+    reff = np.empty(g.m)
+    redo = np.arange(g.m)
+    if 32 * g.m > g.n * g.n and g.m * g.n > _CHUNK_ENTRIES:
+        sq = np.einsum("ij,ij->i", scaled, scaled)
+        order = np.argsort(us, kind="stable")
+        cuts = np.searchsorted(us[order], np.arange(0, g.n + step, step))
+        for lo, a, b in zip(range(0, g.n, step), cuts, cuts[1:]):
+            ids = order[a:b]
+            gram = scaled[lo : lo + step] @ scaled.T
+            reff[ids] = sq[us[ids]] + sq[vs[ids]] - 2.0 * gram[us[ids] - lo, vs[ids]]
+        redo = np.flatnonzero(reff <= _GRAM_CANCEL * (sq[us] + sq[vs]))
+    for lo in range(0, len(redo), step):
+        ids = redo[lo : lo + step]
+        diff = np.take(scaled, us[ids], axis=0)
+        diff -= np.take(scaled, vs[ids], axis=0)
+        reff[ids] = np.einsum("ij,ij->i", diff, diff)
     return LeverageProfile(g, ws * reff)
 
 

@@ -33,25 +33,17 @@ class SpectralDecomposition:
         keep.flags.writeable = False
         return keep
 
-    @cached_property
-    def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(M, U_0)``: ``M = U_r diag(lambda_r)^-1/2`` whitens the
-        range, so ``M^T H M`` is the pencil of ``H``; ``U_0`` is the null basis."""
-        keep = self.keep
-        scaled = self.basis[:, keep] * (1.0 / np.sqrt(self.eigenvalues[keep]))
-        null = self.basis[:, ~keep]
-        scaled.flags.writeable = null.flags.writeable = False
-        return scaled, null
 
-
-def _check_symmetric(a: np.ndarray) -> None:
-    scale = float(np.abs(a).max()) if a.size else 1.0
+def _check_symmetric(a: np.ndarray) -> float:
+    """Reject a non-finite or asymmetric ``a``; return its largest absolute entry."""
+    scale = float(np.maximum(a.max(), -a.min())) if a.size else 1.0
     if not math.isfinite(scale):
         raise ValueError("matrix has a non-finite entry")
-    scale = max(scale, 1e-300)
-    skew = float(np.abs(a - a.T).max())
-    if skew > 1e-12 * scale:
+    diff = a - a.T
+    skew = float(np.abs(diff, out=diff).max()) if a.size else 0.0
+    if skew > 1e-12 * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {skew:g}")
+    return scale
 
 
 def eig_sym(a: np.ndarray) -> SpectralDecomposition:
@@ -86,28 +78,33 @@ def pinv_power(dec: SpectralDecomposition, power: float) -> np.ndarray:
     return (dec.basis * inv) @ dec.basis.T
 
 
-def normalized_pencil(dec: SpectralDecomposition, lap_h: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of ``lap_h`` relative to ``L_G``, given as its decomposition.
+def normalized_pencil(
+    frame: tuple[np.ndarray, np.ndarray], lap_h: np.ndarray
+) -> tuple[float, float]:
+    """Extreme eigenvalues of ``lap_h`` relative to ``L_G``, given as a frame of ``L_G``.
 
-    Conjugates ``lap_h`` by the frame of ``dec``, which restricts to the
-    range of ``L_G`` and deflates its null direction explicitly instead
-    of trusting a tiny eigenvalue.  Returns
-    ``(lambda_min_pos, lambda_max)``; the pair is ``(1, 1)`` exactly when
-    the two matrices agree on that range.  A rank-deficient ``lap_h``
-    reports ``lambda_min_pos = 0`` rather than raising.
+    ``frame`` is ``(M, U_0)``: ``M^T L_G M = I`` and ``U_0`` spans the
+    null space of ``L_G``, as :func:`treespark.leverage.laplacian_frame`
+    returns them.  Conjugating ``lap_h`` by ``M`` restricts the pencil
+    to a complement of that null space, which is deflated explicitly
+    instead of trusting a tiny eigenvalue.  Returns ``(lambda_min_pos,
+    lambda_max)``; the pair is ``(1, 1)`` exactly when the two matrices
+    agree off the null space.  A rank-deficient ``lap_h`` reports
+    ``lambda_min_pos = 0`` rather than raising.
     """
     lap_h = np.asarray(lap_h, dtype=np.float64)
-    _check_symmetric(lap_h)
-    if not np.any(dec.keep):
+    h_scale = max(_check_symmetric(lap_h), 1.0)
+    scaled, null = frame
+    if not scaled.shape[1]:
         raise ValueError("left Laplacian is identically zero")
-    scaled, null = dec.frame
     if null.shape[1]:
         leak = float(np.abs(lap_h @ null).max())
-        h_scale = max(float(np.abs(lap_h).max()), 1.0)
         if leak > 1e-8 * h_scale:
             raise ValueError("right Laplacian does not vanish on the null space of the left")
     core = scaled.T @ lap_h @ scaled
-    vals = np.linalg.eigvalsh((core + core.T) / 2.0)
+    core += core.T
+    core *= 0.5
+    vals = np.linalg.eigvalsh(core)
     return float(vals[0]), float(vals[-1])
 
 

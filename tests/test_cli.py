@@ -107,6 +107,17 @@ def test_certify_single_tree_fails_gate(capsys):
     assert payload["pass_fraction"] == 0.0
 
 
+def test_certify_runs_on_a_weight_range_of_1e400(tmp_path, capsys):
+    path = tmp_path / "range.graph"
+    path.write_text("4 4\n0 1 1e200\n1 2 1\n2 3 1e-200\n3 0 1\n")
+    code = main(
+        ["certify", "--graph", str(path), "--eps", "0.5", "--trials", "4", "--jobs", "1", "--json"]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS, captured.err
+    assert json.loads(captured.out)["pass_fraction"] == 1.0
+
+
 def test_certify_writes_csv(tmp_path, capsys):
     csv_path = tmp_path / "ext.csv"
     code = main(

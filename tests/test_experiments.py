@@ -14,6 +14,7 @@ import pytest
 
 from corpus import SMALL, path_graph, random_connected_graph
 from enumeration_oracle import enumerate_trees
+from frame_oracle import eig_frame
 from treespark import experiments, leverage, spectral, srdiag, treesample
 from treespark.experiments import (
     _certify_run,
@@ -29,7 +30,12 @@ from treespark.experiments import (
     write_extremes_csv,
 )
 from treespark.graph import clique_star, complete_graph, laplacian, ring_graph
-from treespark.leverage import _laplacian_pinv, laplacian_decomposition, leverage_scores
+from treespark.leverage import (
+    _laplacian_pinv,
+    laplacian_decomposition,
+    laplacian_frame,
+    leverage_scores,
+)
 from treespark.spectral import eig_sym, normalized_pencil
 from treespark.srdiag import binomial_tail
 from treespark.treesample import (
@@ -100,6 +106,18 @@ def test_sum_trees_single_tree_cannot_approximate_k200():
     assert not report.results["passed"]
 
 
+@pytest.mark.parametrize("n", [100, 400, 1000])
+def test_single_ring_tree_has_exact_pencil_extremes(n):
+    # Every spanning tree of a ring drops one edge of leverage (n-1)/n, so
+    # an inverse-leverage tree is n/(n-1) (L_G - L_e) and its pencil
+    # extremes are exactly (1/(n-1), n/(n-1)).
+    report = run_single_tree_upper(ring_graph(n), trials=2, base_seed=0)
+    want = (1.0 / (n - 1), n / (n - 1.0))
+    for extremes in report.extremes:
+        for got, exact in zip(extremes, want):
+            assert abs(got - exact) <= 1e-11 * exact
+
+
 def test_sum_trees_default_t_formula():
     report = run_sum_trees(complete_graph(16), eps=0.5, trials=2, base_seed=4)
     assert report.results["t"] == math.ceil(0.5**-2 * math.log(16) ** 2)
@@ -116,6 +134,7 @@ def test_sum_trees_rejects_a_t_that_is_not_finite(eps, c_mult, monkeypatch):
     with pytest.raises(ValueError, match=r"not finite for eps = .*, c_mult = "):
         run_sum_trees(complete_graph(10), eps=eps, trials=1, base_seed=0, c_mult=c_mult)
     assert calls == []
+    assert laplacian_frame.cache_info().misses == 0
 
 
 def test_sum_trees_caps_tree_slots(monkeypatch):
@@ -127,6 +146,7 @@ def test_sum_trees_caps_tree_slots(monkeypatch):
     with pytest.raises(ValueError, match=r"t = 6 trees on n = 5 .* MAX_TREE_SLOTS = 20 "):
         run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=6)
     assert calls == []
+    assert laplacian_frame.cache_info().misses == 0
     assert run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=5).results["t"] == 5
 
 
@@ -170,7 +190,7 @@ def test_sum_trees_trial_matches_tree_object_route(name, g):
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         trees = [reweight_tree(sample_tree_stream(g, gen), prof) for _ in range(t)]
-        want = normalized_pencil(eig_sym(laplacian(g)), average_trees(trees))
+        want = normalized_pencil(eig_frame(laplacian(g)), average_trees(trees))
         got = _sum_trees_trial(run, seed)
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
@@ -186,7 +206,7 @@ def test_sum_trees_trial_matches_edge_id_route(name, g):
         gen = np.random.Generator(np.random.Philox(seed))
         ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
         weights = np.bincount(ids, minlength=g.m) * run.edge_weights / t
-        want = normalized_pencil(run.dec, laplacian(g, weights))
+        want = normalized_pencil(run.frame, laplacian(g, weights))
         assert _sum_trees_trial(run, seed) == want
 
 
@@ -195,17 +215,17 @@ def test_sum_trees_trial_matches_edge_id_route(name, g):
 )
 def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
     # The pencil reads the cached frame; its extremes equal the formula
-    # that rebuilt U_r diag(lambda_r)^-1/2 from the eigenvalues each call.
+    # that rebuilds M = [0; C^-T] from the Cholesky factor C of the
+    # grounded L_G each call.
     t = 7
     run = _certify_run(g, t)
-    vals = run.dec.eigenvalues
-    keep = vals > g.n * 2.2e-16 * max(float(vals[-1]), 0.0)
-    basis, inv_sqrt = run.dec.basis[:, keep], 1.0 / np.sqrt(vals[keep])
+    chol = np.linalg.cholesky(laplacian(g)[1:, 1:])
+    frame = np.vstack((np.zeros((1, g.n - 1)), leverage._lower_triangular_inverse(chol).T))
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
         lap_h = laplacian(g, np.bincount(ids, minlength=g.m) * run.edge_weights / t)
-        core = (basis * inv_sqrt).T @ lap_h @ (basis * inv_sqrt)
+        core = frame.T @ lap_h @ frame
         want = np.linalg.eigvalsh((core + core.T) / 2.0)
         assert _sum_trees_trial(run, seed) == (float(want[0]), float(want[-1]))
 
@@ -213,19 +233,19 @@ def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
 def test_certify_run_holds_no_dense_laplacian():
     g = complete_graph(12)
     run = _certify_run(g, 3)
-    assert [f.name for f in dataclasses.fields(run)] == ["g", "t", "edge_weights", "dec"]
+    assert [f.name for f in dataclasses.fields(run)] == ["g", "t", "edge_weights", "frame"]
     assert not any(
         isinstance(value, np.ndarray) and value.shape == (g.n, g.n) for value in vars(run).values()
     )
     # The frame exists before any pool forks, so workers inherit it.
-    assert "frame" in vars(run.dec)
+    assert run.frame is laplacian_frame(g)
 
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
 def test_single_tree_runners_match_tree_object_route(name, g):
     # Oracle: one validated SpanningTree per seed, reweighted by its
     # leverage for the upper envelope and kept plain for thin trees.
-    dec, prof = laplacian_decomposition(g), leverage_scores(g)
+    frame, prof = laplacian_frame(g), leverage_scores(g)
     seeds = range(5, 9)
 
     def tree_route(reweight):
@@ -233,7 +253,7 @@ def test_single_tree_runners_match_tree_object_route(name, g):
         for seed in seeds:
             tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
             tree = reweight_tree(tree, prof) if reweight else tree
-            out.append(normalized_pencil(dec, tree_laplacian(tree)))
+            out.append(normalized_pencil(frame, tree_laplacian(tree)))
         return out
 
     upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])
@@ -367,17 +387,20 @@ def _count_eig_sym(monkeypatch) -> list:
             monkeypatch.setattr(mod, "eig_sym", counted)
     laplacian_decomposition.cache_clear()
     _laplacian_pinv.cache_clear()
+    laplacian_frame.cache_clear()
     return calls
 
 
 def test_certify_run_decomposes_laplacian_once(monkeypatch):
+    # Certify reads only the Cholesky frame: no eigendecomposition, and
+    # one frame build per graph.
     calls = _count_eig_sym(monkeypatch)
     g = random_connected_graph(30, 40, seed=21)
     run_sum_trees(g, eps=0.5, trials=3, base_seed=0, t=4)
-    assert len(calls) == 1
-    # The decomposition is cached per graph, so a second run reuses it.
+    assert calls == [] and laplacian_frame.cache_info().misses == 1
+    # The frame is cached per graph, so a second run reuses it.
     run_sum_trees(g, eps=0.5, trials=2, base_seed=9, t=4)
-    assert len(calls) == 1
+    assert calls == [] and laplacian_frame.cache_info().misses == 1
 
 
 def test_martingale_traces_decompose_laplacian_once_per_graph(monkeypatch):

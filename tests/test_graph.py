@@ -157,6 +157,31 @@ def test_erdos_renyi_connected_deterministic():
     assert erdos_renyi_connected(6, 1.0, seed=0).m == 15
 
 
+def _erdos_renyi_reference(n: int, p: float, seed: int) -> tuple[WeightedGraph, int]:
+    """The pair-list builder the vectorised one replaced, and its rejections."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for attempt in range(1000):
+        draws = gen.random(len(pairs))
+        picked = [pairs[i] for i in np.flatnonzero(draws < p)]
+        uf = UnionFind(n)
+        for u, v in picked:
+            uf.union(u, v)
+        if uf.count == 1:
+            return WeightedGraph(n, tuple((u, v, 1.0) for u, v in picked)), attempt
+    raise AssertionError("reference builder found no connected draw")
+
+
+@pytest.mark.parametrize(
+    "n,p,seed,rejected",
+    [(12, 0.3, 5, 0), (20, 0.15, 1, 3), (30, 0.1, 0, 12), (60, 0.2, 7, 0), (6, 1.0, 0, 0)],
+)
+def test_erdos_renyi_matches_the_pair_list_builder(n, p, seed, rejected):
+    want, attempts = _erdos_renyi_reference(n, p, seed)
+    assert attempts == rejected
+    assert erdos_renyi_connected(n, p, seed).edges == want.edges
+
+
 def test_erdos_renyi_rejects_bad_probability():
     with pytest.raises(ValueError):
         erdos_renyi_connected(5, 0.0, seed=1)

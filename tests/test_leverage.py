@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,13 +19,21 @@ from corpus import (
     weighted_triangle,
 )
 from quotient_oracle import ContractionState, forests, quotient_marginals
-from treespark.graph import SizeGuardError, ring_graph
+from treespark.graph import (
+    SizeGuardError,
+    WeightedGraph,
+    complete_graph,
+    laplacian,
+    read_graph,
+    ring_graph,
+)
 from treespark.leverage import (
     InvalidConditioningError,
     LeverageProfile,
     TransferCurrent,
+    _lower_triangular_inverse,
     conditional_marginals,
-    laplacian_decomposition,
+    laplacian_frame,
     leverage_scores,
 )
 
@@ -239,15 +248,58 @@ def test_quotient_single_block():
 
 def test_shared_decomposition_builds_one_read_only_frame():
     g = random_connected_graph(30, 40, seed=21)
-    dec = laplacian_decomposition(g)
-    scaled, null = dec.frame
-    # Every caller gets the same decomposition, so the same frame arrays.
-    again = laplacian_decomposition(g).frame
+    scaled, null = laplacian_frame(g)
+    # Every caller gets the same cached frame arrays.
+    again = laplacian_frame(g)
     assert again[0] is scaled and again[1] is null
     assert scaled.shape == (g.n, g.n - 1) and null.shape == (g.n, 1)
     for arr in (scaled, null):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
+    # M = [0; C^-T] whitens L_G, and the null vector is exactly 1/sqrt(n).
+    assert np.allclose(scaled.T @ laplacian(g) @ scaled, np.eye(g.n - 1), atol=1e-10)
+    assert np.array_equal(null[:, 0], np.full(g.n, 1.0 / math.sqrt(g.n)))
+    assert not scaled[0].any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 300])
+def test_lower_triangular_inverse_matches_the_dense_inverse(n):
+    gen = np.random.Generator(np.random.Philox(n))
+    # Scaled off-diagonal entries keep the inverse well conditioned.
+    c = np.tril(gen.uniform(-1.0, 1.0, size=(n, n)), -1) / n + np.diag(gen.uniform(1.0, 2.0, n))
+    got = _lower_triangular_inverse(c)
+    assert not np.triu(got, 1).any()
+    assert np.allclose(got, np.linalg.inv(c), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("heavy", [1.0, 1e6])
+def test_dense_leverage_matches_frame_row_differences(heavy):
+    # K_60 takes the Gram-block path.  A heavy edge far from the grounded
+    # vertex 0 makes the Gram form cancel there, so that edge has to be
+    # redone as a row difference to stay this close.
+    g = complete_graph(60)
+    g = WeightedGraph(g.n, g.edges[:-1] + ((58, 59, heavy),))
+    scaled, _ = laplacian_frame(g)
+    us, vs, ws = g.edge_arrays
+    want = ws * ((scaled[us] - scaled[vs]) ** 2).sum(axis=1)
+    assert np.all(np.abs(leverage_scores(g).values - want) <= 1e-12 * want)
+
+
+def test_leverage_scores_survive_a_weight_range_of_1e400(tmp_path):
+    # A 4-cycle is series-parallel: edge e sees the other three in
+    # series, so lev_e = w_e S_e / (1 + w_e S_e) with S_e = sum_{f != e}
+    # 1 / w_f.  An eigenvalue cutoff relative to the 1e200 edge would
+    # read the O(1) eigenvalues as zero; the grounded factor has none.
+    path = tmp_path / "range.graph"
+    path.write_text("4 4\n0 1 1e200\n1 2 1\n2 3 1e-200\n3 0 1\n")
+    g = read_graph(str(path))
+    got = leverage_scores(g).values
+    with mpmath.workdps(50):
+        ws = [mpmath.mpf(w) for _, _, w in g.edges]
+        for e, w in enumerate(ws):
+            s = mpmath.fsum(1 / x for f, x in enumerate(ws) if f != e)
+            want = w * s / (1 + w * s)
+            assert abs(got[e] - want) <= 1e-12 * want
 
 
 def test_size_guard_on_large_graph():

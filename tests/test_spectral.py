@@ -5,6 +5,7 @@ import pytest
 
 from corpus import SMALL, triangle, weighted_triangle
 from enumeration_oracle import enumerate_trees
+from frame_oracle import eig_frame
 from treespark.graph import WeightedGraph, complete_graph, laplacian
 from treespark.spectral import (
     _opnorm,
@@ -14,7 +15,7 @@ from treespark.spectral import (
     pinv_power,
     psd_leq,
 )
-from treespark.leverage import leverage_scores
+from treespark.leverage import laplacian_frame, leverage_scores
 
 
 def _random_symmetric(gen, n, scale=1.0):
@@ -104,14 +105,14 @@ def test_pinv_sqrt_complete_graph_closed_form():
 @pytest.mark.parametrize("name,g", SMALL)
 def test_pencil_identity_case(name, g):
     lap = laplacian(g)
-    lo, hi = normalized_pencil(eig_sym(lap), lap)
+    lo, hi = normalized_pencil(eig_frame(lap), lap)
     assert lo == pytest.approx(1.0, abs=1e-9)
     assert hi == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pencil_scaling():
     lap = laplacian(complete_graph(6))
-    lo, hi = normalized_pencil(eig_sym(lap), 2.0 * lap)
+    lo, hi = normalized_pencil(eig_frame(lap), 2.0 * lap)
     assert lo == pytest.approx(2.0, abs=1e-9)
     assert hi == pytest.approx(2.0, abs=1e-9)
 
@@ -123,7 +124,7 @@ def test_pencil_triangle_tree_frozen():
     # pencil extremes are exactly (1/2, 3/2).
     g = triangle()
     lt = 1.5 * laplacian(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0))))
-    lo, hi = normalized_pencil(eig_sym(laplacian(g)), lt)
+    lo, hi = normalized_pencil(eig_frame(laplacian(g)), lt)
     assert lo == pytest.approx(0.5, abs=1e-9)
     assert hi == pytest.approx(1.5, abs=1e-9)
 
@@ -135,28 +136,29 @@ def test_pencil_rank_deficient_h():
     lap_g = laplacian(complete_graph(n))
     lap_h = np.zeros((n, n))
     lap_h[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
-    lo, hi = normalized_pencil(eig_sym(lap_g), lap_h)
+    lo, hi = normalized_pencil(eig_frame(lap_g), lap_h)
     assert lo == pytest.approx(0.0, abs=1e-9)
     assert hi > 0.0
 
 
 def test_pencil_rejects_a_zero_left_laplacian():
     with pytest.raises(ValueError, match="left Laplacian is identically zero"):
-        normalized_pencil(eig_sym(np.zeros((3, 3))), np.zeros((3, 3)))
+        normalized_pencil(eig_frame(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 def test_pencil_rejects_h_that_leaks_into_the_null_space():
     # I + L_G does not vanish on the all-ones null vector of L_G.
     lap = laplacian(complete_graph(4))
     with pytest.raises(ValueError, match="does not vanish on the null space"):
-        normalized_pencil(eig_sym(lap), lap + np.eye(4))
+        normalized_pencil(eig_frame(lap), lap + np.eye(4))
 
 
 def test_frame_is_cached_read_only_and_whitens_the_range():
-    lap = laplacian(weighted_triangle())
+    g = weighted_triangle()
+    lap = laplacian(g)
     dec = eig_sym(lap)
-    scaled, null = dec.frame
-    assert dec.frame is dec.frame and dec.keep is dec.keep
+    scaled, null = laplacian_frame(g)
+    assert laplacian_frame(g) is laplacian_frame(g) and dec.keep is dec.keep
     assert scaled.shape == (3, 2) and null.shape == (3, 1)
     for arr in (scaled, null, dec.keep):
         assert not arr.flags.writeable
@@ -170,7 +172,7 @@ def test_pencil_rejects_non_finite_h(bad):
     lap_h = 2.0 * lap
     lap_h[1, 2] = lap_h[2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        normalized_pencil(eig_sym(lap), lap_h)
+        normalized_pencil(eig_frame(lap), lap_h)
 
 
 def test_opnorm_stack_matches_single_matrices():
@@ -276,6 +278,6 @@ def test_laplacian_pencil_matches_brute_force_on_weighted_triangle():
     lap_h = laplacian(weighted_triangle())
     pi = np.eye(3) - np.ones((3, 3)) / 3.0
     expect = np.linalg.eigvalsh(pi @ lap_h @ pi / 3.0)
-    lo, hi = normalized_pencil(eig_sym(laplacian(g)), lap_h)
+    lo, hi = normalized_pencil(eig_frame(laplacian(g)), lap_h)
     assert lo == pytest.approx(expect[1], abs=1e-9)
     assert hi == pytest.approx(expect[2], abs=1e-9)

@@ -50,25 +50,6 @@ def _guard_dense(g: WeightedGraph) -> None:
         )
 
 
-def _lower_triangular_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of a lower triangular matrix by recursive 2 x 2 blocking.
-
-    ``[[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]]``, so only
-    the diagonal blocks of at most 64 rows are inverted directly and the
-    rest is matrix products.  The upper triangle of the result is zero.
-    """
-    n = c.shape[0]
-    if n <= 64:
-        return np.tril(np.linalg.inv(c))
-    h = n // 2
-    a, d = _lower_triangular_inverse(c[:h, :h]), _lower_triangular_inverse(c[h:, h:])
-    out = np.zeros_like(c)
-    out[:h, :h] = a
-    out[h:, h:] = d
-    out[h:, :h] = -(d @ c[h:, :h]) @ a
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def laplacian_frame(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(M, U_0)`` that whitens ``L_G``, computed once per graph.
@@ -89,7 +70,7 @@ def laplacian_frame(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
             "grounded Laplacian is not numerically positive definite"
         ) from None
     scaled = np.zeros((g.n, g.n - 1))
-    scaled[1:] = _lower_triangular_inverse(chol).T
+    scaled[1:] = np.tril(np.linalg.inv(chol)).T
     if not np.isfinite(scaled).all():
         raise ValueError("grounded Laplacian frame has a non-finite entry")
     null = np.full((g.n, 1), 1.0 / math.sqrt(g.n))

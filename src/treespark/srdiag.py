@@ -76,13 +76,16 @@ def shrinking_marginals_suite(
     Enumerates every forest S (the empty one included) depth first,
     each one a single transfer-current contraction away from its
     parent, and compares each residual edge's conditional marginal
-    against its plain leverage score.  Guarded at ``m <= 10`` edges.
+    against its plain leverage score, read off the same transfer-current
+    matrix so the empty forest compares equal.  Guarded at ``m <= 10``
+    edges.
     """
     if g.m > SHRINKING_EDGE_CAP:
         raise SizeGuardError(
             f"shrinking marginal suite capped at m = {SHRINKING_EDGE_CAP}, got m = {g.m}"
         )
-    base = leverage_scores(g).values
+    root = TransferCurrent(g)
+    base = root.marginals()
     forests: list[tuple[tuple[int, ...], np.ndarray]] = []
 
     def recurse(next_eid: int, chosen: list[int], tc: TransferCurrent):
@@ -97,7 +100,7 @@ def shrinking_marginals_suite(
             recurse(eid + 1, chosen, sub)
             chosen.pop()
 
-    recurse(0, [], TransferCurrent(g))
+    recurse(0, [], root)
 
     num_pairs = 0
     max_excess = -math.inf

@@ -31,7 +31,6 @@ from treespark.leverage import (
     InvalidConditioningError,
     LeverageProfile,
     TransferCurrent,
-    _lower_triangular_inverse,
     conditional_marginals,
     laplacian_frame,
     leverage_scores,
@@ -260,16 +259,6 @@ def test_shared_decomposition_builds_one_read_only_frame():
     assert np.allclose(scaled.T @ laplacian(g) @ scaled, np.eye(g.n - 1), atol=1e-10)
     assert np.array_equal(null[:, 0], np.full(g.n, 1.0 / math.sqrt(g.n)))
     assert not scaled[0].any()
-
-
-@pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 300])
-def test_lower_triangular_inverse_matches_the_dense_inverse(n):
-    gen = np.random.Generator(np.random.Philox(n))
-    # Scaled off-diagonal entries keep the inverse well conditioned.
-    c = np.tril(gen.uniform(-1.0, 1.0, size=(n, n)), -1) / n + np.diag(gen.uniform(1.0, 2.0, n))
-    got = _lower_triangular_inverse(c)
-    assert not np.triu(got, 1).any()
-    assert np.allclose(got, np.linalg.inv(c), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("heavy", [1.0, 1e6])

@@ -72,6 +72,16 @@ def test_shrinking_keep_entries():
     assert cond <= base + 1e-10
 
 
+@pytest.mark.parametrize("g", [weighted_k4(), complete_graph(4), diamond()])
+def test_shrinking_empty_forest_compares_equal(g):
+    # Both sides of the comparison come from one transfer-current matrix,
+    # so the empty forest shows no rounding gap as an excess.
+    report = shrinking_marginals_suite(g, keep_entries=True)
+    empty = [(cond, base) for forest, _, cond, base in report.entries if not forest]
+    assert len(empty) == g.m
+    assert all(cond == base for cond, base in empty)
+
+
 @pytest.mark.parametrize("g", [weighted_k4(), doubled_triangle(), parallel_pair()])
 def test_shrinking_entries_match_quotient_oracle(g):
     report = shrinking_marginals_suite(g, keep_entries=True)

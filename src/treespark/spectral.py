@@ -1,5 +1,5 @@
-"""Dense symmetric eigen-utilities: decompositions, pseudoinverse powers,
-relative condition numbers of Laplacian pencils and PSD order tests."""
+"""Dense symmetric eigen-utilities: decompositions, relative condition
+numbers of Laplacian pencils and PSD order tests."""
 
 from __future__ import annotations
 
@@ -58,24 +58,6 @@ def eig_sym(a: np.ndarray) -> SpectralDecomposition:
     _check_symmetric(a)
     vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     return SpectralDecomposition(vals, vecs)
-
-
-def pinv_power(dec: SpectralDecomposition, power: float) -> np.ndarray:
-    """``A^-power`` on the numerical range of a PSD ``A``, zero on its null space.
-
-    ``power = 1`` gives the pseudoinverse and ``power = 0.5`` the inverse
-    square root.  Eigenvalues at or below the zero cutoff map to 0;
-    eigenvalues more negative than the cutoff are rejected because the
-    matrix was supposed to be positive semidefinite.
-    """
-    vals = dec.eigenvalues
-    if float(vals[0]) < -max(dec.zero_cutoff, 1e-300):
-        raise ValueError(
-            f"matrix has a negative eigenvalue {float(vals[0]):g} beyond the zero cutoff"
-        )
-    inv = np.zeros_like(vals)
-    inv[dec.keep] = 1.0 / vals[dec.keep] ** power
-    return (dec.basis * inv) @ dec.basis.T
 
 
 def normalized_pencil(

@@ -5,18 +5,20 @@ forest being present can only shrink the marginal of every other edge.
 This module checks that exhaustively on small graphs, and instruments
 the edge-by-edge Doob martingale of the normalised tree matrix sum.
 
-The martingale works in the frame where the parent Laplacian becomes
-the projector ``pi`` off the all-ones vector: each edge contributes
-``A_e = w'_e * P b_e b_e^T P`` with ``P`` the inverse square root of
-the Laplacian and ``w'`` inverse-leverage weights, so ``sum_e lev_e A_e
-= pi`` and a sampled tree contributes ``sum_{e in T} A_e``.  Revealing
-the tree's edges in uniform random order, step ``i`` conditions on a
-partial edge set.  Conditioning on an edge is contraction, carried out
-as one rank-one update of the transfer-current matrix
-(:class:`~treespark.leverage.TransferCurrent`); a step reads every
-candidate's conditional marginals from one vectorised expression, so
-conditional expectations are exact and no quotient graph is built.  The
-quotient-graph route stays in the tests as the oracle.  No sampled
+The martingale works in the (n - 1)-dimensional frame ``M`` of
+:func:`~treespark.leverage.laplacian_frame`, where the parent Laplacian
+becomes the identity: each edge contributes ``A_e = r_e r_e^T / lev_e``
+with ``r_e = sqrt(w_e) M^T b_e`` its row of
+:func:`~treespark.leverage.edge_frame_rows`, so ``sum_e lev_e A_e = I``
+and a sampled tree contributes ``sum_{e in T} A_e``.  Any two frames
+that whiten the Laplacian differ by an isometry, so the norms do not
+depend on the choice.  Revealing the tree's edges in uniform random order, step
+``i`` conditions on a partial edge set.  Conditioning on an edge is
+contraction, carried out as one rank-one update of the transfer-current
+matrix (:class:`~treespark.leverage.TransferCurrent`); a step reads
+every candidate's conditional marginals from one vectorised expression,
+so conditional expectations are exact and no quotient graph is built.
+The quotient-graph route stays in the tests as the oracle.  No sampled
 estimate enters the trace.
 
 Binomial tail utilities run in log space with compensated summation so
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SizeGuardError, WeightedGraph
-from .leverage import TransferCurrent, laplacian_decomposition, leverage_scores
-from .spectral import _opnorm, pinv_power
+from .leverage import TransferCurrent, edge_frame_rows, leverage_scores
+from .spectral import _opnorm
 from .treesample import sample_tree_stream
 
 SHRINKING_EDGE_CAP = 10
@@ -140,8 +142,8 @@ class MartingaleTrace:
 
     ``cond_expectations[i]`` is the conditional expectation of the
     normalised tree matrix after revealing ``i`` edges; index 0 is the
-    projector off the all-ones direction and index k is the realised
-    tree matrix.  ``step_norms[i-1]`` is the norm of increment i,
+    identity of the whitened frame and index k is the realised tree
+    matrix.  ``step_norms[i-1]`` is the norm of increment i,
     ``variation_norms[i-1]`` the norm of the running predictable
     quadratic variation, whose per-step summands are kept in
     ``second_moments``.  ``max_edge_norm`` is the largest single-edge
@@ -177,13 +179,10 @@ class MartingaleTrace:
 
 
 def _edge_matrices(g: WeightedGraph) -> np.ndarray:
-    """Stack of normalised inverse-leverage edge matrices, shape (m, n, n)."""
-    lev = leverage_scores(g).values
-    proot = pinv_power(laplacian_decomposition(g), 0.5)
-    us, vs, ws = g.edge_arrays
-    diffs = proot[:, us] - proot[:, vs]
-    scaled = diffs * np.sqrt(ws / lev)
-    return np.einsum("ie,je->eij", scaled, scaled)
+    """Stack of ``r_e r_e^T / lev_e`` in the whitened frame, shape (m, n - 1, n - 1)."""
+    rows = edge_frame_rows(g)
+    rows /= np.sqrt(leverage_scores(g).values)[:, None]
+    return np.einsum("ei,ej->eij", rows, rows)
 
 
 def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
@@ -229,7 +228,7 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         slots = k - i + 1
         candidates = tc.candidates()
         probs = margs[candidates] / slots
-        cand_expect = (tc.marginals_after(candidates) @ flat).reshape(-1, g.n, g.n)
+        cand_expect = (tc.marginals_after(candidates) @ flat).reshape(-1, k, k)
         increments = cand_expect - expect_prev
 
         cond_mean = np.tensordot(probs, mats[candidates], axes=1)

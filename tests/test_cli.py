@@ -19,7 +19,7 @@ from treespark.cli import (
     parse_graph_spec,
 )
 from treespark.experiments import DEFAULT_PASS_GATE
-from treespark.graph import complete_graph, write_graph
+from treespark.graph import WeightedGraph, complete_graph, write_graph
 from treespark.treesample import parse_tree_line
 
 
@@ -180,6 +180,17 @@ def test_diag_martingale_with_dump(tmp_path, capsys):
     lines = dump.read_text().strip().split("\n")
     assert len(lines) == 10 * 5  # 4 steps plus a JSON summary per trace
     json.loads(lines[4])
+
+
+def test_diag_martingale_runs_on_a_weight_range_of_1e400(tmp_path, capsys):
+    # The Cholesky frame carries a 4-cycle weighted (1e200, 1, 1e-200,
+    # 1) through the martingale; an eigendecomposition of its Laplacian
+    # does not converge.
+    path = tmp_path / "range.graph"
+    write_graph(WeightedGraph(4, ((0, 1, 1e200), (1, 2, 1.0), (2, 3, 1e-200), (3, 0, 1.0))), str(path))
+    assert main(["diag", "martingale", "--graph", str(path), "--seeds", "5"]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True and payload["failures"] == 0
 
 
 def test_diag_martingale_reports_worst_margin(tmp_path, capsys):

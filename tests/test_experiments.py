@@ -30,12 +30,7 @@ from treespark.experiments import (
     write_extremes_csv,
 )
 from treespark.graph import clique_star, complete_graph, laplacian, ring_graph
-from treespark.leverage import (
-    _laplacian_pinv,
-    laplacian_decomposition,
-    laplacian_frame,
-    leverage_scores,
-)
+from treespark.leverage import laplacian_frame, leverage_scores
 from treespark.spectral import eig_sym, normalized_pencil
 from treespark.srdiag import binomial_tail
 from treespark.treesample import (
@@ -385,8 +380,6 @@ def _count_eig_sym(monkeypatch) -> list:
     for mod in (spectral, leverage, experiments, srdiag):
         if getattr(mod, "eig_sym", None) is eig_sym:
             monkeypatch.setattr(mod, "eig_sym", counted)
-    laplacian_decomposition.cache_clear()
-    _laplacian_pinv.cache_clear()
     laplacian_frame.cache_clear()
     return calls
 
@@ -403,14 +396,15 @@ def test_certify_run_decomposes_laplacian_once(monkeypatch):
     assert calls == [] and laplacian_frame.cache_info().misses == 1
 
 
-def test_martingale_traces_decompose_laplacian_once_per_graph(monkeypatch):
+def test_martingale_traces_factor_laplacian_once_per_graph(monkeypatch):
     # Leverage scores, the transfer-current matrix and the edge matrices
-    # all read the one cached decomposition, across every seed.
+    # all read the one cached Cholesky frame, across every seed, and
+    # nothing eigendecomposes the Laplacian.
     calls = _count_eig_sym(monkeypatch)
     g = random_connected_graph(7, 5, seed=22)
     for seed in range(4):
         srdiag.check_trace_bounds(srdiag.martingale_trace(g, seed))
-    assert len(calls) == 1
+    assert calls == [] and laplacian_frame.cache_info().misses == 1
 
 
 def test_sum_trees_deviation_shrinks_with_t():

@@ -18,6 +18,7 @@ from corpus import (
     weighted_k4,
     weighted_triangle,
 )
+from frame_oracle import pinv_power
 from quotient_oracle import ContractionState, forests, quotient_marginals
 from treespark.graph import (
     SizeGuardError,
@@ -31,10 +32,12 @@ from treespark.leverage import (
     InvalidConditioningError,
     LeverageProfile,
     TransferCurrent,
+    _laplacian_pinv,
     conditional_marginals,
     laplacian_frame,
     leverage_scores,
 )
+from treespark.spectral import eig_sym
 
 
 def test_tree_leverage_all_one():
@@ -289,6 +292,51 @@ def test_leverage_scores_survive_a_weight_range_of_1e400(tmp_path):
             s = mpmath.fsum(1 / x for f, x in enumerate(ws) if f != e)
             want = w * s / (1 + w * s)
             assert abs(got[e] - want) <= 1e-12 * want
+
+
+def test_transfer_current_is_exact_across_a_weight_range_of_1e16():
+    # Exact leverage scores from the grounded Laplacian inverted at 50
+    # digits.  Eigenvalues spread over 16 decades leave an
+    # eigendecomposition's L^+ about 6e-10 off on the 1e8 edge.
+    g = WeightedGraph(5, ((0, 1, 1e8), (1, 2, 1), (2, 3, 1e-8), (3, 4, 1), (0, 4, 2), (1, 3, 3)))
+    got = TransferCurrent(g).marginals()
+    with mpmath.workdps(50):
+        lap = mpmath.matrix(g.n, g.n)
+        for u, v, w in g.edges:
+            w = mpmath.mpf(w)
+            lap[u, u] += w
+            lap[v, v] += w
+            lap[u, v] -= w
+            lap[v, u] -= w
+        grounded = mpmath.inverse(lap[1:, 1:])
+        inv = mpmath.matrix(g.n, g.n)
+        inv[1:, 1:] = grounded
+        for e, (u, v, w) in enumerate(g.edges):
+            want = mpmath.mpf(w) * (inv[u, u] + inv[v, v] - 2 * inv[u, v])
+            assert abs(got[e] - want) <= 1e-12 * want
+
+
+def _eig_pinv_and_transfer_current(g):
+    pinv = pinv_power(eig_sym(laplacian(g)), 1)
+    us, vs, ws = g.edge_arrays
+    incidence = np.zeros((g.m, g.n))
+    incidence[np.arange(g.m), us] = np.sqrt(ws)
+    incidence[np.arange(g.m), vs] = -np.sqrt(ws)
+    return pinv, incidence @ pinv @ incidence.T
+
+
+@pytest.mark.parametrize("name,g", SMALL)
+def test_transfer_current_matches_eigendecomposition_oracle(name, g):
+    _, want = _eig_pinv_and_transfer_current(g)
+    got = TransferCurrent(g).y
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name,g", SMALL)
+def test_laplacian_pinv_matches_eigendecomposition_oracle(name, g):
+    want, _ = _eig_pinv_and_transfer_current(g)
+    assert np.abs(_laplacian_pinv(g) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_size_guard_on_large_graph():

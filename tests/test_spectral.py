@@ -5,14 +5,13 @@ import pytest
 
 from corpus import SMALL, triangle, weighted_triangle
 from enumeration_oracle import enumerate_trees
-from frame_oracle import eig_frame
+from frame_oracle import eig_frame, pinv_power
 from treespark.graph import WeightedGraph, complete_graph, laplacian
 from treespark.spectral import (
     _opnorm,
     check_symmetric_triangle,
     eig_sym,
     normalized_pencil,
-    pinv_power,
     psd_leq,
 )
 from treespark.leverage import laplacian_frame, leverage_scores

@@ -19,10 +19,11 @@ from corpus import (
     weighted_triangle,
 )
 from enumeration_oracle import enumerate_trees
+from frame_oracle import pinv_power
 from quotient_oracle import forests, quotient_marginals, quotient_trace
 from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, laplacian, ring_graph
 from treespark.leverage import leverage_scores
-from treespark.spectral import eig_sym, pinv_power, psd_leq
+from treespark.spectral import eig_sym, psd_leq
 from treespark.srdiag import (
     BinomialTailQuery,
     binomial_tail,
@@ -134,14 +135,16 @@ def test_triangle_trace_frozen_by_hand():
 
 
 def test_trace_endpoints():
-    # M_0 is the centering projector; M_k is the sum of the revealed
-    # normalised edge matrices.
+    # M_0 is the identity of the whitened frame; M_k is the sum of the
+    # revealed normalised edge matrices, which the L^+1/2 frame carries
+    # to the same nonzero spectrum.
     g = weighted_triangle()
     tr = trace_for_ordering(g, (0, 2))
-    pi = np.eye(3) - np.ones((3, 3)) / 3.0
-    assert np.abs(tr.cond_expectations[0] - pi).max() <= 1e-9
-    want = _edge_matrix(g, 0) + _edge_matrix(g, 2)
-    assert np.abs(tr.cond_expectations[-1] - want).max() <= 1e-9
+    assert np.abs(tr.cond_expectations[0] - np.eye(2)).max() <= 1e-9
+    want = np.linalg.eigvalsh(_edge_matrix(g, 0) + _edge_matrix(g, 2))
+    got = np.linalg.eigvalsh(tr.cond_expectations[-1])
+    assert abs(want[0]) <= 1e-9
+    assert np.abs(got - want[1:]).max() <= 1e-9
     assert tr.frame_norm == pytest.approx(1.0, abs=1e-9)
     assert tr.max_edge_norm == pytest.approx(1.0, abs=1e-9)
 
@@ -161,7 +164,7 @@ def test_variation_monotone_in_psd_order():
     g = complete_graph(5)
     for seed in range(5):
         tr = martingale_trace(g, seed)
-        prev = np.zeros((g.n, g.n))
+        prev = np.zeros_like(tr.variations[0])
         for w in tr.variations:
             assert psd_leq(prev, w, tol=1e-9).holds
             prev = w

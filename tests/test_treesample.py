@@ -18,6 +18,7 @@ from corpus import (
     weighted_triangle,
 )
 from enumeration_oracle import enumerate_trees
+from frame_oracle import pinv_power
 from treespark.graph import (
     SizeGuardError,
     WeightedGraph,
@@ -28,7 +29,7 @@ from treespark.graph import (
 )
 from treespark import treesample
 from treespark.leverage import leverage_scores
-from treespark.spectral import eig_sym, pinv_power
+from treespark.spectral import eig_sym
 from treespark.treesample import (
     SpanningTree,
     _wilson_edge_ids,

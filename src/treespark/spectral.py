@@ -1,37 +1,18 @@
-"""Dense symmetric eigen-utilities: decompositions, relative condition
-numbers of Laplacian pencils and PSD order tests."""
+"""Dense symmetric eigen-utilities: eigensolving, relative condition
+numbers of Laplacian pencils and PSD order tests.
+
+No eigenvalue is thresholded here: the pencil reads a whitening frame of
+L_G and the PSD order test decides on the spectrum of ``B - A``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (nondecreasing) and orthonormal eigenbasis columns.
-
-    Eigenvalues at or below :attr:`zero_cutoff`, ``n * 2.2e-16`` times
-    the largest eigenvalue, count as zero wherever rank matters; every
-    rank decision reads the one :attr:`keep` mask.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def zero_cutoff(self) -> float:
-        return len(self.eigenvalues) * 2.2e-16 * max(float(self.eigenvalues[-1]), 0.0)
-
-    @cached_property
-    def keep(self) -> np.ndarray:
-        """Mask of the eigenvalues above the zero cutoff: the numerical range."""
-        keep = self.eigenvalues > self.zero_cutoff
-        keep.flags.writeable = False
-        return keep
+PSD_TOL = 1e-9
 
 
 def _check_symmetric(a: np.ndarray) -> float:
@@ -46,18 +27,19 @@ def _check_symmetric(a: np.ndarray) -> float:
     return scale
 
 
-def eig_sym(a: np.ndarray) -> SpectralDecomposition:
+def eig_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix via LAPACK.
 
-    The input must be symmetric to relative 1e-12; it is symmetrised
-    before the solve so tiny asymmetries cannot leak into the result.
+    Returns numpy's ``(eigenvalues, eigenvectors)`` pair, eigenvalues
+    nondecreasing.  The input must be symmetric to relative 1e-12; it is
+    symmetrised before the solve so tiny asymmetries cannot leak into
+    the result.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     _check_symmetric(a)
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
-    return SpectralDecomposition(vals, vecs)
+    return np.linalg.eigh((a + a.T) / 2.0)
 
 
 def normalized_pencil(
@@ -94,15 +76,13 @@ def normalized_pencil(
 class PsdOrderVerdict:
     """Outcome of a PSD order test ``A <= B``.
 
-    ``witness_gap`` is the most negative eigenvalue of ``B - A`` after
-    projecting off the common null space of the two inputs, so equality
-    up to that null space reports a gap of 0.  ``scale`` is the larger
+    ``witness_gap`` is the smallest eigenvalue of ``B - A``; it reads 0
+    on a common null space of the two inputs.  ``scale`` is the larger
     operator norm (floored at 1) that verdicts are measured against.
     """
 
     holds: bool
     witness_gap: float
-    tol: float
     scale: float
 
 
@@ -119,11 +99,11 @@ def _opnorm(a: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def psd_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> PsdOrderVerdict:
+def psd_leq(a: np.ndarray, b: np.ndarray) -> PsdOrderVerdict:
     """Test ``a <= b`` in the PSD order, scale-invariantly.
 
-    Holds iff the witness gap is at least ``-tol * scale`` with ``scale =
-    max(opnorm(a), opnorm(b), 1)``.
+    Holds iff the witness gap is at least ``-PSD_TOL * scale`` with
+    ``scale = max(opnorm(a), opnorm(b), 1)``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -132,13 +112,8 @@ def psd_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> PsdOrderVerdict:
     _check_symmetric(a)
     _check_symmetric(b)
     scale = max(_opnorm(a), _opnorm(b), 1.0)
-    dec = eig_sym(a @ a + b @ b)
-    if not np.any(dec.keep):
-        return PsdOrderVerdict(True, 0.0, tol, scale)
-    basis = dec.basis[:, dec.keep]
-    restricted = basis.T @ (b - a) @ basis
-    gap = float(np.linalg.eigvalsh((restricted + restricted.T) / 2.0)[0])
-    return PsdOrderVerdict(gap >= -tol * scale, gap, tol, scale)
+    gap = float(np.linalg.eigvalsh(b - a)[0])
+    return PsdOrderVerdict(gap >= -PSD_TOL * scale, gap, scale)
 
 
 def check_symmetric_triangle(a: np.ndarray, b: np.ndarray) -> bool:

@@ -41,6 +41,7 @@ from .treesample import sample_tree_stream
 SHRINKING_EDGE_CAP = 10
 TRACE_VERTEX_CAP = 12
 
+SHRINKING_TOL = 1e-10
 STEP_SLACK = 1e-8
 CUMULATIVE_SLACK = 1e-6
 
@@ -71,7 +72,7 @@ class ShrinkingMarginalsReport:
 
 
 def shrinking_marginals_suite(
-    g: WeightedGraph, tol: float = 1e-10, keep_entries: bool = False
+    g: WeightedGraph, keep_entries: bool = False
 ) -> ShrinkingMarginalsReport:
     """Check marginal shrinkage for every forest of a small graph.
 
@@ -79,8 +80,8 @@ def shrinking_marginals_suite(
     each one a single transfer-current contraction away from its
     parent, and compares each residual edge's conditional marginal
     against its plain leverage score, read off the same transfer-current
-    matrix so the empty forest compares equal.  Guarded at ``m <= 10``
-    edges.
+    matrix so the empty forest compares equal.  Passes when no excess
+    tops ``SHRINKING_TOL``.  Guarded at ``m <= 10`` edges.
     """
     if g.m > SHRINKING_EDGE_CAP:
         raise SizeGuardError(
@@ -126,7 +127,7 @@ def shrinking_marginals_suite(
         num_pairs=num_pairs,
         max_excess=max_excess,
         worst=worst,
-        passed=max_excess <= tol,
+        passed=max_excess <= SHRINKING_TOL,
         entries=tuple(entries),
     )
 

@@ -5,7 +5,9 @@ module conditions the slow, independent way: contract the forest with
 :meth:`ContractionState.quotient`, build the quotient multigraph and read
 its leverage scores back through the edge map.  ``ContractionState``
 keeps its own vertex blocks, so the oracle shares no bookkeeping with
-``TransferCurrent``.  Tests compare the two.
+``TransferCurrent``, and the martingale's edge matrices are built in the
+n-dimensional ``L^{+1/2}`` frame from an eigendecomposition of L_G, not
+in the library's Cholesky frame.  Tests compare the two.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treespark.graph import WeightedGraph
+from frame_oracle import pinv_power
+from treespark.graph import WeightedGraph, laplacian
 from treespark.leverage import InvalidConditioningError, leverage_scores
-from treespark.spectral import _opnorm
-from treespark.srdiag import _edge_matrices
+from treespark.spectral import _opnorm, eig_sym
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,32 @@ def forests(g):
     return found
 
 
+def edge_matrices(g) -> np.ndarray:
+    """Stack of ``A_e = (w_e / lev_e) L^{+1/2} b_e b_e^T L^{+1/2}``, shape (m, n, n).
+
+    ``lev_e = w_e b_e^T L^+ b_e``, with both powers of the pseudoinverse
+    read off one ``eig_sym(L_G)``.
+    """
+    dec = eig_sym(laplacian(g))
+    half, pinv = pinv_power(dec, 0.5), pinv_power(dec, 1)
+    mats = []
+    for u, v, w in g.edges:
+        lev = w * (pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v])
+        x = half[u] - half[v]
+        mats.append((w / lev) * np.outer(x, x))
+    return np.array(mats)
+
+
 def quotient_trace(g, ordering) -> dict:
     """Martingale trace fields with every conditioning step by quotient.
 
     Mirrors the definition in ``srdiag.trace_for_ordering`` one candidate
     at a time: step ``i`` weights each unrevealed, non-loop edge by its
-    conditional marginal over the unrevealed slots.
+    conditional marginal over the unrevealed slots.  The conditional
+    expectations are n x n, one dimension more than the library's
+    whitened frame, with the extra eigenvalue 0 on the all-ones vector.
     """
-    mats = _edge_matrices(g)
+    mats = edge_matrices(g)
     k = g.n - 1
     state = ContractionState.initial(g)
     margs = quotient_marginals(g, state)

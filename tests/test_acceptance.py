@@ -106,7 +106,7 @@ def test_criterion_03_shrinking_marginals_exhaustive():
         pairs = 0
         worst = -math.inf
         for name, g in SHRINKING:
-            report = shrinking_marginals_suite(g, tol=1e-10)
+            report = shrinking_marginals_suite(g)
             assert report.passed, name
             assert report.max_excess <= 1e-10
             pairs += report.num_pairs

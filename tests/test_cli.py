@@ -1,9 +1,11 @@
 """Command line surface: specs, exit codes, output formats, seeding."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from treespark.cli import (
 from treespark.experiments import DEFAULT_PASS_GATE
 from treespark.graph import WeightedGraph, complete_graph, write_graph
 from treespark.treesample import parse_tree_line
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_parse_graph_spec_constructors():
@@ -423,8 +427,11 @@ def test_version_flag():
 
 
 def test_installed_entry_point_runs():
+    # The package need not be installed: put the checkout's src first.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "treespark.cli", "sample", "--graph", "k:4", "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )

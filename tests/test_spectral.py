@@ -6,6 +6,7 @@ import pytest
 from corpus import SMALL, triangle, weighted_triangle
 from enumeration_oracle import enumerate_trees
 from frame_oracle import eig_frame, pinv_power
+from psd_order_oracle import random_pairs, range_psd_leq
 from treespark.graph import WeightedGraph, complete_graph, laplacian
 from treespark.spectral import (
     _opnorm,
@@ -25,7 +26,7 @@ def _random_symmetric(gen, n, scale=1.0):
 def test_eig_sym_identity():
     dec = eig_sym(np.eye(4))
     assert np.allclose(dec.eigenvalues, 1.0)
-    assert np.allclose(dec.basis @ dec.basis.T, np.eye(4), atol=1e-12)
+    assert np.allclose(dec.eigenvectors @ dec.eigenvectors.T, np.eye(4), atol=1e-12)
 
 
 def test_eig_sym_triangle_laplacian():
@@ -44,10 +45,10 @@ def test_eig_sym_path3_laplacian():
 def test_eig_sym_reconstructs(name, g):
     lap = laplacian(g)
     dec = eig_sym(lap)
-    recon = (dec.basis * dec.eigenvalues) @ dec.basis.T
+    recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
     scale = max(np.abs(dec.eigenvalues).max(), 1.0)
     assert np.abs(recon - lap).max() <= 1e-10 * scale
-    gram = dec.basis.T @ dec.basis
+    gram = dec.eigenvectors.T @ dec.eigenvectors
     assert np.abs(gram - np.eye(g.n)).max() <= 1e-10
 
 
@@ -69,7 +70,7 @@ def test_eig_sym_deterministic():
     a = _random_symmetric(gen, 6)
     d1, d2 = eig_sym(a), eig_sym(a)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    assert np.array_equal(d1.basis, d2.basis)
+    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
 def test_pinv_sqrt_identity_and_diag():
@@ -155,11 +156,10 @@ def test_pencil_rejects_h_that_leaks_into_the_null_space():
 def test_frame_is_cached_read_only_and_whitens_the_range():
     g = weighted_triangle()
     lap = laplacian(g)
-    dec = eig_sym(lap)
     scaled, null = laplacian_frame(g)
-    assert laplacian_frame(g) is laplacian_frame(g) and dec.keep is dec.keep
+    assert laplacian_frame(g) is laplacian_frame(g)
     assert scaled.shape == (3, 2) and null.shape == (3, 1)
-    for arr in (scaled, null, dec.keep):
+    for arr in (scaled, null):
         assert not arr.flags.writeable
     assert np.allclose(scaled.T @ lap @ scaled, np.eye(2), atol=1e-12)
     assert np.allclose(np.abs(null[:, 0]), 1.0 / np.sqrt(3.0), atol=1e-12)
@@ -245,11 +245,19 @@ def test_psd_leq_antisymmetry():
 
 
 def test_psd_leq_common_null_direction():
-    # Both sides vanish on the all-ones vector; order must be decided on
-    # the complement instead of reporting spurious zero eigenvalues.
+    # Both sides vanish on the all-ones vector, where B - A has eigenvalue
+    # 0: the order is decided on the complement and the gap reads 0.
     lap = laplacian(triangle())
-    assert psd_leq(lap, 2.0 * lap).holds
+    verdict = psd_leq(lap, 2.0 * lap)
+    assert verdict.holds
+    assert verdict.witness_gap == pytest.approx(0.0, abs=1e-12)
     assert not psd_leq(2.0 * lap, lap).holds
+
+
+def test_psd_leq_agrees_with_the_range_projection_route():
+    gen = np.random.Generator(np.random.Philox(12))
+    for family, a, b in random_pairs(gen, 100):
+        assert psd_leq(a, b).holds == range_psd_leq(a, b), family
 
 
 def test_symmetric_triangle_edge_cases():

@@ -166,7 +166,7 @@ def test_variation_monotone_in_psd_order():
         tr = martingale_trace(g, seed)
         prev = np.zeros_like(tr.variations[0])
         for w in tr.variations:
-            assert psd_leq(prev, w, tol=1e-9).holds
+            assert psd_leq(prev, w).holds
             prev = w
 
 
@@ -218,8 +218,15 @@ def test_trace_matches_quotient_oracle(g):
     for seed in range(6):
         tr = martingale_trace(g, seed)
         want = quotient_trace(g, tr.ordering)
+        expects = want.pop("cond_expectations")
         for field, values in want.items():
             assert np.abs(np.array(getattr(tr, field)) - np.array(values)).max() <= 1e-12, field
+        # The oracle's n x n frame carries one extra eigenvalue, 0 on the
+        # all-ones vector; the rest must match the library's (n-1) x (n-1).
+        got = np.linalg.eigvalsh(np.array(tr.cond_expectations))
+        vals = np.linalg.eigvalsh(np.array(expects))
+        assert np.abs(vals[:, 0]).max() <= 1e-12
+        assert np.abs(got - vals[:, 1:]).max() <= 1e-12
 
 
 def test_trace_rejects_bad_orderings():

@@ -223,16 +223,6 @@ def _diag_marginals(args) -> tuple[bool, dict]:
     }
 
 
-def _envelope_margin(trace, seed: int) -> dict:
-    """Smallest slack of one trace to its increment range and cumulative envelope."""
-    top = int(np.argmax(trace.step_norms))
-    step_margin = trace.max_edge_norm - trace.step_norms[top]
-    cumulative_margin = trace.cumulative_bound() - trace.variation_norms[-1]
-    if step_margin <= cumulative_margin:
-        return {"margin": step_margin, "seed": seed, "step": top + 1, "bound": "increment_range"}
-    return {"margin": cumulative_margin, "seed": seed, "step": trace.k, "bound": "cumulative"}
-
-
 def _diag_martingale(args) -> tuple[bool, dict]:
     g = parse_graph_spec(args.graph, args.seed, max_n=TRACE_VERTEX_CAP)
     results = []
@@ -241,9 +231,9 @@ def _diag_martingale(args) -> tuple[bool, dict]:
     for i in range(args.seeds):
         trace = martingale_trace(g, args.seed + i)
         results.append(check_trace_bounds(trace))
-        margin = _envelope_margin(trace, args.seed + i)
-        if worst is None or margin["margin"] < worst["margin"]:
-            worst = margin
+        margin, step, bound = trace.worst_margin()
+        if worst is None or margin < worst["margin"]:
+            worst = {"margin": margin, "seed": args.seed + i, "step": step, "bound": bound}
         if args.dump:
             dumps.append(trace_dump(trace))
     if args.dump:

@@ -11,7 +11,6 @@ are recorded in the report next to the data they gate.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -271,23 +270,18 @@ def run_sum_trees(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
 def clique_leverage_value(clique_size: int) -> float:
-    """Leverage score of every clique-star edge, via one clique.
+    """Leverage score of every clique-star edge, in closed form.
 
     In a clique-star every edge lies inside a single clique attached to
     the rest of the graph only at the hub, so contracting nothing and
     cutting at the hub leaves the other cliques dangling: they carry no
     current and the edge's effective resistance equals its value inside
-    one complete graph on ``clique_size`` vertices.  The scores inside a
-    clique are all equal by symmetry, so one number covers every edge.
+    one complete graph on ``clique_size`` vertices.  There the
+    ``s (s - 1) / 2`` scores are equal by symmetry and sum to ``s - 1``
+    (Foster's theorem), so each is ``2 / s``.
     """
-    prof = leverage_scores(complete_graph(clique_size))
-    vals = prof.values
-    spread = float(vals.max() - vals.min())
-    if spread > 1e-10:
-        raise ArithmeticError(f"clique leverage not constant, spread {spread:g}")
-    return float(vals.mean())
+    return 2.0 / clique_size
 
 
 def run_multi_tree_lower(
@@ -362,7 +356,7 @@ def run_multi_tree_lower(
         eps_window=window,
         eps_window_ok=window_ok,
         leverage_value=lev,
-        leverage_method="clique factorization (edges see one clique; the rest dangles at the hub)",
+        leverage_method="closed form 2 / clique_size (Foster on one clique, the rest dangles)",
         degree_role="per-vertex clique degree (clique_size - 1)",
         trials=trials,
         seeds=seeds,

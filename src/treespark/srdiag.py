@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SizeGuardError, WeightedGraph
-from .leverage import TransferCurrent, edge_frame_rows, leverage_scores
+from .leverage import TransferCurrent, edge_frame_rows
 from .spectral import _opnorm
 from .treesample import sample_tree_stream
 
@@ -62,7 +62,6 @@ class ShrinkingMarginalsReport:
     unconditional)``.
     """
 
-    graph: WeightedGraph
     num_forests: int
     num_pairs: int
     max_excess: float
@@ -122,7 +121,6 @@ def shrinking_marginals_suite(
                 max_excess = excess
                 worst = (forest, eid, float(cond[eid]), float(base[eid]))
     return ShrinkingMarginalsReport(
-        graph=g,
         num_forests=len(forests),
         num_pairs=num_pairs,
         max_excess=max_excess,
@@ -147,13 +145,12 @@ class MartingaleTrace:
     matrix.  ``step_norms[i-1]`` is the norm of increment i,
     ``variation_norms[i-1]`` the norm of the running predictable
     quadratic variation, whose per-step summands are kept in
-    ``second_moments``.  ``max_edge_norm`` is the largest single-edge
-    matrix norm (the increment range) and ``frame_norm`` the norm of the
-    full expectation; with inverse-leverage weights both are 1 up to
-    rounding.
+    ``second_moments`` with norms ``second_moment_norms``.  ``max_edge_norm``
+    is the largest single-edge matrix norm (the increment range) and
+    ``frame_norm`` the norm of the full expectation; with inverse-leverage
+    weights both are 1 up to rounding.
     """
 
-    graph: WeightedGraph
     ordering: tuple[int, ...]
     cond_expectations: tuple
     step_norms: tuple[float, ...]
@@ -162,6 +159,7 @@ class MartingaleTrace:
     frame_norm: float
     cond_mean_norms: tuple[float, ...]
     zero_mean_residuals: tuple[float, ...]
+    second_moment_norms: tuple[float, ...]
     second_moments: tuple
     variations: tuple
 
@@ -178,12 +176,22 @@ class MartingaleTrace:
         """
         return 10.0 * self.frame_norm * self.max_edge_norm * math.log(self.k)
 
+    def envelopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step caps ``(mu / s, 4 mu R / s)``, ``s = k - i + 1`` slots at step i.
 
-def _edge_matrices(g: WeightedGraph) -> np.ndarray:
-    """Stack of ``r_e r_e^T / lev_e`` in the whitened frame, shape (m, n - 1, n - 1)."""
-    rows = edge_frame_rows(g)
-    rows /= np.sqrt(leverage_scores(g).values)[:, None]
-    return np.einsum("ei,ej->eij", rows, rows)
+        They bound the conditional mean and the second moment norms.
+        """
+        mu, slots = self.frame_norm, np.arange(self.k, 0, -1)
+        return mu / slots, 4.0 * mu * self.max_edge_norm / slots
+
+    def worst_margin(self) -> tuple[float, int, str]:
+        """Smallest slack ``(margin, step, bound)`` to the range ``R`` or ``10 mu R ln k``."""
+        top = int(np.argmax(self.step_norms))
+        step_margin = self.max_edge_norm - self.step_norms[top]
+        cumulative_margin = self.cumulative_bound() - self.variation_norms[-1]
+        if step_margin <= cumulative_margin:
+            return step_margin, top + 1, "increment_range"
+        return cumulative_margin, self.k, "cumulative"
 
 
 def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
@@ -205,23 +213,23 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
     if len(ordering) != k or len(set(ordering)) != k:
         raise ValueError(f"ordering must list {k} distinct edges")
 
-    mats = _edge_matrices(g)
+    # Uncontracted, the transfer-current diagonal is the leverage vector.
+    tc = TransferCurrent(g)
+    margs = lev = tc.marginals()
+    rows = edge_frame_rows(g) / np.sqrt(lev)[:, None]
+    mats = np.einsum("ei,ej->eij", rows, rows)
     flat = mats.reshape(g.m, -1)
-    lev = leverage_scores(g).values
     max_edge_norm = float(_opnorm(mats).max())
 
     expect_0 = np.tensordot(lev, mats, axes=1)
     frame_norm = _opnorm(expect_0)
-
-    tc = TransferCurrent(g)
-    margs = tc.marginals()
     expect_prev = expect_0
 
     cond_expectations = [expect_0]
     second_moments = []
     variations = []
-    # Per step: conditional mean, zero-mean residual, realised increment
-    # and running variation, normed together after the loop.
+    # Per step: conditional mean, zero-mean residual, realised increment,
+    # running variation and second moment, normed together after the loop.
     normed = []
     variation = np.zeros_like(expect_0)
 
@@ -246,18 +254,17 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
                 f"edge {chosen} cannot be revealed at step {i}: zero conditional marginal"
             )
         idx = int(hits[0])
-        normed.append((cond_mean, residual, increments[idx], variation))
+        normed.append((cond_mean, residual, increments[idx], variation, second))
         tc.contract(chosen)
         margs = tc.marginals()
         expect_prev = cand_expect[idx]
         cond_expectations.append(expect_prev)
 
-    cond_mean_norms, zero_mean_residuals, step_norms, variation_norms = (
+    cond_mean_norms, zero_mean_residuals, step_norms, variation_norms, second_norms = (
         tuple(float(x) for x in col) for col in _opnorm(np.array(normed)).T
     )
 
     return MartingaleTrace(
-        graph=g,
         ordering=ordering,
         cond_expectations=tuple(cond_expectations),
         step_norms=step_norms,
@@ -266,6 +273,7 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         frame_norm=frame_norm,
         cond_mean_norms=cond_mean_norms,
         zero_mean_residuals=zero_mean_residuals,
+        second_moment_norms=second_norms,
         second_moments=tuple(second_moments),
         variations=tuple(variations),
     )
@@ -284,21 +292,12 @@ def check_step_variance_bound(trace: MartingaleTrace) -> bool:
     """Per-step predictable variance and conditional mean bounds.
 
     Step i (with ``s = k - i + 1`` unrevealed slots) must satisfy
-    ``lambda_max(E[X_i^2 | past]) <= 4 * mu * R / s`` up to
-    ``STEP_SLACK``, where ``mu`` is the frame norm and ``R`` the edge
-    norm range.  Also verifies the per-edge conditional mean bound
-    ``||E[A | past]|| <= mu / s`` at every step.
+    ``||E[X_i^2 | past]|| <= 4 * mu * R / s`` and the per-edge
+    conditional mean bound ``||E[A | past]|| <= mu / s``, each up to
+    ``STEP_SLACK``, with the caps of :meth:`MartingaleTrace.envelopes`.
     """
-    k = trace.k
-    mu = trace.frame_norm
-    mu_r = mu * trace.max_edge_norm
-    for i, second in enumerate(trace.second_moments, start=1):
-        slots = k - i + 1
-        if trace.cond_mean_norms[i - 1] > mu / slots + STEP_SLACK:
-            return False
-        if float(np.linalg.eigvalsh(second)[-1]) > 4.0 * mu_r / slots + STEP_SLACK:
-            return False
-    return True
+    norms = np.array([trace.cond_mean_norms, trace.second_moment_norms])
+    return bool(np.all(norms <= np.array(trace.envelopes()) + STEP_SLACK))
 
 
 def check_trace_bounds(trace: MartingaleTrace) -> bool:
@@ -330,18 +329,11 @@ def trace_dump(trace: MartingaleTrace) -> str:
     ``4 mu R / slots``, i.e. the proved cap on the variation norm after
     step i.  The JSON record summarises the trace and its verdict.
     """
-    k = trace.k
-    mu_r = trace.frame_norm * trace.max_edge_norm
-    lines = []
-    running = 0.0
-    for i in range(1, k + 1):
-        running += 4.0 * mu_r / (k - i + 1)
-        lines.append(
-            f"{i} {trace.step_norms[i - 1]:.12g} "
-            f"{trace.variation_norms[i - 1]:.12g} {running:.12g}"
-        )
+    running = np.cumsum(trace.envelopes()[1])
+    steps = zip(trace.step_norms, trace.variation_norms, running)
+    lines = [f"{i} {x:.12g} {w:.12g} {b:.12g}" for i, (x, w, b) in enumerate(steps, start=1)]
     summary = {
-        "k": k,
+        "k": trace.k,
         "ordering": list(trace.ordering),
         "max_edge_norm": trace.max_edge_norm,
         "frame_norm": trace.frame_norm,

@@ -243,12 +243,6 @@ def reweight_tree(tree: SpanningTree, profile: LeverageProfile) -> SpanningTree:
     return SpanningTree(tree.graph, tree.edge_ids, weights, "inverse_leverage")
 
 
-def tree_laplacian(tree: SpanningTree) -> np.ndarray:
-    """Dense Laplacian of the tree with its stored weights."""
-    g = tree.graph
-    return laplacian(g, np.bincount(tree.edge_ids, weights=tree.weights, minlength=g.m))
-
-
 def average_trees(trees: list[SpanningTree], probabilities=None) -> np.ndarray:
     """Laplacian of the average of several trees over one parent graph.
 

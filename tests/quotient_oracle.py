@@ -159,6 +159,7 @@ def quotient_trace(g, ordering) -> dict:
         "variation_norms": [],
         "cond_mean_norms": [],
         "zero_mean_residuals": [],
+        "second_moment_norms": [],
     }
     variation = np.zeros_like(expect_prev)
     for i, chosen in enumerate(ordering, start=1):
@@ -172,7 +173,9 @@ def quotient_trace(g, ordering) -> dict:
         ]
         fields["cond_mean_norms"].append(_opnorm(sum(p * mats[e] for p, e in zip(probs, cands))))
         fields["zero_mean_residuals"].append(_opnorm(sum(p * x for p, x in zip(probs, incs))))
-        variation = variation + sum(p * x @ x for p, x in zip(probs, incs))
+        second = sum(p * x @ x for p, x in zip(probs, incs))
+        fields["second_moment_norms"].append(_opnorm(second))
+        variation = variation + second
         fields["variation_norms"].append(_opnorm(variation))
         idx = cands.index(chosen)
         fields["step_norms"].append(_opnorm(incs[idx]))

@@ -39,7 +39,6 @@ from treespark.treesample import (
     edge_frequencies,
     reweight_tree,
     sample_tree_stream,
-    tree_laplacian,
 )
 
 
@@ -248,7 +247,7 @@ def test_single_tree_runners_match_tree_object_route(name, g):
         for seed in seeds:
             tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
             tree = reweight_tree(tree, prof) if reweight else tree
-            out.append(normalized_pencil(frame, tree_laplacian(tree)))
+            out.append(normalized_pencil(frame, average_trees([tree])))
         return out
 
     upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])

@@ -235,13 +235,18 @@ def test_psd_leq_transitive_on_chains():
 
 
 def test_psd_leq_antisymmetry():
+    # A <= B and B <= A hold together only when A = B up to tolerance.
     gen = np.random.Generator(np.random.Philox(29))
-    a = _random_symmetric(gen, 5)
-    assert psd_leq(a, a).holds and psd_leq(a, a).holds
-    bump = np.zeros((5, 5))
-    bump[0, 0] = 1e-3
-    assert psd_leq(a, a + bump).holds
-    assert not psd_leq(a + bump, a).holds
+    for _ in range(200):
+        a, b = _random_symmetric(gen, 5), _random_symmetric(gen, 5)
+        assert not (psd_leq(a, b).holds and psd_leq(b, a).holds)
+        root = _random_symmetric(gen, 5)
+        p = root @ root.T
+        p /= np.linalg.norm(p, 2)
+        bumped = a + 1e-3 * p
+        assert psd_leq(a, bumped).holds and not psd_leq(bumped, a).holds
+        nudged = a + 1e-12 * p
+        assert psd_leq(a, nudged).holds and psd_leq(nudged, a).holds
 
 
 def test_psd_leq_common_null_direction():

@@ -202,6 +202,20 @@ def test_trace_deterministic():
     assert a.step_norms == b.step_norms
 
 
+def test_trace_checks_run_no_eigensolve(monkeypatch):
+    # Every norm the checks read comes from the trace's one batched pass.
+    tr = martingale_trace(complete_graph(5), 4)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert check_trace_bounds(tr)
+    assert len(calls) == 0
+
+
 @pytest.mark.parametrize(
     "g",
     [

@@ -43,7 +43,6 @@ from treespark.treesample import (
     reweight_tree,
     sample_tree_stream,
     sample_tree_wilson,
-    tree_laplacian,
     wilson_tree_batches,
 )
 
@@ -198,15 +197,9 @@ def test_reweight_rejects_mode_and_graph_mismatch():
 def test_tree_laplacian_matches_manual():
     g = weighted_triangle()
     tree = SpanningTree(g, (0, 2), (1.0, 2.0), "original")
-    lap = tree_laplacian(tree)
+    lap = average_trees([tree])
     want = np.array([[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
     assert np.allclose(lap, want, atol=1e-12)
-
-
-def test_average_single_tree():
-    g = complete_graph(4)
-    tree = sample_tree_wilson(g, 5)
-    assert np.allclose(average_trees([tree]), tree_laplacian(tree), atol=1e-12)
 
 
 def test_average_probability_weighted_expectation_exact():
@@ -225,7 +218,7 @@ def test_average_probability_weighted_expectation_exact():
 def test_average_identical_trees_idempotent():
     g = complete_graph(4)
     tree = sample_tree_wilson(g, 5)
-    assert np.allclose(average_trees([tree, tree]), tree_laplacian(tree), atol=1e-12)
+    assert np.allclose(average_trees([tree, tree]), average_trees([tree]), atol=1e-12)
 
 
 def test_average_validation():

@@ -508,12 +508,12 @@ def run_unweighted_thin_tree(
     ``lambda_max`` is at most ``100 * max_leverage * ln n``, the
     leverage-scaled analogue of the single tree envelope.
     """
-    if any(w != 1.0 for _, _, w in g.edges):
+    _, _, ws = g.edge_arrays
+    if (ws != 1.0).any():
         raise ValueError("thin tree runs need a unit-weight graph")
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     max_lev = float(leverage_scores(g).values.max())
-    _, _, ws = g.edge_arrays
     extremes = _run_trials(_CertifyRun(g, 1, ws, laplacian_frame(g)), seeds)
     max_lambda = max(hi for _, hi in extremes)
     envelope = 100.0 * max_lev * math.log(g.n)

@@ -1,16 +1,16 @@
 """Weighted multigraph representation, named constructions and file I/O.
 
-Vertices are dense integers ``0..n-1``.  Edges are stored as an ordered
-tuple of ``(u, v, w)`` triples with the orientation normalised to
+Vertices are dense integers ``0..n-1``.  A graph stores its edges once,
+as read-only arrays ``(us, vs, ws)`` with the orientation normalised to
 ``u < v``; parallel edges are allowed and keep their own identity (the
-edge id is the position in the stored tuple).  Self loops and
-non-positive weights are rejected, as are disconnected graphs.
+edge id is the position in those arrays).  Self loops, non-integer
+vertex ids and non-positive or non-finite weights are rejected, as are
+disconnected graphs.  Edge ids and their order depend only on the
+triples given, not on how they were built.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -31,35 +31,37 @@ class SizeGuardError(ValueError):
     """Raised when an exhaustive routine is asked to exceed its size cap."""
 
 
-class UnionFind:
-    """Array-based disjoint sets with path halving and union by size."""
+def component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each vertex's connected component.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; return False if already merged."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
+    Hook and compress, after Shiloach and Vishkin: every edge that joins
+    two components hooks the larger root onto the smaller, then pointer
+    jumping flattens each tree to a star.  Each round merges at least
+    one pair of components, and a root only ever hooks onto a smaller
+    one, so the root left standing is its component's smallest vertex
+    whatever order the hooks land in.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[us], label[vs]
+        cross = lu != lv
+        if not cross.any():
+            return label
+        np.minimum.at(label, np.maximum(lu, lv)[cross], np.minimum(lu, lv)[cross])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
-@dataclass(frozen=True)
+def _reject_first(table: np.ndarray, bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        eid = int(np.flatnonzero(bad)[0])
+        u, v, w = table[eid].tolist()
+        raise ValueError(f"edge {eid} ({u!r}, {v!r}, {w!r}): {what}")
+
+
 class WeightedGraph:
     """Connected weighted multigraph on vertices ``0..n-1``.
 
@@ -68,49 +70,48 @@ class WeightedGraph:
     n:
         Number of vertices, at least 2.
     edges:
-        Sequence of ``(u, v, w)`` triples with ``u != v`` and ``w > 0``.
+        ``(u, v, w)`` triples, as a sequence or an ``(m, 3)`` array, with
+        integer ``u != v`` in range and ``w`` positive and finite.
         Orientation is normalised to ``u < v`` on construction; the
-        position of a triple in the tuple is its edge id.
+        position of a triple is its edge id.
+
+    The read-only :attr:`edge_arrays` are the only stored form of the
+    edges.  Graphs compare and hash by identity, so a cache keyed on a
+    graph never reads its edges.
     """
 
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"need at least 2 vertices, got n={self.n}")
-        canon = []
-        uf = UnionFind(self.n)
-        for u, v, w in self.edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self loop at vertex {u}")
-            w = float(w)
-            if not (w > 0.0) or not math.isfinite(w):
-                raise ValueError(f"edge weight must be positive and finite, got {w}")
-            if u > v:
-                u, v = v, u
-            canon.append((u, v, w))
-            uf.union(u, v)
-        if uf.count != 1:
+    def __init__(self, n: int, edges):
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"need at least 2 vertices, got n={n}")
+        table = np.asarray(edges, dtype=np.float64)
+        if table.size == 0:
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError(f"edges must be (u, v, w) triples, got shape {table.shape}")
+        u, v, w = table.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        fractional = (lo != np.floor(lo)) | (hi != np.floor(hi))
+        _reject_first(table, fractional, "vertex ids must be integers")
+        _reject_first(table, (lo < 0) | (hi >= n), "endpoint out of range")
+        _reject_first(table, lo == hi, "self loop")
+        _reject_first(table, ~((w > 0.0) & (w < np.inf)), "weight must be positive and finite")
+        us, vs, ws = lo.astype(np.int64), hi.astype(np.int64), w.copy()
+        if component_labels(n, us, vs).any():
             raise DisconnectedGraphError(
-                f"graph on {self.n} vertices with {len(canon)} edges is disconnected"
+                f"graph on {n} vertices with {len(ws)} edges is disconnected"
             )
-        object.__setattr__(self, "edges", tuple(canon))
+        for arr in (us, vs, ws):
+            arr.flags.writeable = False
+        self.__dict__.update(n=n, m=len(ws), edge_arrays=(us, vs, ws))
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeightedGraph is read-only, cannot set {name!r}")
 
     @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Endpoint and weight arrays (us, vs, ws) aligned with edge ids."""
-        us = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=self.m)
-        vs = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
-        ws = np.fromiter((e[2] for e in self.edges), dtype=np.float64, count=self.m)
-        return us, vs, ws
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as ``(u, v, w)`` triples in edge-id order, built on first read."""
+        us, vs, ws = self.edge_arrays
+        return tuple(zip(us.tolist(), vs.tolist(), ws.tolist()))
 
     @cached_property
     def adjacency(self) -> tuple[list, list, list, list]:
@@ -186,20 +187,24 @@ def laplacian(g: WeightedGraph, weights=None) -> np.ndarray:
     return lap
 
 
+def _unit_edges(us, vs) -> np.ndarray:
+    """``(m, 3)`` table of unit-weight edges ``(us[i], vs[i])``, in row-major order."""
+    return np.column_stack((np.ravel(us), np.ravel(vs), np.ones(np.size(us))))
+
+
 def complete_graph(n: int) -> WeightedGraph:
     """Complete graph on n vertices with unit edge weights."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    edges = tuple((u, v, 1.0) for u in range(n) for v in range(u + 1, n))
-    return WeightedGraph(n, edges)
+    return WeightedGraph(n, _unit_edges(*np.triu_indices(n, 1)))
 
 
 def ring_graph(n: int) -> WeightedGraph:
     """Unit-weight cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError(f"ring needs n >= 3, got {n}")
-    edges = tuple((v, (v + 1) % n, 1.0) for v in range(n))
-    return WeightedGraph(n, edges)
+    vs = np.arange(n)
+    return WeightedGraph(n, _unit_edges(vs, (vs + 1) % n))
 
 
 def clique_star(num_cliques: int, clique_size: int) -> WeightedGraph:
@@ -216,13 +221,11 @@ def clique_star(num_cliques: int, clique_size: int) -> WeightedGraph:
     if clique_size < 3:
         raise ValueError(f"clique size must be >= 3, got {clique_size}")
     block = clique_size - 1
-    edges = []
-    for i in range(num_cliques):
-        members = [0] + list(range(1 + i * block, 1 + (i + 1) * block))
-        for a in range(clique_size):
-            for b in range(a + 1, clique_size):
-                edges.append((members[a], members[b], 1.0))
-    return WeightedGraph(num_cliques * block + 1, tuple(edges))
+    # Row i lists clique i's members: the hub, then its own block.
+    members = np.zeros((num_cliques, clique_size), dtype=np.int64)
+    members[:, 1:] = np.arange(1, num_cliques * block + 1).reshape(num_cliques, block)
+    a, b = np.triu_indices(clique_size, 1)
+    return WeightedGraph(num_cliques * block + 1, _unit_edges(members[:, a], members[:, b]))
 
 
 def erdos_renyi_connected(n: int, p: float, seed: int) -> WeightedGraph:
@@ -239,9 +242,8 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> WeightedGraph:
     us, vs = np.triu_indices(n, 1)
     for _ in range(ER_MAX_ATTEMPTS):
         picked = np.flatnonzero(gen.random(len(us)) < p)
-        edges = tuple(zip(us[picked].tolist(), vs[picked].tolist(), [1.0] * len(picked)))
         try:
-            return WeightedGraph(n, edges)
+            return WeightedGraph(n, _unit_edges(us[picked], vs[picked]))
         except DisconnectedGraphError:
             continue
     raise ValueError(f"no connected G({n}, {p}) draw within {ER_MAX_ATTEMPTS} attempts")
@@ -255,7 +257,7 @@ def write_graph(g: WeightedGraph, path: str) -> None:
     """
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.m}\n")
-        for u, v, w in g.edges:
+        for u, v, w in zip(*(arr.tolist() for arr in g.edge_arrays)):
             fh.write(f"{u} {v} {w:.17g}\n")
 
 
@@ -297,8 +299,8 @@ def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
         except ValueError as exc:
             raise GraphFileError(f"{path}: bad edge line {ln!r}") from exc
     try:
-        return WeightedGraph(n, tuple(edges))
+        return WeightedGraph(n, edges)
     except DisconnectedGraphError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise GraphFileError(f"{path}: {exc}") from exc

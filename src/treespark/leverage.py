@@ -50,7 +50,7 @@ def _guard_dense(g: WeightedGraph) -> None:
         )
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def laplacian_frame(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(M, U_0)`` that whitens ``L_G``, computed once per graph.
 
@@ -124,7 +124,8 @@ class LeverageProfile:
             raise ValueError(
                 f"expected {self.graph.m} scores, got shape {vals.shape}"
             )
-        if float(vals.min(initial=1.0)) <= 0.0 or float(vals.max(initial=0.0)) > 1.0 + 1e-10:
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not ((vals > 0.0) & (vals <= 1.0 + 1e-10)).all():
             raise ValueError("leverage scores must lie in (0, 1]")
         total = float(vals.sum())
         target = self.graph.n - 1

@@ -89,12 +89,12 @@ def shrinking_marginals_suite(
     root = TransferCurrent(g)
     base = root.marginals()
     forests: list[tuple[tuple[int, ...], np.ndarray]] = []
+    us, vs, _ = g.edge_arrays
 
     def recurse(next_eid: int, chosen: list[int], tc: TransferCurrent):
         forests.append((tuple(chosen), tc.marginals()))
         for eid in range(next_eid, g.m):
-            u, v, _ = g.edges[eid]
-            if tc.reps[u] == tc.reps[v]:
+            if tc.reps[us[eid]] == tc.reps[vs[eid]]:
                 continue
             sub = tc.copy()
             sub.contract(eid)

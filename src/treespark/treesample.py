@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UnionFind, WeightedGraph, laplacian
+from .graph import WeightedGraph, component_labels, laplacian
 from .leverage import LeverageProfile
 
 WEIGHT_MODES = ("original", "inverse_leverage")
@@ -42,19 +42,18 @@ _BATCH_SLOTS = 1 << 20
 def check_tree_ids(g: WeightedGraph, ids) -> None:
     """Raise ValueError unless ``ids`` are the edge ids of a spanning tree.
 
-    ``n - 1`` in-range ids without a cycle span all ``n`` vertices, so a
-    single union-find pass settles it; a repeated id shows up as a cycle.
+    ``n - 1`` in-range ids form a tree exactly when they connect all
+    ``n`` vertices; otherwise some close a cycle, a repeated id included.
     """
     n = g.n
     if len(ids) != n - 1:
         raise ValueError(f"expected {n - 1} edges, got {len(ids)}")
-    if not (0 <= min(ids) and max(ids) < g.m):
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.min() < 0 or ids.max() >= g.m:
         raise ValueError("edge id out of range")
-    uf = UnionFind(n)
-    for eid in ids:
-        u, v, _ = g.edges[eid]
-        if not uf.union(u, v):
-            raise ValueError(f"edge {eid} closes a cycle")
+    us, vs, _ = g.edge_arrays
+    if component_labels(n, us[ids], vs[ids]).any():
+        raise ValueError("tree edges close a cycle and leave a vertex unreached")
 
 
 def check_parent_trees(g: WeightedGraph, parents, edge_ids) -> None:
@@ -106,22 +105,18 @@ class SpanningTree:
     weight_mode: str
 
     def __post_init__(self):
-        ids = tuple(sorted(int(e) for e in self.edge_ids))
+        order = sorted(range(len(self.edge_ids)), key=lambda i: int(self.edge_ids[i]))
+        ids = tuple(int(self.edge_ids[i]) for i in order)
         check_tree_ids(self.graph, ids)
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if len(self.weights) != len(ids):
             raise ValueError("weights do not align with edge ids")
-        if ids != tuple(self.edge_ids):
-            order = sorted(range(len(self.edge_ids)), key=lambda i: self.edge_ids[i])
-            object.__setattr__(
-                self, "weights", tuple(float(self.weights[i]) for i in order)
-            )
-            object.__setattr__(self, "edge_ids", ids)
-        else:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if any(not (w > 0.0) for w in self.weights):
-            raise ValueError("tree weights must be positive")
+        weights = tuple(float(self.weights[i]) for i in order)
+        if any(not (0.0 < w < math.inf) for w in weights):
+            raise ValueError("tree weights must be positive and finite")
+        object.__setattr__(self, "edge_ids", ids)
+        object.__setattr__(self, "weights", weights)
 
 
 def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
@@ -186,8 +181,8 @@ def sample_tree_wilson(g: WeightedGraph, rng_seed: int) -> SpanningTree:
 
 def sample_tree_stream(g: WeightedGraph, gen: np.random.Generator) -> SpanningTree:
     """Draw one tree from a caller-owned generator (for multi-tree trials)."""
-    ids = tuple(sorted(_wilson_edge_ids(g, gen)))
-    return SpanningTree(g, ids, tuple(g.edges[e][2] for e in ids), "original")
+    ids = sorted(_wilson_edge_ids(g, gen))
+    return SpanningTree(g, tuple(ids), g.edge_arrays[2][ids].tolist(), "original")
 
 
 def wilson_tree_batches(g: WeightedGraph, gen: np.random.Generator, count: int):
@@ -233,7 +228,7 @@ def reweight_tree(tree: SpanningTree, profile: LeverageProfile) -> SpanningTree:
     The resulting random Laplacian has the parent graph's Laplacian as
     its exact expectation when trees are drawn weight-proportionally.
     """
-    if profile.graph != tree.graph:
+    if profile.graph is not tree.graph:
         raise ValueError("leverage profile belongs to a different graph")
     if tree.weight_mode != "original":
         raise ValueError(f"can only reweight original-weight trees, got {tree.weight_mode!r}")
@@ -266,7 +261,7 @@ def average_trees(trees: list[SpanningTree], probabilities=None) -> np.ndarray:
     ids: list[int] = []
     scaled: list[float] = []
     for tree, c in zip(trees, coeffs):
-        if not (tree.graph is first.graph or tree.graph == first.graph):
+        if tree.graph is not first.graph:
             raise ValueError("trees come from different parent graphs")
         if tree.weight_mode != first.weight_mode:
             raise ValueError("trees mix weight modes")

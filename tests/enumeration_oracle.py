@@ -13,9 +13,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treespark.graph import SizeGuardError, UnionFind, WeightedGraph, laplacian
+from treespark.graph import SizeGuardError, WeightedGraph, laplacian
 
 ENUMERATION_EDGE_CAP = 22
+
+
+class UnionFind:
+    """Array-based disjoint sets with path halving and union by size.
+
+    The loop-at-a-time reference for :func:`treespark.graph.component_labels`.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; return False if already merged."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.count -= 1
+        return True
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The benchmark's hooks still bind to the program.
 
 ``perfbench/child.py`` runs one CLI call with every ``spans.TARGETS``
-function wrapped and reads ``_laplacian_pinv.cache_info()`` afterwards;
-a refactor that unbinds either makes the call fail here instead of only
-in a traced benchmark run.
+function and the lazy ``WeightedGraph.adjacency`` build wrapped, and
+reads ``_laplacian_pinv.cache_info()`` afterwards; a refactor that
+unbinds any of them, or leaves a layer's span unrecorded, makes the call
+fail here instead of only in a traced benchmark run.
 """
 
 import json
@@ -23,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
         (
             "certify",
             ["certify", "--graph", "k:8", "--eps", "0.5", "--trials", "2", "--jobs", "1", "--json"],
-            {"spectral.pencil", "experiments.trial"},
+            {"graph.build", "graph.adjacency", "spectral.pencil", "experiments.trial"},
         ),
         (
             "martingale",

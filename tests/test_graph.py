@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from corpus import SMALL, path_graph, random_connected_graph, star_graph, weighted_triangle
+from enumeration_oracle import UnionFind
 from treespark.graph import (
     DisconnectedGraphError,
     GraphFileError,
     SizeGuardError,
-    UnionFind,
     WeightedGraph,
     clique_star,
     complete_graph,
+    component_labels,
     erdos_renyi_connected,
     laplacian,
     read_graph,
@@ -96,6 +97,119 @@ def test_weighted_degrees():
 def test_invalid_edges_rejected(edges, err):
     with pytest.raises(err):
         WeightedGraph(2 if max(max(u, v) for u, v, _ in edges) < 2 else 3, edges)
+
+
+def test_non_integer_vertex_ids_rejected():
+    # int() would truncate these to the path 0-1-2.
+    with pytest.raises(ValueError, match=r"edge 0 \(0\.7, 1\.0, 1\.0\): vertex ids must be"):
+        WeightedGraph(3, [(0.7, 1, 1.0), (1, 2.9, 1.0)])
+    with pytest.raises(ValueError, match="edge 1 .*integers"):
+        WeightedGraph(3, [(0, 1, 1.0), (1, 2.9, 1.0)])
+    with pytest.raises(ValueError, match="edge 0 .*integers"):
+        WeightedGraph(2, [(float("nan"), 1, 1.0)])
+
+
+def test_edge_table_array_and_triples_build_the_same_graph():
+    triples = [(2, 1, 1.0), (1, 0, 2.5), (0, 2, 3.0), (1, 2, 0.25)]
+    g = WeightedGraph(3, triples)
+    h = WeightedGraph(3, np.array(triples))
+    assert g.edges == h.edges == ((1, 2, 1.0), (0, 1, 2.5), (0, 2, 3.0), (1, 2, 0.25))
+    for a, b in zip(g.edge_arrays, h.edge_arrays):
+        assert np.array_equal(a, b) and a.dtype == b.dtype and not a.flags.writeable
+    assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in g.edges)
+    with pytest.raises(ValueError, match="triples"):
+        WeightedGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(OverflowError):
+        WeightedGraph(3, [(0, 10**400, 1.0)])
+
+
+def test_graphs_compare_and_hash_by_identity():
+    g, h = complete_graph(4), complete_graph(4)
+    assert g.edges == h.edges
+    assert g == g and g != h
+    assert len({g, h, g}) == 2
+    with pytest.raises(AttributeError, match="read-only"):
+        g.n = 5
+
+
+def _nested_loop_edges(kind: str, *args) -> tuple:
+    """The builders' edge lists as the per-edge loops that first built them."""
+    if kind == "k":
+        (n,) = args
+        return tuple((u, v, 1.0) for u in range(n) for v in range(u + 1, n))
+    if kind == "ring":
+        (n,) = args
+        return tuple((min(v, (v + 1) % n), max(v, (v + 1) % n), 1.0) for v in range(n))
+    num_cliques, clique_size = args
+    block = clique_size - 1
+    edges = []
+    for i in range(num_cliques):
+        members = [0] + list(range(1 + i * block, 1 + (i + 1) * block))
+        for a in range(clique_size):
+            for b in range(a + 1, clique_size):
+                edges.append((members[a], members[b], 1.0))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize(
+    "kind,args",
+    [("k", (n,)) for n in range(2, 8)]
+    + [("ring", (n,)) for n in range(3, 8)]
+    + [("cliquestar", (c, s)) for c in range(1, 4) for s in range(3, 6)],
+)
+def test_builders_match_the_nested_loop_construction(kind, args, tmp_path):
+    build = {"k": complete_graph, "ring": ring_graph, "cliquestar": clique_star}[kind]
+    g = build(*args)
+    assert g.edges == _nested_loop_edges(kind, *args)
+    path = tmp_path / "g.graph"
+    write_graph(g, str(path))
+    h = read_graph(str(path))
+    assert (h.n, h.edges) == (g.n, g.edges)
+
+
+def _union_find_labels(n: int, us, vs) -> np.ndarray:
+    uf = UnionFind(n)
+    for u, v in zip(us, vs):
+        uf.union(int(u), int(v))
+    smallest = {}
+    for x in range(n):
+        smallest.setdefault(uf.find(x), x)
+    return np.array([smallest[uf.find(x)] for x in range(n)])
+
+
+def test_component_labels_match_union_find_on_random_multigraphs():
+    gen = np.random.Generator(np.random.Philox(2024))
+    disconnected = 0
+    for _ in range(200):
+        n = int(gen.integers(1, 40))
+        m = int(gen.integers(0, 2 * n + 1))
+        us, vs = gen.integers(0, n, m), gen.integers(0, n, m)  # loops and repeats included
+        want = _union_find_labels(n, us, vs)
+        assert np.array_equal(component_labels(n, us, vs), want)
+        disconnected += bool(want.any())
+    assert 20 <= disconnected <= 180
+
+
+def _labelled_path(n: int):
+    order = np.random.Generator(np.random.Philox(7)).permutation(n)
+    return order[:-1], order[1:]
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (500, _labelled_path(500)),
+        (300, (np.full(299, 150), np.delete(np.arange(300), 150))),
+        # Two triangles that only the last edge joins.
+        (6, (np.array([0, 1, 2, 3, 4, 5, 2]), np.array([1, 2, 0, 4, 5, 3, 5]))),
+    ],
+    ids=["labelled_path", "star", "last_edge_joins"],
+)
+def test_component_labels_edge_cases(n, edges):
+    us, vs = edges
+    assert np.array_equal(component_labels(n, us, vs), _union_find_labels(n, us, vs))
+    assert not component_labels(n, us, vs).any()
+    assert component_labels(n, us[:-1], vs[:-1]).any()
 
 
 def test_too_few_vertices_rejected():
@@ -220,6 +334,13 @@ def test_file_round_trip_awkward_weights(tmp_path):
 def test_read_graph_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.graph"
     path.write_text(text)
+    with pytest.raises(GraphFileError):
+        read_graph(str(path))
+
+
+def test_read_graph_rejects_an_endpoint_too_large_for_a_float(tmp_path):
+    path = tmp_path / "huge.graph"
+    path.write_text(f"3 1\n0 1{'0' * 400} 1.0\n")
     with pytest.raises(GraphFileError):
         read_graph(str(path))
 

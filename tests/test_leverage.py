@@ -81,6 +81,9 @@ def test_profile_validation():
         LeverageProfile(g, np.array([0.0, 1.0, 1.0]))  # zero score
     with pytest.raises(ValueError):
         LeverageProfile(g, np.array([1.2, 0.4, 0.4]))  # above 1
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must lie in"):
+            LeverageProfile(g, np.array([bad, 1.0, 1.0]))
 
 
 def test_empty_state_matches_leverage():
@@ -246,6 +249,16 @@ def test_quotient_single_block():
     g = path_graph(3)
     quot, _, eid_map, loops = ContractionState.from_edges(g, [0, 1]).quotient()
     assert quot is None and eid_map == {} and loops == []
+
+
+def test_frame_cache_keys_on_the_graph_object_and_holds_one_frame():
+    g, twin = weighted_triangle(), weighted_triangle()
+    frame = laplacian_frame(g)
+    assert laplacian_frame(g) is frame
+    other = laplacian_frame(twin)
+    assert other is not frame
+    assert np.array_equal(other[0], frame[0])
+    assert laplacian_frame.cache_info().currsize == 1
 
 
 def test_shared_decomposition_builds_one_read_only_frame():

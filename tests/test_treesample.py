@@ -255,6 +255,9 @@ def test_spanning_tree_validation():
         SpanningTree(g, (0, 0, 1), (1.0, 1.0, 1.0), "original")  # duplicate edge
     with pytest.raises(ValueError):
         SpanningTree(g, (0, 1, 2), (1.0, -1.0, 1.0), "original")  # bad weight
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SpanningTree(g, (0, 1, 2), (1.0, bad, 1.0), "original")
     with pytest.raises(ValueError):
         SpanningTree(g, (0, 1, 2), (1.0, 1.0, 1.0), "resampled")  # bad mode
 
@@ -427,3 +430,5 @@ def test_parse_tree_line_rejects_garbage():
         parse_tree_line("not a tree line", g, "original")
     with pytest.raises(ValueError):
         parse_tree_line("4; 0 1; 1 1", g, "original")  # vertex count mismatch
+    with pytest.raises(ValueError, match="positive and finite"):
+        parse_tree_line("3; 0 1; inf 1e400", g, "original")  # both weights overflow

@@ -99,8 +99,8 @@ def parse_graph_spec(spec: str, seed: int, max_n: int | None = None):
     raise UsageError(f"graph spec {spec!r} is neither a constructor nor a file")
 
 
-def _int_at_least(low: int):
-    """argparse type for integers that must be at least ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type for integers that must be at least ``low`` (and at most ``high``)."""
 
     def parse(text: str) -> int:
         try:
@@ -109,6 +109,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -348,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--seeds", type=_positive_int, default=20)
     p_diag.add_argument("--kmax", type=_int_at_least(2), default=60)
     p_diag.add_argument("--pairs", type=_positive_int, default=200)
-    p_diag.add_argument("--dim", type=_positive_int, default=8)
+    # Each pair draws two dim x dim matrices; the dense cap bounds them.
+    p_diag.add_argument("--dim", type=_int_at_least(1, DENSE_SOLVE_CAP), default=8)
     p_diag.add_argument("--seed", type=_seed_int, default=None)
     p_diag.add_argument("--dump", type=_output_path, default=None)
     p_diag.add_argument("--out", type=_output_path, default=None)

@@ -218,9 +218,12 @@ class TransferCurrent:
         rows = self.y[cands]
         pick = np.arange(len(cands))
         out = np.diag(self.y) - rows * rows / rows[pick, cands][:, None]
-        a, b = ru[cands][:, None], rv[cands][:, None]
-        merged = (ru == rv) | ((ru == a) & (rv == b)) | ((ru == b) & (rv == a))
-        out[merged] = 0.0
+        # Contracting a candidate turns every edge across the same pair of
+        # blocks into a loop; an unordered block pair is one integer key.
+        lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+        key = lo * self.graph.n + hi
+        out[key == key[cands][:, None]] = 0.0
+        out[:, lo == hi] = 0.0
         out[:, self.contracted] = 1.0
         out[pick, cands] = 1.0
         return out

@@ -27,6 +27,7 @@ tails far below 1e-300 keep their logarithms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +41,9 @@ from .treesample import sample_tree_stream
 
 SHRINKING_EDGE_CAP = 10
 TRACE_VERTEX_CAP = 12
+# Admits every simple graph under the vertex cap (at most 66 edges) and
+# keeps the m x m transfer-current matrix at 2 MB.
+TRACE_EDGE_CAP = 512
 
 SHRINKING_TOL = 1e-10
 STEP_SLACK = 1e-8
@@ -194,6 +198,46 @@ class MartingaleTrace:
         return cumulative_margin, self.k, "cumulative"
 
 
+@dataclass(frozen=True)
+class _TraceFrame:
+    """Read-only per-graph state every trace of one graph starts from.
+
+    ``tc`` is the unconditioned transfer-current state (traces contract a
+    ``copy()``), ``lev`` the leverage vector read off its diagonal,
+    ``flat`` the edge matrices ``A_e`` as an ``(m, k^2)`` array and
+    ``expect_0`` their leverage-weighted sum, the identity up to
+    rounding.
+    """
+
+    tc: TransferCurrent
+    lev: np.ndarray
+    flat: np.ndarray
+    max_edge_norm: float
+    expect_0: np.ndarray
+    frame_norm: float
+
+
+@functools.lru_cache(maxsize=1)
+def _trace_frame(g: WeightedGraph) -> _TraceFrame:
+    """Build the graph-only part of a trace once per graph (keyed by identity)."""
+    tc = TransferCurrent(g)
+    # Uncontracted, the transfer-current diagonal is the leverage vector.
+    lev = tc.marginals()
+    rows = edge_frame_rows(g) / np.sqrt(lev)[:, None]
+    mats = np.einsum("ei,ej->eij", rows, rows)
+    expect_0 = np.tensordot(lev, mats, axes=1)
+    for arr in (tc.y, tc.reps, tc.contracted, lev, mats, expect_0):
+        arr.flags.writeable = False
+    return _TraceFrame(
+        tc=tc,
+        lev=lev,
+        flat=mats.reshape(g.m, -1),
+        max_edge_norm=float(_opnorm(mats).max()),
+        expect_0=expect_0,
+        frame_norm=_opnorm(expect_0),
+    )
+
+
 def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
     """Build the exact martingale trace for a given edge reveal order.
 
@@ -202,47 +246,48 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
     reveal could have produced next, weighting candidate e by its
     conditional marginal divided by the number of unrevealed slots, and
     records the realised increment, the mixture mean (which must vanish)
-    and the mixture second moment.
+    and the mixture second moment.  Guarded at ``n <= 12`` vertices and
+    ``m <= 512`` edges, since the transfer-current matrix is m x m.
     """
     if g.n > TRACE_VERTEX_CAP:
         raise SizeGuardError(
             f"martingale trace capped at n = {TRACE_VERTEX_CAP} vertices, got n = {g.n}"
+        )
+    if g.m > TRACE_EDGE_CAP:
+        raise SizeGuardError(
+            f"martingale trace capped at m = {TRACE_EDGE_CAP} edges, got m = {g.m}"
         )
     ordering = tuple(int(e) for e in ordering)
     k = g.n - 1
     if len(ordering) != k or len(set(ordering)) != k:
         raise ValueError(f"ordering must list {k} distinct edges")
 
-    # Uncontracted, the transfer-current diagonal is the leverage vector.
-    tc = TransferCurrent(g)
-    margs = lev = tc.marginals()
-    rows = edge_frame_rows(g) / np.sqrt(lev)[:, None]
-    mats = np.einsum("ei,ej->eij", rows, rows)
-    flat = mats.reshape(g.m, -1)
-    max_edge_norm = float(_opnorm(mats).max())
+    frame = _trace_frame(g)
+    flat = frame.flat
+    tc = frame.tc.copy()
+    margs = frame.lev
+    expect_prev = frame.expect_0
 
-    expect_0 = np.tensordot(lev, mats, axes=1)
-    frame_norm = _opnorm(expect_0)
-    expect_prev = expect_0
-
-    cond_expectations = [expect_0]
+    cond_expectations = [expect_prev]
     second_moments = []
     variations = []
     # Per step: conditional mean, zero-mean residual, realised increment,
     # running variation and second moment, normed together after the loop.
     normed = []
-    variation = np.zeros_like(expect_0)
+    variation = np.zeros_like(expect_prev)
 
     for i in range(1, k + 1):
         slots = k - i + 1
         candidates = tc.candidates()
+        c = len(candidates)
         probs = margs[candidates] / slots
-        cand_expect = (tc.marginals_after(candidates) @ flat).reshape(-1, k, k)
+        cand_expect = (tc.marginals_after(candidates) @ flat).reshape(c, k, k)
         increments = cand_expect - expect_prev
 
-        cond_mean = np.tensordot(probs, mats[candidates], axes=1)
-        residual = np.tensordot(probs, increments, axes=1)
-        second = np.tensordot(probs, increments @ increments, axes=1)
+        # Flat (c, k^2) products run the same BLAS call as a tensordot.
+        cond_mean = (probs @ flat[candidates]).reshape(k, k)
+        residual = (probs @ increments.reshape(c, -1)).reshape(k, k)
+        second = (probs @ (increments @ increments).reshape(c, -1)).reshape(k, k)
         second_moments.append(second)
         variation = variation + second
         variations.append(variation)
@@ -269,8 +314,8 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         cond_expectations=tuple(cond_expectations),
         step_norms=step_norms,
         variation_norms=variation_norms,
-        max_edge_norm=max_edge_norm,
-        frame_norm=frame_norm,
+        max_edge_norm=frame.max_edge_norm,
+        frame_norm=frame.frame_norm,
         cond_mean_norms=cond_mean_norms,
         zero_mean_residuals=zero_mean_residuals,
         second_moment_norms=second_norms,

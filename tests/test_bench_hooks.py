@@ -52,4 +52,9 @@ def test_traced_child_call_records_the_layer_spans(kind, argv, names, tmp_path):
     marks = json.loads(marks_path.read_text())
     assert marks["rc"] == 0
     assert names <= {span[0] for span in marks["spans"]}
+    if kind == "martingale":
+        # One traced trace and one output row per seed.
+        seeds = int(argv[argv.index("--seeds") + 1])
+        assert [span[0] for span in marks["spans"]].count("srdiag.trace") == seeds
+        assert len(marks["outputs"]) == seeds
     assert isinstance(marks["pinv_hits"], int) and isinstance(marks["pinv_misses"], int)

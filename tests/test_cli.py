@@ -17,11 +17,13 @@ from treespark.cli import (
     EXIT_PASS,
     EXIT_SIZE_GUARD,
     EXIT_USAGE,
+    build_parser,
     main,
     parse_graph_spec,
 )
 from treespark.experiments import DEFAULT_PASS_GATE
 from treespark.graph import WeightedGraph, complete_graph, write_graph
+from treespark.srdiag import TRACE_EDGE_CAP
 from treespark.treesample import parse_tree_line
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -377,6 +379,23 @@ def test_martingale_size_guard_trips_before_the_graph_is_built(capsys):
     assert main(["diag", "martingale", "--graph", "k:1200"]) == EXIT_SIZE_GUARD
     assert time.perf_counter() - start < 0.5
     assert "capped at n = 12, got n = 1200" in capsys.readouterr().err
+
+
+def test_martingale_edge_cap_trips_on_parallel_edges(tmp_path, capsys):
+    # Three vertices pass the vertex cap, but 513 edges would need a
+    # 513 x 513 transfer-current matrix; the trace refuses them first.
+    path = tmp_path / "fat.graph"
+    write_graph(WeightedGraph(3, [(0, 1, 1.0)] * TRACE_EDGE_CAP + [(1, 2, 1.0)]), str(path))
+    assert main(["diag", "martingale", "--graph", str(path), "--seeds", "1"]) == EXIT_SIZE_GUARD
+    assert f"capped at m = {TRACE_EDGE_CAP} edges, got m = {TRACE_EDGE_CAP + 1}" in capsys.readouterr().err
+
+
+def test_matrix_fact_dim_is_capped_by_argparse():
+    parser = build_parser()
+    assert parser.parse_args(["diag", "matrix-fact", "--dim", "2000"]).dim == 2000
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["diag", "matrix-fact", "--dim", "2001"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_certify_size_guard_reads_only_the_file_header(tmp_path, capsys):

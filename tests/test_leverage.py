@@ -218,7 +218,15 @@ def test_conditional_marginals_match_quotient_oracle(name, g):
         assert all(got[e] == 1.0 for e in state.contracted)
 
 
-@pytest.mark.parametrize("name,g", [("doubled_triangle", doubled_triangle()), ("weighted_k4", weighted_k4())])
+@pytest.mark.parametrize(
+    "name,g",
+    [
+        ("doubled_triangle", doubled_triangle()),
+        ("weighted_k4", weighted_k4()),
+        ("random_multi_a", random_connected_graph(5, 4, 2)),
+        ("random_multi_b", random_connected_graph(6, 3, 8)),
+    ],
+)
 def test_marginals_after_matches_one_more_contraction(name, g):
     for state in forests(g):
         tc = TransferCurrent(g)

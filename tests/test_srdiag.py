@@ -25,7 +25,9 @@ from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, lapla
 from treespark.leverage import leverage_scores
 from treespark.spectral import eig_sym, psd_leq
 from treespark.srdiag import (
+    TRACE_EDGE_CAP,
     BinomialTailQuery,
+    _trace_frame,
     binomial_tail,
     binomial_tail_lower,
     check_stirling_binom_lower,
@@ -256,6 +258,51 @@ def test_trace_rejects_bad_orderings():
 def test_trace_size_guard():
     with pytest.raises(SizeGuardError):
         martingale_trace(ring_graph(13), 0)
+    # Parallel edges pass the vertex cap; the edge cap trips before the
+    # m x m transfer-current matrix or the cached frame is built.
+    fat = WeightedGraph(3, [(0, 1, 1.0)] * TRACE_EDGE_CAP + [(1, 2, 1.0)])
+    misses = _trace_frame.cache_info().misses
+    with pytest.raises(SizeGuardError, match=f"got m = {TRACE_EDGE_CAP + 1}"):
+        trace_for_ordering(fat, (0, TRACE_EDGE_CAP))
+    assert _trace_frame.cache_info().misses == misses
+
+
+def test_trace_frame_is_built_once_per_graph(monkeypatch):
+    # The frame costs two eigensolves (edge norms, frame norm) and each
+    # trace one more, its batched pass over every step's norms.
+    g, seeds = complete_graph(6), 5
+    _trace_frame.cache_clear()
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for seed in range(seeds):
+        martingale_trace(g, seed)
+    assert len(calls) == 2 + seeds
+
+
+def test_trace_frame_arrays_refuse_writes():
+    frame = _trace_frame(weighted_k4())
+    arrays = (frame.lev, frame.flat, frame.expect_0, frame.tc.y, frame.tc.reps, frame.tc.contracted)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+def test_traces_do_not_depend_on_earlier_traces():
+    # Alternating two graphs evicts the one-slot frame cache at every
+    # call; each trace must equal one taken from an empty cache.
+    multi = WeightedGraph(5, ((0, 1, 1.0), (0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.7), (3, 4, 1.0), (4, 0, 2.0), (2, 4, 1.3)))
+    graphs = (complete_graph(6), multi)
+    alternating = [martingale_trace(graphs[seed % 2], seed) for seed in range(8)]
+    for seed, trace in enumerate(alternating):
+        _trace_frame.cache_clear()
+        fresh = martingale_trace(graphs[seed % 2], seed)
+        for name in trace.__dataclass_fields__:
+            assert np.array_equal(getattr(trace, name), getattr(fresh, name)), name
 
 
 def test_trace_dump_format():

@@ -140,6 +140,20 @@ class WeightedGraph:
         return nbrs, cumw, totw, (lo == hi).tolist()
 
     @cached_property
+    def regular_degree(self) -> int:
+        """Degree ``d`` shared by every vertex of equal incident weights, else 0.
+
+        Nonzero when every vertex has ``d`` :attr:`adjacency` entries and
+        every ``uniform`` flag is set, as on unit-weight complete graphs
+        and rings.  A walk step from any vertex then takes entry
+        ``int(r * d)`` for its uniform ``r``.
+        """
+        degrees = np.diff(self.csr[0])
+        if degrees.min() == degrees.max() and all(self.adjacency[3]):
+            return int(degrees[0])
+        return 0
+
+    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Compressed adjacency ``(offsets, nbr, eid)``, O(m) int64 arrays.
 
@@ -179,11 +193,15 @@ def laplacian(g: WeightedGraph, weights=None) -> np.ndarray:
             raise ValueError(f"expected {g.m} edge weights, got shape {ws.shape}")
         keep = np.flatnonzero(ws)
         us, vs, ws = us[keep], vs[keep], ws[keep]
-    lap = np.zeros((g.n, g.n))
-    np.add.at(lap, (us, vs), -ws)
-    np.add.at(lap, (vs, us), -ws)
-    np.add.at(lap, (us, us), ws)
-    np.add.at(lap, (vs, vs), ws)
+    n = g.n
+    lap = np.zeros((n, n))
+    # Flat indices keep ``add.at`` off its slow tuple-index path; the
+    # adds, and their order, are those of the (row, column) form.
+    flat = lap.reshape(-1)
+    np.add.at(flat, us * n + vs, -ws)
+    np.add.at(flat, vs * n + us, -ws)
+    np.add.at(flat, us * (n + 1), ws)
+    np.add.at(flat, vs * (n + 1), ws)
     return lap
 
 

@@ -124,7 +124,22 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
 
     Entry ``v`` (for ``v != 0``) indexes ``g.adjacency[0][v]``, and
     ``g.csr`` entry ``offsets[v] + nxt[v]``: the tree edge by which ``v``
-    leaves towards the root.  Entry 0 is 0 and means nothing.
+    leaves towards the root.  Entry 0 is 0 and means nothing.  Graphs
+    with a :attr:`~WeightedGraph.regular_degree` take the regular loop;
+    both loops draw the same variates and make the same choices.
+    """
+    deg = g.regular_degree
+    if deg:
+        return _regular_exits(g, gen, deg)
+    return _general_exits(g, gen)
+
+
+def _general_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
+    """:func:`_wilson_exits` on any graph, choosing each step at its vertex.
+
+    A uniform ``r <= 1 - 2**-53`` (numpy's largest) gives ``r * x < x``
+    for every normal ``x``, so ``int(r * deg)`` and the bisection both
+    land on an index below ``deg``.
     """
     nbrs, cumw, totw, uniform = g.adjacency
     n = g.n
@@ -146,17 +161,49 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
             r = buf[pos]
             pos += 1
             row = nbrs[u]
-            deg = len(row)
             if uniform[u]:
-                j = int(r * deg)
+                j = int(r * len(row))
             else:
                 j = bisect_right(cumw[u], r * totw[u])
-            if j == deg:
-                j = deg - 1
             nxt[u] = j
             u = row[j]
         # Only the loop-erased path joins the tree; vertices the walk
         # left on erased loops are walked again later.
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = 1
+            u = nbrs[u][nxt[u]]
+    return nxt
+
+
+def _regular_exits(g: WeightedGraph, gen: np.random.Generator, deg: int) -> list[int]:
+    """:func:`_general_exits` where every step is ``int(r * deg)``.
+
+    The choice does not depend on the vertex, so numpy turns each buffer
+    of variates into choices at once; the float64 product truncated
+    toward zero is the same ``j`` the general loop computes.
+    """
+    nbrs = g.adjacency[0]
+    n = g.n
+    in_tree = bytearray(n)
+    in_tree[0] = 1
+    nxt = [0] * n
+    bufsize = _BUF_START
+    js = (gen.random(bufsize) * deg).astype(np.int64).tolist()
+    pos = 0
+    for start in range(1, n):
+        if in_tree[start]:
+            continue
+        u = start
+        while not in_tree[u]:
+            if pos == bufsize:
+                bufsize = min(bufsize * 4, _BUF_MAX)
+                js = (gen.random(bufsize) * deg).astype(np.int64).tolist()
+                pos = 0
+            j = js[pos]
+            pos += 1
+            nxt[u] = j
+            u = nbrs[u][j]
         u = start
         while not in_tree[u]:
             in_tree[u] = 1

@@ -71,6 +71,36 @@ def test_laplacian_structure(name, g):
     assert np.allclose(total, lap, atol=1e-12)
 
 
+def _pair_index_laplacian(g, ws):
+    """The Laplacian assembled by ``add.at`` on ``(row, column)`` pairs."""
+    us, vs, _ = g.edge_arrays
+    lap = np.zeros((g.n, g.n))
+    np.add.at(lap, (us, vs), -ws)
+    np.add.at(lap, (vs, us), -ws)
+    np.add.at(lap, (us, us), ws)
+    np.add.at(lap, (vs, vs), ws)
+    return lap
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    SMALL
+    + [
+        ("k200", complete_graph(200)),
+        ("random_multigraph", random_connected_graph(60, 150, seed=2)),
+        ("heavy_parallel", WeightedGraph(3, ((0, 1, 1e8), (0, 1, 1e-9), (1, 2, 3.0), (0, 1, 0.7)))),
+    ],
+)
+def test_laplacian_matches_the_pair_index_assembly(name, g):
+    # Same adds in the same order, so the flat-index assembly is bit-identical.
+    gen = np.random.Generator(np.random.Philox(g.m))
+    ws = g.edge_arrays[2]
+    assert np.array_equal(laplacian(g), _pair_index_laplacian(g, ws))
+    weights = gen.random(g.m) * 10.0 ** gen.uniform(-6.0, 6.0, g.m)
+    weights[gen.random(g.m) < 0.3] = 0.0
+    assert np.array_equal(laplacian(g, weights), _pair_index_laplacian(g, weights))
+
+
 def test_edges_canonicalized():
     g = WeightedGraph(3, ((2, 1, 1.0), (1, 0, 2.0), (0, 2, 3.0)))
     assert all(u < v for u, v, _ in g.edges)
@@ -401,6 +431,22 @@ def test_csr_matches_adjacency(name, g):
         # Each entry's edge id names an edge joining v to that neighbour.
         for nb, e in zip(nbrs[v], eid[lo:hi].tolist()):
             assert {v, nb} == set(g.edges[e][:2])
+
+
+def test_regular_degree():
+    assert complete_graph(2).regular_degree == 1
+    assert complete_graph(60).regular_degree == 59
+    assert ring_graph(500).regular_degree == 2
+    # Equal weights that are not 1 keep every step uniform.
+    assert WeightedGraph(3, ((0, 1, 2.5), (1, 2, 2.5), (0, 2, 2.5))).regular_degree == 2
+    # A 4-cycle with two doubled edges: every vertex has three entries.
+    assert WeightedGraph(
+        4, ((0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 3, 1.0), (0, 3, 1.0))
+    ).regular_degree == 3
+    assert path_graph(4).regular_degree == 0
+    assert star_graph(3).regular_degree == 0
+    assert weighted_triangle().regular_degree == 0
+    assert random_connected_graph(12, 20, seed=3).regular_degree == 0
 
 
 def test_log_weight_scale_is_finite():

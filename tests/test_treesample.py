@@ -1,6 +1,8 @@
 """Wilson sampling, exact enumeration, reweighting and tree averages."""
 
+import bisect
 import collections
+import functools
 import hashlib
 import math
 
@@ -13,6 +15,7 @@ from corpus import (
     parallel_pair,
     path_graph,
     random_connected_graph,
+    star_graph,
     triangle,
     weighted_k4,
     weighted_triangle,
@@ -282,7 +285,8 @@ def test_check_tree_ids_rejects_cycle_count_and_range():
 
 # Sorted edge ids of trees drawn by an earlier version of the walk, which
 # listed tree edges in branch order.  A seed fixes the tree itself, not
-# just its law, so these must not move.
+# just its law, so these must not move.  K_6 and K_60 take the regular
+# walk loop, the other graphs the general one.
 WILSON_TREES = [
     (complete_graph(6), [(0, 3, 5, 9, 14), (0, 1, 2, 8, 14), (3, 4, 6, 7, 9), (0, 1, 6, 12, 14)]),
     (weighted_k4(), [(0, 1, 4), (0, 1, 2), (2, 3, 4), (0, 1, 4)]),
@@ -322,6 +326,146 @@ def test_sample_tree_wilson_unchanged_per_seed():
         for s in range(40):
             h.update(repr(sample_tree_wilson(g, s).edge_ids).encode())
         assert h.hexdigest() == digest
+
+
+def _doubled_c4() -> WeightedGraph:
+    """4-cycle with edges 0-1 and 2-3 doubled: every vertex has three entries."""
+    return WeightedGraph(
+        4, ((0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 3, 1.0), (0, 3, 1.0))
+    )
+
+
+REGULAR = [
+    ("k2", complete_graph(2), 1, 40),
+    ("k6", complete_graph(6), 5, 40),
+    ("k60", complete_graph(60), 59, 40),
+    ("k200", complete_graph(200), 199, 20),
+    # Walks of ~n²/3 steps refill the 8192-variate buffer several times.
+    ("ring500", ring_graph(500), 2, 6),
+    ("doubled_c4", _doubled_c4(), 3, 40),
+]
+
+
+@pytest.mark.parametrize("name,g,deg,seeds", REGULAR)
+def test_regular_loop_matches_general_loop(name, g, deg, seeds):
+    assert g.regular_degree == deg
+    for seed in range(seeds):
+        fast = np.random.Generator(np.random.Philox(seed))
+        slow = np.random.Generator(np.random.Philox(seed))
+        # Three trees from one stream, so later trees start mid-buffer.
+        for _ in range(3):
+            assert _wilson_exits(g, fast) == treesample._general_exits(g, slow)
+        # Both loops consumed the same variates.
+        assert fast.random() == slow.random()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(treesample, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(treesample, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [
+        ("cliquestar_2_4", clique_star(2, 4)),
+        ("weighted_k4", weighted_k4()),
+        ("doubled_triangle", doubled_triangle()),
+        ("random_multigraph", random_connected_graph(12, 20, seed=3)),
+        ("random_multigraph_80", random_connected_graph(80, 160, seed=5)),
+    ],
+)
+def test_irregular_or_weighted_graphs_take_the_general_loop(name, g, monkeypatch):
+    regular = _counting(monkeypatch, "_regular_exits")
+    general = _counting(monkeypatch, "_general_exits")
+    assert g.regular_degree == 0
+    sample_tree_wilson(g, 0)
+    assert (len(regular), len(general)) == (0, 1)
+
+
+def test_loop_choice_is_made_once_per_graph(monkeypatch):
+    calls = []
+    choose = WeightedGraph.__dict__["regular_degree"].func
+
+    def counted(g):
+        calls.append(g)
+        return choose(g)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(WeightedGraph, "regular_degree")
+    monkeypatch.setattr(WeightedGraph, "regular_degree", prop)
+    regular = _counting(monkeypatch, "_regular_exits")
+    g = complete_graph(8)
+    gen = np.random.Generator(np.random.Philox(0))
+    for _ in range(5):
+        sample_tree_stream(g, gen)
+    for _ in wilson_tree_batches(g, gen, 5):
+        pass
+    assert calls == [g]
+    assert len(regular) == 10
+    h = complete_graph(8)
+    sample_tree_wilson(h, 0)
+    assert calls == [g, h]
+
+
+class _TopEveryOther:
+    """Generator stand-in whose every other variate is numpy's largest, 1 - 2**-53.
+
+    The variates between them are random, so walks still reach the root.
+    """
+
+    def __init__(self, seed: int):
+        self.gen = np.random.Generator(np.random.Philox(seed))
+
+    def random(self, size):
+        r = self.gen.random(size)
+        r[::2] = np.nextafter(1.0, 0.0)
+        return r
+
+
+def _tiny_edge_graph(tiny: float) -> WeightedGraph:
+    """Vertex 1 has incident weights 1e8 and ``tiny``; 2 leads it to the root."""
+    return WeightedGraph(4, ((0, 2, 1e8), (1, 2, 1e8), (1, 3, tiny), (0, 3, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [(name, g) for name, g, _, _ in REGULAR if g.n <= 60]
+    + [
+        ("k5", complete_graph(5)),
+        ("k9", complete_graph(9)),
+        ("k17", complete_graph(17)),
+        ("cliquestar_2_4", clique_star(2, 4)),
+        ("star5", star_graph(5)),
+        ("weighted_k4", weighted_k4()),
+        ("parallel_pair", parallel_pair()),
+        ("random_multigraph", random_connected_graph(30, 50, seed=8)),
+        ("tiny_1e-8", _tiny_edge_graph(1e-8)),
+        ("saturating_1e-9", _tiny_edge_graph(1e-9)),
+    ],
+)
+def test_largest_variate_picks_an_entry_in_range(name, g):
+    # r = 1 - 2**-53 gives r * x < x, so the last entry is the furthest
+    # either step rule reaches, without a clamp.
+    offsets, nbr, eid = g.csr
+    for seed in range(5):
+        exits = treesample._general_exits(g, _TopEveryOther(seed))
+        if g.regular_degree:
+            assert _wilson_exits(g, _TopEveryOther(seed)) == exits
+        at = offsets[1:-1] + np.array([exits[1:]])
+        check_parent_trees(g, nbr[at], eid[at])
+
+
+def test_saturating_running_sum_never_picks_past_the_end():
+    cumw, totw = _tiny_edge_graph(1e-9).adjacency[1:3]
+    assert cumw[1] == [1e8, 1e8] and totw[1] == 1e8
+    assert bisect.bisect_right(cumw[1], np.nextafter(1.0, 0.0) * totw[1]) == 0
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from .graph import (
     clique_star,
     erdos_renyi_connected,
     guard_vertices,
+    philox_stream,
     read_graph,
     ring_graph,
 )
@@ -51,7 +52,7 @@ from .srdiag import (
     trace_dump,
 )
 from .experiments import DEFAULT_PASS_GATE, run_sum_trees, write_extremes_csv
-from .treesample import format_tree_line, sample_tree_wilson
+from .treesample import wilson_tree_batches
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -168,10 +169,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_sample(args) -> int:
     g = parse_graph_spec(args.graph, args.seed)
+    ws = g.edge_arrays[2]
     lines = []
     for i in range(args.count):
-        tree = sample_tree_wilson(g, args.seed + i)
-        lines.append(format_tree_line(tree))
+        # Tree i is the one checked row of its own seed's batch.
+        [(_, ids)] = wilson_tree_batches(g, philox_stream(args.seed + i), 1)
+        ids = np.sort(ids[0])
+        edges = " ".join(map(str, ids.tolist()))
+        weights = " ".join(f"{w:.17g}" for w in ws[ids].tolist())
+        lines.append(f"{g.n}; {edges}; {weights}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_PASS
 
@@ -252,16 +258,21 @@ def _diag_martingale(args) -> tuple[bool, dict]:
     }
 
 
-def _diag_reverse_chernoff(args) -> tuple[bool, dict]:
-    grid = default_reverse_chernoff_grid()
-    results = [reverse_chernoff_check(k, p, eps) for k, p, eps in grid]
+def _tally(suite: str, results: list[bool], **fields) -> tuple[bool, dict]:
+    """A suite's verdict and payload: its name, ``fields``, failures, passed."""
     passed = all(results)
     return passed, {
-        "suite": "reverse-chernoff",
-        "triples": len(grid),
+        "suite": suite,
+        **fields,
         "failures": results.count(False),
         "passed": passed,
     }
+
+
+def _diag_reverse_chernoff(args) -> tuple[bool, dict]:
+    grid = default_reverse_chernoff_grid()
+    results = [reverse_chernoff_check(k, p, eps) for k, p, eps in grid]
+    return _tally("reverse-chernoff", results, triples=len(grid))
 
 
 def _diag_stirling(args) -> tuple[bool, dict]:
@@ -270,34 +281,17 @@ def _diag_stirling(args) -> tuple[bool, dict]:
         for k in range(2, args.kmax + 1)
         for l in range(1, k)
     ]
-    passed = all(results)
-    return passed, {
-        "suite": "stirling",
-        "kmax": args.kmax,
-        "pairs": len(results),
-        "failures": results.count(False),
-        "passed": passed,
-    }
+    return _tally("stirling", results, kmax=args.kmax, pairs=len(results))
 
 
 def _diag_matrix_fact(args) -> tuple[bool, dict]:
-    gen = np.random.Generator(np.random.Philox(args.seed))
-    failures = 0
+    gen = philox_stream(args.seed)
+    results = []
     for _ in range(args.pairs):
         a = gen.uniform(-1.0, 1.0, (args.dim, args.dim))
         b = gen.uniform(-1.0, 1.0, (args.dim, args.dim))
-        a = (a + a.T) / 2.0
-        b = (b + b.T) / 2.0
-        if not check_symmetric_triangle(a, b):
-            failures += 1
-    passed = failures == 0
-    return passed, {
-        "suite": "matrix-fact",
-        "pairs": args.pairs,
-        "dim": args.dim,
-        "failures": failures,
-        "passed": passed,
-    }
+        results.append(check_symmetric_triangle((a + a.T) / 2.0, (b + b.T) / 2.0))
+    return _tally("matrix-fact", results, pairs=args.pairs, dim=args.dim)
 
 
 _DIAG_SUITES = {

@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .graph import WeightedGraph, clique_star, complete_graph, laplacian
+from .graph import WeightedGraph, clique_star, complete_graph, laplacian, philox_stream
 from .leverage import laplacian_frame, leverage_scores
 from .spectral import normalized_pencil
-from .treesample import wilson_tree_batches
+from .treesample import tree_edge_counts, wilson_tree_batches
 
 DEFAULT_PASS_GATE = 0.9
 
@@ -155,17 +155,12 @@ def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
 
     Equals ``normalized_pencil(run.frame, average_trees([reweight_tree(
     sample_tree_stream(g, gen), prof) for _ in range(t)]))`` on the same
-    stream, but reads the trees as :func:`wilson_tree_batches` edge-id
-    arrays: one count per edge and one Laplacian assembly.
+    stream, but reads the trees as :func:`tree_edge_counts`: one count
+    per edge and one Laplacian assembly.
     """
     g = run.g
-    gen = np.random.Generator(np.random.Philox(seed))
-    counts = sum(
-        np.bincount(ids.ravel(), minlength=g.m)
-        for _, ids in wilson_tree_batches(g, gen, run.t)
-    )
-    weights = counts * run.edge_weights / run.t
-    return normalized_pencil(run.frame, laplacian(g, weights))
+    counts = tree_edge_counts(g, philox_stream(seed), run.t)
+    return normalized_pencil(run.frame, laplacian(g, counts * run.edge_weights / run.t))
 
 
 # Set only inside pool workers, by the executor's initializer, so each
@@ -331,15 +326,8 @@ def run_multi_tree_lower(
 
     violations = []
     for seed in seeds:
-        gen = np.random.Generator(np.random.Philox(seed))
-        avg_deg = np.zeros(n)
-        for _, ids in wilson_tree_batches(g, gen, t):
-            # Both ends of each edge, interleaved in draw order; add.at
-            # keeps that order across batches too, so each degree is the
-            # same float sum a per-edge loop gives.
-            ends = np.stack((us[ids], vs[ids]), axis=-1).ravel()
-            np.add.at(avg_deg, ends, np.repeat(ws[ids].ravel() * inv_lev, 2))
-        avg_deg /= t
+        w = tree_edge_counts(g, philox_stream(seed), t) * ws * inv_lev
+        avg_deg = (np.bincount(us, w, n) + np.bincount(vs, w, n)) / t
         violations.append(bool(np.any(avg_deg > hi_win) or np.any(avg_deg < lo_win)))
 
     return _report(
@@ -392,8 +380,7 @@ def run_single_tree_lower(
     ratios = []
     certified = []
     for seed in seeds:
-        gen = np.random.Generator(np.random.Philox(seed))
-        [(parents, ids)] = wilson_tree_batches(g, gen, 1)
+        [(parents, ids)] = wilson_tree_batches(g, philox_stream(seed), 1)
         parents, ids = parents[0], ids[0]
         tu, tv = us[ids], vs[ids]
         deg = np.bincount(tu, minlength=n) + np.bincount(tv, minlength=n)
@@ -460,7 +447,7 @@ def run_degree_dist(n: int, samples: int, base_seed: int) -> Report:
 
     Compares against the exact ``1 + Binomial(n - 2, 1/n)`` law in total
     variation; the gate is ``4 sqrt(bins / samples)`` with ``n - 1``
-    bins.  All samples come from one Philox stream seeded at
+    bins.  All samples come from one :func:`philox_stream` seeded at
     ``base_seed``.
     """
     if n < 3:
@@ -469,10 +456,9 @@ def run_degree_dist(n: int, samples: int, base_seed: int) -> Report:
         raise ValueError(f"need at least one sample, got {samples}")
     start = time.perf_counter()
     g = complete_graph(n)
-    gen = np.random.Generator(np.random.Philox(base_seed))
     hist = np.zeros(n - 1, dtype=np.int64)
     # Vertex 0 is the root, so its tree degree counts its children.
-    for parents, _ in wilson_tree_batches(g, gen, samples):
+    for parents, _ in wilson_tree_batches(g, philox_stream(base_seed), samples):
         hist += np.bincount((parents == 0).sum(axis=1) - 1, minlength=n - 1)
     counts = hist.tolist()
     pmf = degree_reference_pmf(n)

@@ -31,6 +31,14 @@ class SizeGuardError(ValueError):
     """Raised when an exhaustive routine is asked to exceed its size cap."""
 
 
+def philox_stream(seed: int) -> np.random.Generator:
+    """The generator of every seeded path: numpy's Philox at ``seed``.
+
+    The same seed gives the same stream at a fixed library version.
+    """
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Smallest vertex of each vertex's connected component.
 
@@ -249,14 +257,14 @@ def clique_star(num_cliques: int, clique_size: int) -> WeightedGraph:
 def erdos_renyi_connected(n: int, p: float, seed: int) -> WeightedGraph:
     """G(n, p) conditioned on connectivity by rejection sampling.
 
-    Uses a Philox counter-based generator so the same seed reproduces the
+    Draws from :func:`philox_stream`, so the same seed reproduces the
     same graph; raises ValueError after ``ER_MAX_ATTEMPTS`` disconnected draws.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"edge probability must lie in (0, 1], got {p}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    gen = np.random.Generator(np.random.Philox(seed))
+    gen = philox_stream(seed)
     us, vs = np.triu_indices(n, 1)
     for _ in range(ER_MAX_ATTEMPTS):
         picked = np.flatnonzero(gen.random(len(us)) < p)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SizeGuardError, WeightedGraph
+from .graph import SizeGuardError, WeightedGraph, philox_stream
 from .leverage import TransferCurrent, edge_frame_rows
 from .spectral import _opnorm
 from .treesample import sample_tree_stream
@@ -326,7 +326,7 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
 
 def martingale_trace(g: WeightedGraph, rng_seed: int) -> MartingaleTrace:
     """Sample a tree, shuffle its edges uniformly and trace the martingale."""
-    gen = np.random.Generator(np.random.Philox(rng_seed))
+    gen = philox_stream(rng_seed)
     tree = sample_tree_stream(g, gen)
     order = gen.permutation(len(tree.edge_ids))
     ordering = tuple(tree.edge_ids[int(j)] for j in order)

@@ -8,8 +8,10 @@ last exit choice, and the tree rooted at vertex 0 is returned as every
 vertex's exit choice.  :func:`wilson_tree_batches` stacks such trees
 into parent and edge-id arrays and certifies each stack at once with
 :func:`check_parent_trees`.
-Randomness comes from a Philox counter-based generator, so a seed fully
-determines the output at a fixed library version.
+:func:`tree_edge_counts` sums those batches into the per-edge counts
+every tree average is built from.  Randomness comes from
+:func:`~treespark.graph.philox_stream`, so a seed fully determines the
+output at a fixed library version.
 
 Exhaustive enumeration of the tree law lives with the tests, as the
 oracle the sampler and the marginals are checked against.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, component_labels, laplacian
+from .graph import WeightedGraph, component_labels, laplacian, philox_stream
 from .leverage import LeverageProfile
 
 WEIGHT_MODES = ("original", "inverse_leverage")
@@ -218,16 +220,8 @@ def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     return eid[offsets[1:-1] + nxt[1:]].tolist()
 
 
-def sample_tree_wilson(g: WeightedGraph, rng_seed: int) -> SpanningTree:
-    """Draw one spanning tree with probability proportional to its weight.
-
-    The same ``(graph, rng_seed)`` pair always yields the same tree.
-    """
-    return sample_tree_stream(g, np.random.Generator(np.random.Philox(rng_seed)))
-
-
 def sample_tree_stream(g: WeightedGraph, gen: np.random.Generator) -> SpanningTree:
-    """Draw one tree from a caller-owned generator (for multi-tree trials)."""
+    """Draw the next tree of ``gen`` as a validated :class:`SpanningTree`."""
     ids = sorted(_wilson_edge_ids(g, gen))
     return SpanningTree(g, tuple(ids), g.edge_arrays[2][ids].tolist(), "original")
 
@@ -254,6 +248,20 @@ def wilson_tree_batches(g: WeightedGraph, gen: np.random.Generator, count: int):
         yield parents, ids
 
 
+def tree_edge_counts(g: WeightedGraph, gen: np.random.Generator, count: int) -> np.ndarray:
+    """How many of the next ``count`` trees of ``gen`` hold each edge.
+
+    An int64 vector over edge ids, summed over the checked batches of
+    :func:`wilson_tree_batches`.  Every tree average is a function of
+    these counts: the average of ``count`` trees weighted ``x_e`` per
+    edge is ``laplacian(g, counts * x / count)``.
+    """
+    counts = np.zeros(g.m, dtype=np.int64)
+    for _, ids in wilson_tree_batches(g, gen, count):
+        counts += np.bincount(ids.ravel(), minlength=g.m)
+    return counts
+
+
 def edge_frequencies(g: WeightedGraph, samples: int, rng_seed: int) -> np.ndarray:
     """Fraction of sampled trees containing each edge.
 
@@ -262,11 +270,7 @@ def edge_frequencies(g: WeightedGraph, samples: int, rng_seed: int) -> np.ndarra
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    gen = np.random.Generator(np.random.Philox(rng_seed))
-    counts = np.zeros(g.m, dtype=np.int64)
-    for _, ids in wilson_tree_batches(g, gen, samples):
-        counts += np.bincount(ids.ravel(), minlength=g.m)
-    return counts / samples
+    return tree_edge_counts(g, philox_stream(rng_seed), samples) / samples
 
 
 def reweight_tree(tree: SpanningTree, profile: LeverageProfile) -> SpanningTree:
@@ -316,25 +320,3 @@ def average_trees(trees: list[SpanningTree], probabilities=None) -> np.ndarray:
         scaled.extend(c * w for w in tree.weights)
     g = first.graph
     return laplacian(g, np.bincount(ids, weights=scaled, minlength=g.m))
-
-
-def format_tree_line(tree: SpanningTree) -> str:
-    """One-line text form: ``n; edge ids; weights`` with 17 digit weights."""
-    ids = " ".join(str(e) for e in tree.edge_ids)
-    ws = " ".join(f"{w:.17g}" for w in tree.weights)
-    return f"{tree.graph.n}; {ids}; {ws}"
-
-
-def parse_tree_line(
-    line: str, g: WeightedGraph, weight_mode: str = "original"
-) -> SpanningTree:
-    """Parse :func:`format_tree_line` output against its parent graph."""
-    parts = [p.strip() for p in line.split(";")]
-    if len(parts) != 3:
-        raise ValueError(f"bad tree line {line!r}")
-    n = int(parts[0])
-    if n != g.n:
-        raise ValueError(f"tree line is for n = {n}, graph has n = {g.n}")
-    ids = tuple(int(tok) for tok in parts[1].split())
-    weights = tuple(float(tok) for tok in parts[2].split())
-    return SpanningTree(g, ids, weights, weight_mode)

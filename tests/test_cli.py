@@ -1,5 +1,6 @@
 """Command line surface: specs, exit codes, output formats, seeding."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,14 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from corpus import weighted_triangle
+from corpus import random_connected_graph, weighted_triangle
 from test_experiments import DRIVER_KEYS
+from tree_line_oracle import format_tree_line, parse_tree_line, sample_tree_wilson
 from treespark.cli import (
     EXIT_BAD_GRAPH,
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_SIZE_GUARD,
     EXIT_USAGE,
+    _tally,
     build_parser,
     main,
     parse_graph_spec,
@@ -24,7 +27,7 @@ from treespark.cli import (
 from treespark.experiments import DEFAULT_PASS_GATE
 from treespark.graph import WeightedGraph, complete_graph, write_graph
 from treespark.srdiag import TRACE_EDGE_CAP
-from treespark.treesample import parse_tree_line
+from treespark.treesample import SpanningTree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,6 +59,48 @@ def test_sample_deterministic_output(capsys):
     for line in lines:
         tree = parse_tree_line(line, g, "original")
         assert len(tree.edge_ids) == 4
+
+
+# sha256 of `sample --count 40 --seed 0` stdout, drawn at the version
+# whose `sample` built one SpanningTree per line.  The batch-row route
+# prints the same bytes.
+SAMPLE_DIGESTS = {
+    "k:60": "00cb564c9de5f81b2e29f6ff1942d8434bf92cb8d1a561dc3babc0f7cc16059a",
+    "multigraph": "d7c78a9b138ce2e44c5b9c3e07043f649227e7d97ab98bb144282184daf6c47c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_sample_lines_match_their_object_route_digest(name, tmp_path, capsys):
+    # The weighted multigraph takes the walk's bisect path and has
+    # parallel edges; K_60 takes the regular loop.
+    if name == "multigraph":
+        g = random_connected_graph(30, 50, seed=8)
+        spec = str(tmp_path / "multi.graph")
+        write_graph(g, spec)
+    else:
+        g, spec = complete_graph(60), name
+    assert main(["sample", "--graph", spec, "--count", "40", "--seed", "0"]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[name]
+    assert out.splitlines() == [format_tree_line(sample_tree_wilson(g, s)) for s in range(40)]
+
+
+def test_sample_and_certify_build_no_tree_objects(monkeypatch, tmp_path, capsys):
+    def refuse(self):
+        raise AssertionError("a SpanningTree was built")
+
+    monkeypatch.setattr(SpanningTree, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        sample_tree_wilson(complete_graph(4), 0)
+    path = tmp_path / "multi.graph"
+    write_graph(random_connected_graph(12, 20, seed=3), str(path))
+    for spec in ("k:6", str(path)):
+        assert main(["sample", "--graph", spec, "--count", "3", "--seed", "1"]) == EXIT_PASS
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        argv = ["certify", "--graph", spec, "--eps", "0.5", "--t", "3", "--trials", "2"]
+        assert main(argv + ["--jobs", "1", "--json"]) in (EXIT_PASS, EXIT_FAIL)
+        assert json.loads(capsys.readouterr().out)["kind"] == "sum_trees"
 
 
 def test_sample_to_file(tmp_path, capsys):
@@ -219,6 +264,7 @@ def test_diag_martingale_reports_worst_margin(tmp_path, capsys):
 def test_diag_reverse_chernoff(capsys):
     assert main(["diag", "reverse-chernoff"]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["suite", "triples", "failures", "passed", "library_version"]
     assert payload["triples"] >= 200
     assert payload["failures"] == 0
 
@@ -226,13 +272,23 @@ def test_diag_reverse_chernoff(capsys):
 def test_diag_stirling(capsys):
     assert main(["diag", "stirling", "--kmax", "40"]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["suite", "kmax", "pairs", "failures", "passed", "library_version"]
     assert payload["pairs"] == sum(k - 1 for k in range(2, 41))
 
 
 def test_diag_matrix_fact(capsys):
     assert main(["diag", "matrix-fact", "--pairs", "50", "--dim", "6", "--seed", "5"]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["suite", "pairs", "dim", "failures", "passed", "library_version"]
     assert payload["failures"] == 0
+
+
+def test_tally_counts_failures():
+    assert _tally("demo", [True, False, False], size=3) == (
+        False,
+        {"suite": "demo", "size": 3, "failures": 2, "passed": False},
+    )
+    assert _tally("demo", [True]) == (True, {"suite": "demo", "failures": 0, "passed": True})
 
 
 def test_diag_to_file(tmp_path, capsys):

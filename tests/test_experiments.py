@@ -294,6 +294,33 @@ def test_multi_tree_lower_matches_edge_id_route(cliques, size):
     assert report.results["violations"] == want
 
 
+# Violations of seeds 0..59 ("1" = violated), captured at the version that
+# summed degrees edge end by edge end in draw order; t=None is the
+# default t, 20 an explicit t at which the verdicts are mixed.
+MULTI_TREE_VIOLATIONS = {
+    (30, 20, 0.3, 20): "111111110111111111111111111111111111111111111110111011011111",
+    (30, 20, 0.4, 20): "000001010000001000000000011000000000000000100000000001010001",
+    (30, 20, 0.45, 20): "000000000000000000000000000000000000000000100000000001000000",
+    (10, 20, 0.3, 20): "100101100011001101111011111100111101111111111000101011011110",
+    (10, 20, 0.4, 20): "000000000000000000000000100000001101000000000000000000010100",
+    (10, 20, 0.45, 20): "000000000000000000000000000000000000000000000000000000010000",
+    (5, 30, 0.3, 20): "111010100101111110001001011100000001111111101111101110100001",
+    (5, 30, 0.4, 20): "000000000000000000000000000000000000000000000000000000100000",
+    (5, 30, 0.45, 20): "0" * 60,
+}
+MULTI_TREE_VIOLATIONS.update(
+    {(c, s, eps, None): "1" * 60 for c, s, eps, _ in list(MULTI_TREE_VIOLATIONS)}
+)
+
+
+@pytest.mark.parametrize("key", sorted(MULTI_TREE_VIOLATIONS, key=str))
+def test_multi_tree_lower_violations_match_their_goldens(key):
+    cliques, size, eps, t = key
+    report = run_multi_tree_lower(cliques, size, eps=eps, trials=60, base_seed=0, t=t)
+    got = "".join("1" if v else "0" for v in report.results["violations"])
+    assert got == MULTI_TREE_VIOLATIONS[key]
+
+
 @pytest.mark.parametrize("cliques,size", CLIQUE_STARS)
 def test_single_tree_lower_matches_edge_id_route(cliques, size):
     # Oracle: tree degrees, the star vector and both quadratic forms

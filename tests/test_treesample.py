@@ -22,6 +22,7 @@ from corpus import (
 )
 from enumeration_oracle import enumerate_trees
 from frame_oracle import pinv_power
+from tree_line_oracle import format_tree_line, parse_tree_line, sample_tree_wilson
 from treespark.graph import (
     SizeGuardError,
     WeightedGraph,
@@ -41,11 +42,9 @@ from treespark.treesample import (
     check_parent_trees,
     check_tree_ids,
     edge_frequencies,
-    format_tree_line,
-    parse_tree_line,
     reweight_tree,
     sample_tree_stream,
-    sample_tree_wilson,
+    tree_edge_counts,
     wilson_tree_batches,
 )
 
@@ -119,12 +118,19 @@ def test_enumerate_size_guard():
         enumerate_trees(ring_graph(23))
 
 
+def _sorted_tree_counts(g, gen, count) -> collections.Counter:
+    """How often each sorted edge-id tuple occurs among ``count`` batch rows."""
+    return collections.Counter(
+        tuple(row)
+        for _, ids in wilson_tree_batches(g, gen, count)
+        for row in np.sort(ids, axis=1).tolist()
+    )
+
+
 def test_tree_frequencies_unit_triangle():
     g = triangle()
     gen = np.random.Generator(np.random.Philox(101))
-    counts = collections.Counter(
-        sample_tree_stream(g, gen).edge_ids for _ in range(300000)
-    )
+    counts = _sorted_tree_counts(g, gen, 300000)
     for ids in ((0, 1), (0, 2), (1, 2)):
         assert counts[ids] / 300000 == pytest.approx(1.0 / 3.0, abs=0.005)
 
@@ -132,9 +138,7 @@ def test_tree_frequencies_unit_triangle():
 def test_tree_frequencies_weighted_triangle():
     g = weighted_triangle()
     gen = np.random.Generator(np.random.Philox(103))
-    counts = collections.Counter(
-        sample_tree_stream(g, gen).edge_ids for _ in range(300000)
-    )
+    counts = _sorted_tree_counts(g, gen, 300000)
     want = {(0, 1): 0.2, (0, 2): 0.4, (1, 2): 0.4}
     for ids, p in want.items():
         assert counts[ids] / 300000 == pytest.approx(p, abs=0.005)
@@ -512,6 +516,24 @@ def test_tree_batches_list_the_stream_trees_in_order(name, g, slots, monkeypatch
         exits = _wilson_exits(g, ref)
         assert row_parents == [nbrs[v][exits[v]] for v in range(1, g.n)]
         assert row_ids == [eids[v][exits[v]] for v in range(1, g.n)]
+
+
+@pytest.mark.parametrize("slots", [None, 1, 26])
+@pytest.mark.parametrize(
+    "name,g", SMALL + [("random_multigraph", random_connected_graph(30, 50, seed=8))]
+)
+def test_tree_edge_counts_sum_the_stream_trees(name, g, slots, monkeypatch):
+    # Oracle: one bincount per SpanningTree of the same stream, summed.
+    if slots is not None:
+        monkeypatch.setattr(treesample, "_BATCH_SLOTS", slots)
+    count = 9
+    gen = np.random.Generator(np.random.Philox(21))
+    want = sum(
+        np.bincount(sample_tree_stream(g, gen).edge_ids, minlength=g.m) for _ in range(count)
+    )
+    got = tree_edge_counts(g, np.random.Generator(np.random.Philox(21)), count)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_check_parent_trees_rejects_non_trees():

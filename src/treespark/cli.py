@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .graph import (
     DisconnectedGraphError,
-    GraphFileError,
     SizeGuardError,
     complete_graph,
     clique_star,
@@ -184,8 +183,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = parse_graph_spec(args.graph, args.seed, max_n=DENSE_SOLVE_CAP)
-    if args.t is None and args.cmult is None:
-        args.cmult = 1.0
     report = run_sum_trees(
         g,
         eps=args.eps,
@@ -328,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--graph", required=True)
     p_cert.add_argument("--eps", type=_fraction(closed=False), required=True)
     p_cert.add_argument("--t", type=_positive_int, default=None)
-    p_cert.add_argument("--cmult", type=_fraction(high=math.inf, closed=False), default=None)
+    p_cert.add_argument("--cmult", type=_fraction(high=math.inf, closed=False), default=1.0)
     p_cert.add_argument("--trials", type=_positive_int, default=10)
     p_cert.add_argument("--gate", type=_fraction(), default=DEFAULT_PASS_GATE)
     p_cert.add_argument("--seed", type=_seed_int, default=None)
@@ -361,12 +358,6 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
         return args.func(args)
-    except UsageError as exc:
-        print(f"treespark: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphFileError as exc:
-        print(f"treespark: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DisconnectedGraphError as exc:
         print(f"treespark: invalid graph: {exc}", file=sys.stderr)
         return EXIT_BAD_GRAPH

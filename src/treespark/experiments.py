@@ -232,6 +232,8 @@ def run_sum_trees(
             raise ValueError(f"t is not finite for eps = {eps!r}, c_mult = {c_mult!r}") from None
     elif t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    else:
+        c_mult = None  # an explicit t leaves the multiplier unused
     if t * (g.n - 1) > MAX_TREE_SLOTS:
         raise ValueError(
             f"t = {t} trees on n = {g.n} vertices exceed the cap of "

@@ -37,7 +37,7 @@ import numpy as np
 from .graph import SizeGuardError, WeightedGraph, philox_stream
 from .leverage import TransferCurrent, edge_frame_rows
 from .spectral import _opnorm
-from .treesample import sample_tree_stream
+from .treesample import _wilson_edge_ids
 
 SHRINKING_EDGE_CAP = 10
 TRACE_VERTEX_CAP = 12
@@ -59,78 +59,73 @@ CUMULATIVE_SLACK = 1e-6
 class ShrinkingMarginalsReport:
     """Exhaustive comparison of conditional vs unconditional marginals.
 
-    ``max_excess`` is the largest value of ``conditional - unconditional``
-    seen over every (forest, residual edge) pair; negative dependence
-    predicts it never exceeds numerical noise.  ``worst`` records the
-    pair achieving it as ``(forest ids, edge id, conditional,
-    unconditional)``.
+    ``forests[f]`` lists the edge ids of forest f in ascending order, the
+    empty forest first, and ``conditional[f]`` holds every edge's
+    marginal conditioned on it, so ``conditional[0]`` is the
+    unconditional one.  ``max_excess`` is the largest value of
+    ``conditional - unconditional`` over every (forest, residual edge)
+    pair; negative dependence predicts it never exceeds numerical noise.
+    ``worst`` records the first pair achieving it as ``(forest ids, edge
+    id, conditional, unconditional)``.
     """
 
-    num_forests: int
+    forests: tuple[tuple[int, ...], ...]
+    conditional: np.ndarray
     num_pairs: int
     max_excess: float
     worst: tuple
     passed: bool
-    entries: tuple = ()
+
+    @property
+    def num_forests(self) -> int:
+        return len(self.forests)
 
 
-def shrinking_marginals_suite(
-    g: WeightedGraph, keep_entries: bool = False
-) -> ShrinkingMarginalsReport:
+def shrinking_marginals_suite(g: WeightedGraph) -> ShrinkingMarginalsReport:
     """Check marginal shrinkage for every forest of a small graph.
 
     Enumerates every forest S (the empty one included) depth first,
     each one a single transfer-current contraction away from its
-    parent, and compares each residual edge's conditional marginal
-    against its plain leverage score, read off the same transfer-current
-    matrix so the empty forest compares equal.  Passes when no excess
-    tops ``SHRINKING_TOL``.  Guarded at ``m <= 10`` edges.
+    parent, records its marginals and contracted mask, and reduces all
+    forests at once: each residual edge's conditional marginal is
+    compared against its plain leverage score, read off the same
+    transfer-current matrix so the empty forest compares equal.  Passes
+    when no excess tops ``SHRINKING_TOL``; a NaN excess fails.  Guarded
+    at ``m <= 10`` edges.
     """
     if g.m > SHRINKING_EDGE_CAP:
         raise SizeGuardError(
             f"shrinking marginal suite capped at m = {SHRINKING_EDGE_CAP}, got m = {g.m}"
         )
-    root = TransferCurrent(g)
-    base = root.marginals()
-    forests: list[tuple[tuple[int, ...], np.ndarray]] = []
+    conds, masks = [], []
     us, vs, _ = g.edge_arrays
 
-    def recurse(next_eid: int, chosen: list[int], tc: TransferCurrent):
-        forests.append((tuple(chosen), tc.marginals()))
+    def recurse(next_eid: int, tc: TransferCurrent):
+        conds.append(tc.marginals())
+        masks.append(tc.contracted)
         for eid in range(next_eid, g.m):
             if tc.reps[us[eid]] == tc.reps[vs[eid]]:
                 continue
             sub = tc.copy()
             sub.contract(eid)
-            chosen.append(eid)
-            recurse(eid + 1, chosen, sub)
-            chosen.pop()
+            recurse(eid + 1, sub)
 
-    recurse(0, [], root)
-
-    num_pairs = 0
-    max_excess = -math.inf
-    worst = ()
-    entries = []
-    for forest, cond in forests:
-        in_forest = set(forest)
-        for eid in range(g.m):
-            if eid in in_forest:
-                continue
-            num_pairs += 1
-            excess = float(cond[eid] - base[eid])
-            if keep_entries:
-                entries.append((forest, eid, float(cond[eid]), float(base[eid])))
-            if excess > max_excess:
-                max_excess = excess
-                worst = (forest, eid, float(cond[eid]), float(base[eid]))
+    recurse(0, TransferCurrent(g))
+    cond, member = np.array(conds), np.array(masks)
+    # The empty forest comes first, so its row is the unconditional marginals.
+    base = cond[0]
+    excess = np.where(member, -np.inf, cond - base)
+    # The first maximum in forest-then-edge order; a NaN is its own maximum.
+    f, eid = np.unravel_index(np.argmax(excess), excess.shape)
+    max_excess = float(excess[f, eid])
+    forests = tuple(tuple(np.flatnonzero(row).tolist()) for row in member)
     return ShrinkingMarginalsReport(
-        num_forests=len(forests),
-        num_pairs=num_pairs,
+        forests=forests,
+        conditional=cond,
+        num_pairs=int((~member).sum()),
         max_excess=max_excess,
-        worst=worst,
+        worst=(forests[f], int(eid), float(cond[f, eid]), float(base[eid])),
         passed=max_excess <= SHRINKING_TOL,
-        entries=tuple(entries),
     )
 
 
@@ -325,12 +320,14 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
 
 
 def martingale_trace(g: WeightedGraph, rng_seed: int) -> MartingaleTrace:
-    """Sample a tree, shuffle its edges uniformly and trace the martingale."""
+    """Draw a Wilson tree, shuffle its edge ids uniformly and trace the martingale.
+
+    The tree's ids are sorted, then shuffled by the same generator;
+    :func:`trace_for_ordering` checks that they span.
+    """
     gen = philox_stream(rng_seed)
-    tree = sample_tree_stream(g, gen)
-    order = gen.permutation(len(tree.edge_ids))
-    ordering = tuple(tree.edge_ids[int(j)] for j in order)
-    return trace_for_ordering(g, ordering)
+    ids = sorted(_wilson_edge_ids(g, gen))
+    return trace_for_ordering(g, [ids[j] for j in gen.permutation(len(ids))])
 
 
 def check_step_variance_bound(trace: MartingaleTrace) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, component_labels, laplacian, philox_stream
+from .graph import WeightedGraph, component_labels, laplacian
 from .leverage import LeverageProfile
 
 WEIGHT_MODES = ("original", "inverse_leverage")
@@ -260,17 +260,6 @@ def tree_edge_counts(g: WeightedGraph, gen: np.random.Generator, count: int) -> 
     for _, ids in wilson_tree_batches(g, gen, count):
         counts += np.bincount(ids.ravel(), minlength=g.m)
     return counts
-
-
-def edge_frequencies(g: WeightedGraph, samples: int, rng_seed: int) -> np.ndarray:
-    """Fraction of sampled trees containing each edge.
-
-    Draws ``samples`` trees from one seeded stream and counts edge
-    occurrences; the result estimates the leverage scores.
-    """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    return tree_edge_counts(g, philox_stream(rng_seed), samples) / samples
 
 
 def reweight_tree(tree: SpanningTree, profile: LeverageProfile) -> SpanningTree:

@@ -24,7 +24,13 @@ from treespark.experiments import (
     run_single_tree_upper,
     run_sum_trees,
 )
-from treespark.graph import clique_star, complete_graph, erdos_renyi_connected, ring_graph
+from treespark.graph import (
+    clique_star,
+    complete_graph,
+    erdos_renyi_connected,
+    philox_stream,
+    ring_graph,
+)
 from treespark.leverage import leverage_scores
 from treespark.spectral import psd_leq
 from treespark.srdiag import (
@@ -35,7 +41,7 @@ from treespark.srdiag import (
     reverse_chernoff_check,
     shrinking_marginals_suite,
 )
-from treespark.treesample import edge_frequencies
+from treespark.treesample import tree_edge_counts
 
 
 @contextlib.contextmanager
@@ -63,7 +69,7 @@ def test_criterion_01_marginal_law_oracle_equivalence():
             enum_gap = float(np.abs(enumerate_trees(g).marginals() - lev).max())
             worst_exact = max(worst_exact, enum_gap)
             assert enum_gap <= 1e-10
-            freqs = edge_frequencies(g, samples, rng_seed=2000 + i)
+            freqs = tree_edge_counts(g, philox_stream(2000 + i), samples) / samples
             for eid in range(g.m):
                 variance = max(float(lev[eid] * (1.0 - lev[eid])), 0.0)
                 sigma = math.sqrt(variance / samples)

@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
         (
             "martingale",
             ["diag", "martingale", "--graph", "k:5", "--seeds", "2"],
-            {"srdiag.trace", "srdiag.check"},
+            {"srdiag.trace", "srdiag.check", "treesample.walk"},
         ),
     ],
 )

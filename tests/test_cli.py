@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import random_connected_graph, weighted_triangle
+from corpus import SMALL, random_connected_graph, weighted_triangle
 from test_experiments import DRIVER_KEYS
 from tree_line_oracle import format_tree_line, parse_tree_line, sample_tree_wilson
 from treespark.cli import (
@@ -101,6 +101,71 @@ def test_sample_and_certify_build_no_tree_objects(monkeypatch, tmp_path, capsys)
         argv = ["certify", "--graph", spec, "--eps", "0.5", "--t", "3", "--trials", "2"]
         assert main(argv + ["--jobs", "1", "--json"]) in (EXIT_PASS, EXIT_FAIL)
         assert json.loads(capsys.readouterr().out)["kind"] == "sum_trees"
+        argv = ["diag", "martingale", "--graph", spec, "--seeds", "3", "--seed", "1"]
+        assert main(argv) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["suite"] == "martingale"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of `diag martingale --seeds 30 --seed 0 --dump dump.txt` (stdout,
+# dump), drawn at the version whose trace built one SpanningTree per
+# seed.  Sorting the walk's edge ids draws the same orderings.
+MARTINGALE_DIGESTS = {
+    "k:10": (
+        "017beea92b0e076cf3bd7f781723b3e245fe199d2a7f4c9dde6aba62c621bd37",
+        "6b085f408bbf8d5c4c70c5ac8c4a9d2463b6b73cb37f06b31f3fbaac7c225a6d",
+    ),
+    "multi.graph": (
+        "fbcd7c42fb1df0f93f56bdf0cf8782787c8ec76498e9ba02527cadd12181d30f",
+        "84b025c2fe8f3b88f1ac578a531a7d87178f2af49e603aec2e6bc978a7e4a132",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MARTINGALE_DIGESTS))
+def test_martingale_outputs_match_their_object_route_digests(spec, tmp_path, monkeypatch, capsys):
+    # The weighted multigraph (12 vertices) takes the walk's bisect path.
+    monkeypatch.chdir(tmp_path)
+    write_graph(random_connected_graph(12, 20, seed=3), "multi.graph")
+    argv = ["diag", "martingale", "--graph", spec, "--seeds", "30", "--seed", "0"]
+    assert main(argv + ["--dump", "dump.txt"]) == EXIT_PASS
+    digests = (_sha256(capsys.readouterr().out), _sha256(Path("dump.txt").read_text()))
+    assert digests == MARTINGALE_DIGESTS[spec]
+
+
+# sha256 of `diag marginals --graph <name>.graph` stdout on each corpus
+# graph with m <= 10, drawn at the version whose suite compared one
+# (forest, edge) pair at a time.
+MARGINALS_DIGESTS = {
+    "p2": "b2eca2dafcfcab4367deb69c1973fc6e61e166cf2981dfd9048f8f0d22610f1a",
+    "p3": "2101e834c257af15cb55b757677430ba9f3b844b33a10fcc8ea8426e4138bb76",
+    "wp3": "af92c39888de3bbfa7c1d0e59677fdbe0649dccbc324291ebf292ae276786caf",
+    "p4": "c99432845c67ce47e9051dff0791e6eda5826285109a83372447841518ed384e",
+    "parallel_pair": "e005029658c5b8d8f4d79a81d34e358ef0fcbec5a1beaae22f6aa296fa02af20",
+    "triangle": "fefeb3b9ff5b16b08d4a69d8b6ac2104fe1b21d659805b7fd0b7044e19cd3679",
+    "weighted_triangle": "07b75db5a57eb3d91b686a73a7585ade298ac109b4da9833f2b99b30f71a723f",
+    "doubled_triangle": "8b9273f8cceee166cd3b10ad911d46361144a06a899ec5e5867dc25b051d18c6",
+    "c4": "8870c7874810f9d1e608e5045b3f0c0f18342610d304b01ead6f2632175589f0",
+    "c5": "3e83e014580f1254328c8165bb1a7d8dfc27e3c5c13a62c2fd367f16178ef4da",
+    "star5": "ea8c0d81ca84ec094b7b974ec7ae030907ba628201ebc9aab16ba33819fb8b16",
+    "diamond": "5c9e8f97c16bf2b75d924bdbc0da969a020a7aa9029c490022849a43876a0263",
+    "k4": "ce3bdfd1f64c25ebc80150e386ad1b98cdfa578453a801d7965d5b684823cb0d",
+    "weighted_k4": "65fc029cccef28881d40700d85f4f24fe0db49c01f17ae349cd1d2127bb20f4e",
+    "k5_minus_edge": "022843ad785ee89e9427b1a28926ed7611dd22a0cbac4eb5987ced16299c98f5",
+    "k5": "71ebb7951f0d1b084a6daee46d58b29be82969bf6aae1768742b434d832b5716",
+    "cliquestar_2_3": "83a1b769793b22d9be5debd4455a332eeae5f9a7d91036218dd83179e4e38c98",
+}
+
+
+@pytest.mark.parametrize("name,g", [(name, g) for name, g in SMALL if g.m <= 10])
+def test_marginals_report_matches_its_per_pair_digest(name, g, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_graph(g, f"{name}.graph")
+    assert main(["diag", "marginals", "--graph", f"{name}.graph"]) == EXIT_PASS
+    assert _sha256(capsys.readouterr().out) == MARGINALS_DIGESTS[name]
 
 
 def test_sample_to_file(tmp_path, capsys):
@@ -525,6 +590,9 @@ def test_certify_json_names_each_setting_once(capsys):
     assert payload["seeds"] == [4, 5, 6]
     assert payload["gate"] == DEFAULT_PASS_GATE
     assert payload["config"]["jobs"] == 1
+    # With --t given, --cmult sets nothing, so it is not reported.
+    main(argv + ["--cmult", "3", "--seed", "4", "--jobs", "1", "--json"])
+    assert json.loads(capsys.readouterr().out)["c_mult"] is None
 
 
 @pytest.mark.parametrize(

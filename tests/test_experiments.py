@@ -29,16 +29,16 @@ from treespark.experiments import (
     run_unweighted_thin_tree,
     write_extremes_csv,
 )
-from treespark.graph import clique_star, complete_graph, laplacian, ring_graph
+from treespark.graph import clique_star, complete_graph, laplacian, philox_stream, ring_graph
 from treespark.leverage import laplacian_frame, leverage_scores
 from treespark.spectral import eig_sym, normalized_pencil
 from treespark.srdiag import binomial_tail
 from treespark.treesample import (
     _wilson_edge_ids,
     average_trees,
-    edge_frequencies,
     reweight_tree,
     sample_tree_stream,
+    tree_edge_counts,
 )
 
 
@@ -115,7 +115,12 @@ def test_single_ring_tree_has_exact_pencil_extremes(n):
 def test_sum_trees_default_t_formula():
     report = run_sum_trees(complete_graph(16), eps=0.5, trials=2, base_seed=4)
     assert report.results["t"] == math.ceil(0.5**-2 * math.log(16) ** 2)
+    assert report.results["c_mult"] == 1.0
     assert report.config["range_per_tree"] == pytest.approx(1.0 / report.results["t"])
+    # An explicit t leaves c_mult unused, so it is not reported.
+    g = complete_graph(6)
+    assert run_sum_trees(g, 0.5, 2, 0, t=4).results["c_mult"] is None
+    assert run_sum_trees(g, 0.5, 2, 0, c_mult=3.0, t=4).results["c_mult"] is None
     # the desk-scale reference instance resolves to t = 113
     assert math.ceil(1.0 * 0.5**-2 * math.log(200) ** 2) == 113
 
@@ -259,13 +264,16 @@ def test_single_tree_runners_match_tree_object_route(name, g):
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
 def test_edge_frequencies_match_edge_id_route(name, g):
+    # An edge's frequency is its count kernel entry over the sample
+    # count; the oracle counts one id-route walk per tree.
     samples = 300
     gen = np.random.Generator(np.random.Philox(17))
     counts = np.zeros(g.m)
     for _ in range(samples):
         for eid in _wilson_edge_ids(g, gen):
             counts[eid] += 1.0
-    assert np.array_equal(edge_frequencies(g, samples, 17), counts / samples)
+    freqs = tree_edge_counts(g, philox_stream(17), samples) / samples
+    assert np.array_equal(freqs, counts / samples)
 
 
 CLIQUE_STARS = [(1, 4), (2, 3), (3, 5), (4, 12)]
@@ -372,7 +380,10 @@ def test_drivers_do_not_depend_on_the_batch_size(monkeypatch):
             run_multi_tree_lower(
                 3, 5, eps=0.4, trials=3, base_seed=2, t=40
             ).results["violations"],
-            edge_frequencies(random_connected_graph(24, 30, seed=2), 200, 4).tolist(),
+            (
+                tree_edge_counts(random_connected_graph(24, 30, seed=2), philox_stream(4), 200)
+                / 200
+            ).tolist(),
             run_sum_trees(
                 complete_graph(9), eps=0.5, trials=2, base_seed=1, t=25
             ).results["extremes"],

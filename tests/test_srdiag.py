@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from corpus import (
+    SMALL,
     diamond,
     doubled_triangle,
     parallel_pair,
     path_graph,
+    random_connected_graph,
     triangle,
     weighted_k4,
     weighted_triangle,
@@ -22,7 +24,7 @@ from enumeration_oracle import enumerate_trees
 from frame_oracle import pinv_power
 from quotient_oracle import forests, quotient_marginals, quotient_trace
 from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, laplacian, ring_graph
-from treespark.leverage import leverage_scores
+from treespark.leverage import TransferCurrent, leverage_scores
 from treespark.spectral import eig_sym, psd_leq
 from treespark.srdiag import (
     TRACE_EDGE_CAP,
@@ -67,31 +69,79 @@ def test_shrinking_small_graphs(g):
     assert report.num_pairs > 0
 
 
-def test_shrinking_keep_entries():
-    report = shrinking_marginals_suite(triangle(), keep_entries=True)
-    assert len(report.entries) == report.num_pairs
+def test_shrinking_report_arrays():
+    report = shrinking_marginals_suite(triangle())
+    assert report.conditional.shape == (report.num_forests, 3)
+    assert report.num_pairs == sum(3 - len(forest) for forest in report.forests)
     forest, eid, cond, base = report.worst
     assert 0 <= eid < 3
     assert cond <= base + 1e-10
+    assert cond == report.conditional[report.forests.index(forest), eid]
 
 
 @pytest.mark.parametrize("g", [weighted_k4(), complete_graph(4), diamond()])
 def test_shrinking_empty_forest_compares_equal(g):
     # Both sides of the comparison come from one transfer-current matrix,
     # so the empty forest shows no rounding gap as an excess.
-    report = shrinking_marginals_suite(g, keep_entries=True)
-    empty = [(cond, base) for forest, _, cond, base in report.entries if not forest]
-    assert len(empty) == g.m
-    assert all(cond == base for cond, base in empty)
+    report = shrinking_marginals_suite(g)
+    assert report.forests.count(()) == 1 and report.forests[0] == ()
+    assert np.array_equal(report.conditional[0], TransferCurrent(g).marginals())
 
 
 @pytest.mark.parametrize("g", [weighted_k4(), doubled_triangle(), parallel_pair()])
 def test_shrinking_entries_match_quotient_oracle(g):
-    report = shrinking_marginals_suite(g, keep_entries=True)
+    report = shrinking_marginals_suite(g)
     states = {st.contracted: st for st in forests(g)}
     assert report.num_forests == len(states)
-    for forest, eid, cond, _ in report.entries:
-        assert abs(cond - quotient_marginals(g, states[forest])[eid]) <= 1e-12
+    for forest, cond in zip(report.forests, report.conditional):
+        want = quotient_marginals(g, states[forest])
+        for eid in sorted(set(range(g.m)) - set(forest)):
+            assert abs(cond[eid] - want[eid]) <= 1e-12
+
+
+# (n, extra edges, seed) of random weighted multigraphs with m = 7, 9, 10, 9.
+SHRINKING_MULTIGRAPHS = [(4, 4, 1), (5, 5, 2), (6, 5, 3), (7, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [g for _, g in SMALL if g.m <= 10]
+    + [random_connected_graph(n, extra, seed) for n, extra, seed in SHRINKING_MULTIGRAPHS],
+)
+def test_shrinking_reduction_matches_the_pair_loop(g):
+    # Reference: one strict `>` comparison per (forest, residual edge)
+    # pair, forests in enumeration order and edges ascending.
+    report = shrinking_marginals_suite(g)
+    base = report.conditional[0]
+    num_pairs, max_excess, worst = 0, -math.inf, ()
+    for forest, cond in zip(report.forests, report.conditional):
+        for eid in range(g.m):
+            if eid in forest:
+                continue
+            num_pairs += 1
+            excess = float(cond[eid] - base[eid])
+            if excess > max_excess:
+                max_excess = excess
+                worst = (forest, eid, float(cond[eid]), float(base[eid]))
+    assert (report.num_pairs, report.max_excess, report.worst) == (num_pairs, max_excess, worst)
+
+
+def test_shrinking_nan_marginal_fails(monkeypatch):
+    # A NaN on one non-empty forest must fail the suite, not drop out of
+    # the comparison.
+    marginals = TransferCurrent.marginals
+
+    def poisoned(self):
+        out = marginals(self)
+        if self.contracted.tolist() == [True, False, False]:
+            out[1] = math.nan
+        return out
+
+    monkeypatch.setattr(TransferCurrent, "marginals", poisoned)
+    report = shrinking_marginals_suite(triangle())
+    assert not report.passed
+    assert math.isnan(report.max_excess)
+    assert report.worst[:2] == ((0,), 1)
 
 
 def test_shrinking_size_guard():
@@ -253,6 +303,8 @@ def test_trace_rejects_bad_orderings():
         trace_for_ordering(g, (0, 1))  # too short
     with pytest.raises(ValueError):
         trace_for_ordering(g, (0, 0, 1))  # repeats an edge
+    with pytest.raises(ValueError):
+        trace_for_ordering(g, (0, 1, 99))  # names no edge of g
 
 
 def test_trace_size_guard():

@@ -29,6 +29,7 @@ from treespark.graph import (
     clique_star,
     complete_graph,
     laplacian,
+    philox_stream,
     ring_graph,
 )
 from treespark import treesample
@@ -41,7 +42,6 @@ from treespark.treesample import (
     average_trees,
     check_parent_trees,
     check_tree_ids,
-    edge_frequencies,
     reweight_tree,
     sample_tree_stream,
     tree_edge_counts,
@@ -147,7 +147,7 @@ def test_tree_frequencies_weighted_triangle():
 def test_edge_frequencies_match_leverage_within_4_sigma():
     g = complete_graph(4)
     samples = 200000
-    freqs = edge_frequencies(g, samples, 107)
+    freqs = tree_edge_counts(g, philox_stream(107), samples) / samples
     lev = leverage_scores(g).values
     for eid in range(g.m):
         sigma = math.sqrt(lev[eid] * (1.0 - lev[eid]) / samples)
@@ -159,7 +159,7 @@ def test_inverse_leverage_average_is_unbiased():
     # means must sit within five exact standard errors of the leverage.
     g = complete_graph(5)
     samples = 100000
-    freqs = edge_frequencies(g, samples, 109)
+    freqs = tree_edge_counts(g, philox_stream(109), samples) / samples
     lev = leverage_scores(g).values
     for eid in range(g.m):
         sigma = math.sqrt(lev[eid] * (1.0 - lev[eid]) / samples)

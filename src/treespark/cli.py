@@ -11,8 +11,9 @@ Graphs are given either as a file path (format: ``n m`` header then
 ``ring:N``, ``cliquestar:L,S`` or ``er:N,P`` (seeded by ``--seed``).
 
 Exit codes: 0 pass, 1 gate or diagnostic failure, 2 usage or unreadable
-input, 3 invalid (disconnected) graph, 4 size guard refusal.  The
-default seed comes from ``TREESPARK_SEED`` when set, else 0.
+input, 3 invalid (disconnected) graph, 4 size guard refusal or a graph
+too large to allocate.  The default seed comes from ``TREESPARK_SEED``
+when set, else 0.
 """
 
 from __future__ import annotations
@@ -231,26 +232,26 @@ def _diag_marginals(args) -> tuple[bool, dict]:
 def _diag_martingale(args) -> tuple[bool, dict]:
     g = parse_graph_spec(args.graph, args.seed, max_n=TRACE_VERTEX_CAP)
     results = []
+    margins = []
     dumps = []
-    worst = None
-    for i in range(args.seeds):
-        trace = martingale_trace(g, args.seed + i)
+    for seed in range(args.seed, args.seed + args.seeds):
+        trace = martingale_trace(g, seed)
         results.append(check_trace_bounds(trace))
-        margin, step, bound = trace.worst_margin()
-        if worst is None or margin < worst["margin"]:
-            worst = {"margin": margin, "seed": args.seed + i, "step": step, "bound": bound}
+        margins.append((*trace.worst_margin(), seed))
         if args.dump:
             dumps.append(trace_dump(trace))
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.writelines(dumps)
+    # The first smallest margin, or the first NaN one: argmin returns it.
+    margin, step, bound, seed = margins[int(np.argmin([m[0] for m in margins]))]
     passed = all(results)
     return passed, {
         "suite": "martingale",
         "graph": args.graph,
         "seeds": args.seeds,
         "failures": results.count(False),
-        "worst": worst,
+        "worst": {"margin": margin, "seed": seed, "step": step, "bound": bound},
         "passed": passed,
     }
 
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     except DisconnectedGraphError as exc:
         print(f"treespark: invalid graph: {exc}", file=sys.stderr)
         return EXIT_BAD_GRAPH
-    except SizeGuardError as exc:
+    except (SizeGuardError, MemoryError) as exc:
         print(f"treespark: size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
     except (ValueError, OSError) as exc:

@@ -324,12 +324,12 @@ def run_multi_tree_lower(
     base_deg = g.weighted_degrees()
     lo_win = (1.0 - eps) * base_deg
     hi_win = (1.0 + eps) * base_deg
-    us, vs, ws = g.edge_arrays
+    ws = g.edge_arrays[2]
 
     violations = []
     for seed in seeds:
         w = tree_edge_counts(g, philox_stream(seed), t) * ws * inv_lev
-        avg_deg = (np.bincount(us, w, n) + np.bincount(vs, w, n)) / t
+        avg_deg = g.weighted_degrees(w) / t
         violations.append(bool(np.any(avg_deg > hi_win) or np.any(avg_deg < lo_win)))
 
     return _report(

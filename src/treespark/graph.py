@@ -178,13 +178,15 @@ class WeightedGraph:
         np.cumsum(np.bincount(ends, minlength=self.n), out=offsets[1:])
         return offsets, nbr[order], eid[order]
 
-    def weighted_degrees(self) -> np.ndarray:
-        """Sum of incident edge weights per vertex (Laplacian diagonal)."""
+    def weighted_degrees(self, weights=None) -> np.ndarray:
+        """Sum of incident edge weights per vertex (Laplacian diagonal).
+
+        ``weights`` replaces the edge weights with a length-``m`` vector
+        aligned with edge ids, as in :func:`laplacian`.
+        """
         us, vs, ws = self.edge_arrays
-        deg = np.zeros(self.n)
-        np.add.at(deg, us, ws)
-        np.add.at(deg, vs, ws)
-        return deg
+        ws = ws if weights is None else weights
+        return np.bincount(us, ws, self.n) + np.bincount(vs, ws, self.n)
 
 
 def laplacian(g: WeightedGraph, weights=None) -> np.ndarray:

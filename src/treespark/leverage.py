@@ -172,40 +172,30 @@ class TransferCurrent:
     """Transfer-current matrix of a graph conditioned on a contracted forest.
 
     ``y`` starts as ``R R^T = W^1/2 B L^+ B^T W^1/2`` (m x m, exactly
-    symmetric, diagonal = leverage scores) and each :meth:`contract`
-    applies the rank-one update that conditions on one more tree edge.
-    ``reps`` tracks the merged vertex blocks, so whether an edge is
-    contracted or a loop (endpoints in one block) is decided exactly
-    rather than read off a float that rounding leaves near zero.
+    symmetric, diagonal = leverage scores) and :meth:`contract` returns
+    the state conditioned on one more tree edge, by a rank-one update;
+    no method writes to ``self``.  ``ends`` is the ``(2, m)`` array of
+    each edge's two endpoint blocks, so whether an edge is contracted or
+    a loop (both ends in one block) is decided exactly rather than read
+    off a float that rounding leaves near zero.
     """
 
     def __init__(self, g: WeightedGraph):
         rows = edge_frame_rows(g)
+        us, vs, _ = g.edge_arrays
         self.graph = g
         self.y = rows @ rows.T
-        self.reps = np.arange(g.n)
+        self.ends = np.array((us, vs))
         self.contracted = np.zeros(g.m, dtype=bool)
-
-    def copy(self) -> "TransferCurrent":
-        """Independent state that can be contracted further on its own."""
-        dup = copy.copy(self)
-        dup.y, dup.reps, dup.contracted = self.y.copy(), self.reps.copy(), self.contracted.copy()
-        return dup
-
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        us, vs, _ = self.graph.edge_arrays
-        return self.reps[us], self.reps[vs]
 
     def candidates(self) -> np.ndarray:
         """Ids of the edges that join two different blocks."""
-        ru, rv = self._ends()
-        return np.flatnonzero(ru != rv)
+        return np.flatnonzero(self.ends[0] != self.ends[1])
 
     def marginals(self) -> np.ndarray:
         """Conditional marginals: 1 on contracted edges, 0 on loops."""
-        ru, rv = self._ends()
         out = np.diag(self.y).copy()
-        out[ru == rv] = 0.0
+        out[self.ends[0] == self.ends[1]] = 0.0
         out[self.contracted] = 1.0
         return out
 
@@ -214,13 +204,12 @@ class TransferCurrent:
 
         Every entry of ``cands`` must be one of :meth:`candidates`.
         """
-        ru, rv = self._ends()
         rows = self.y[cands]
         pick = np.arange(len(cands))
         out = np.diag(self.y) - rows * rows / rows[pick, cands][:, None]
         # Contracting a candidate turns every edge across the same pair of
         # blocks into a loop; an unordered block pair is one integer key.
-        lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+        lo, hi = self.ends.min(axis=0), self.ends.max(axis=0)
         key = lo * self.graph.n + hi
         out[key == key[cands][:, None]] = 0.0
         out[:, lo == hi] = 0.0
@@ -228,26 +217,28 @@ class TransferCurrent:
         out[pick, cands] = 1.0
         return out
 
-    def contract(self, edge_id: int) -> None:
-        """Condition on ``edge_id`` being a tree edge.
+    def contract(self, edge_id: int) -> "TransferCurrent":
+        """The state conditioned on ``edge_id`` also being a tree edge.
 
         Raises :class:`InvalidConditioningError` when the edge is already
         contracted or its endpoints are already merged (a cycle).
         """
         if not (0 <= edge_id < self.graph.m):
             raise ValueError(f"edge id {edge_id} out of range")
-        ru, rv = self._ends()
         if self.contracted[edge_id]:
             raise InvalidConditioningError(f"edge {edge_id} already contracted")
-        if ru[edge_id] == rv[edge_id]:
+        keep, drop = np.sort(self.ends[:, edge_id])
+        if keep == drop:
             raise InvalidConditioningError(
                 f"edge {edge_id} closes a cycle in the contracted set"
             )
         col = self.y[:, edge_id]
-        self.y = self.y - np.outer(col, col) / col[edge_id]
-        keep, drop = min(ru[edge_id], rv[edge_id]), max(ru[edge_id], rv[edge_id])
-        self.reps[self.reps == drop] = keep
-        self.contracted[edge_id] = True
+        out = copy.copy(self)
+        out.y = self.y - np.outer(col, col) / col[edge_id]
+        out.ends = np.where(self.ends == drop, keep, self.ends)
+        out.contracted = self.contracted.copy()
+        out.contracted[edge_id] = True
+        return out
 
 
 def conditional_marginals(g: WeightedGraph, edge_ids) -> np.ndarray:
@@ -262,5 +253,5 @@ def conditional_marginals(g: WeightedGraph, edge_ids) -> np.ndarray:
     """
     tc = TransferCurrent(g)
     for eid in edge_ids:
-        tc.contract(eid)
+        tc = tc.contract(eid)
     return tc.marginals()

@@ -98,17 +98,13 @@ def shrinking_marginals_suite(g: WeightedGraph) -> ShrinkingMarginalsReport:
             f"shrinking marginal suite capped at m = {SHRINKING_EDGE_CAP}, got m = {g.m}"
         )
     conds, masks = [], []
-    us, vs, _ = g.edge_arrays
 
     def recurse(next_eid: int, tc: TransferCurrent):
         conds.append(tc.marginals())
         masks.append(tc.contracted)
-        for eid in range(next_eid, g.m):
-            if tc.reps[us[eid]] == tc.reps[vs[eid]]:
-                continue
-            sub = tc.copy()
-            sub.contract(eid)
-            recurse(eid + 1, sub)
+        cands = tc.candidates()
+        for eid in cands[cands >= next_eid].tolist():
+            recurse(eid + 1, tc.contract(eid))
 
     recurse(0, TransferCurrent(g))
     cond, member = np.array(conds), np.array(masks)
@@ -184,21 +180,24 @@ class MartingaleTrace:
         return mu / slots, 4.0 * mu * self.max_edge_norm / slots
 
     def worst_margin(self) -> tuple[float, int, str]:
-        """Smallest slack ``(margin, step, bound)`` to the range ``R`` or ``10 mu R ln k``."""
+        """Smallest slack ``(margin, step, bound)`` to the range ``R`` or ``10 mu R ln k``.
+
+        ``argmax`` and ``argmin`` pick the first NaN, so a NaN margin is the worst.
+        """
         top = int(np.argmax(self.step_norms))
-        step_margin = self.max_edge_norm - self.step_norms[top]
-        cumulative_margin = self.cumulative_bound() - self.variation_norms[-1]
-        if step_margin <= cumulative_margin:
-            return step_margin, top + 1, "increment_range"
-        return cumulative_margin, self.k, "cumulative"
+        margins = (
+            (self.max_edge_norm - self.step_norms[top], top + 1, "increment_range"),
+            (self.cumulative_bound() - self.variation_norms[-1], self.k, "cumulative"),
+        )
+        return margins[int(np.argmin([m[0] for m in margins]))]
 
 
 @dataclass(frozen=True)
 class _TraceFrame:
     """Read-only per-graph state every trace of one graph starts from.
 
-    ``tc`` is the unconditioned transfer-current state (traces contract a
-    ``copy()``), ``lev`` the leverage vector read off its diagonal,
+    ``tc`` is the unconditioned transfer-current state (traces contract
+    it by value), ``lev`` the leverage vector read off its diagonal,
     ``flat`` the edge matrices ``A_e`` as an ``(m, k^2)`` array and
     ``expect_0`` their leverage-weighted sum, the identity up to
     rounding.
@@ -221,7 +220,7 @@ def _trace_frame(g: WeightedGraph) -> _TraceFrame:
     rows = edge_frame_rows(g) / np.sqrt(lev)[:, None]
     mats = np.einsum("ei,ej->eij", rows, rows)
     expect_0 = np.tensordot(lev, mats, axes=1)
-    for arr in (tc.y, tc.reps, tc.contracted, lev, mats, expect_0):
+    for arr in (tc.y, tc.ends, tc.contracted, lev, mats, expect_0):
         arr.flags.writeable = False
     return _TraceFrame(
         tc=tc,
@@ -259,7 +258,7 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
 
     frame = _trace_frame(g)
     flat = frame.flat
-    tc = frame.tc.copy()
+    tc = frame.tc
     margs = frame.lev
     expect_prev = frame.expect_0
 
@@ -276,7 +275,8 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         candidates = tc.candidates()
         c = len(candidates)
         probs = margs[candidates] / slots
-        cand_expect = (tc.marginals_after(candidates) @ flat).reshape(c, k, k)
+        after = tc.marginals_after(candidates)
+        cand_expect = (after @ flat).reshape(c, k, k)
         increments = cand_expect - expect_prev
 
         # Flat (c, k^2) products run the same BLAS call as a tensordot.
@@ -295,8 +295,9 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
             )
         idx = int(hits[0])
         normed.append((cond_mean, residual, increments[idx], variation, second))
-        tc.contract(chosen)
-        margs = tc.marginals()
+        tc = tc.contract(chosen)
+        # Row idx is tc.marginals() bit for bit: y is exactly symmetric.
+        margs = after[idx]
         expect_prev = cand_expect[idx]
         cond_expectations.append(expect_prev)
 
@@ -350,18 +351,15 @@ def check_trace_bounds(trace: MartingaleTrace) -> bool:
     variance bound and the cumulative envelope ``10 mu R ln k`` on the
     final variation norm.  The envelope degenerates to zero at k = 1,
     where it still holds: every edge of a 2-vertex graph carries the
-    same normalised matrix, so all increments vanish.
+    same normalised matrix, so all increments vanish.  Every check reads
+    ``norm <= cap``, so a NaN norm or cap fails it.
     """
-    r = trace.max_edge_norm
-    if any(res > STEP_SLACK for res in trace.zero_mean_residuals):
-        return False
-    if any(x > r + STEP_SLACK for x in trace.step_norms):
-        return False
-    if not check_step_variance_bound(trace):
-        return False
-    if trace.variation_norms[-1] > trace.cumulative_bound() + CUMULATIVE_SLACK:
-        return False
-    return True
+    return bool(
+        np.all(np.array(trace.zero_mean_residuals) <= STEP_SLACK)
+        and np.all(np.array(trace.step_norms) <= trace.max_edge_norm + STEP_SLACK)
+        and check_step_variance_bound(trace)
+        and trace.variation_norms[-1] <= trace.cumulative_bound() + CUMULATIVE_SLACK
+    )
 
 
 def trace_dump(trace: MartingaleTrace) -> str:

@@ -53,8 +53,11 @@ def test_traced_child_call_records_the_layer_spans(kind, argv, names, tmp_path):
     assert marks["rc"] == 0
     assert names <= {span[0] for span in marks["spans"]}
     if kind == "martingale":
-        # One traced trace and one output row per seed.
+        # One traced trace, one traced check and one output row with a
+        # bool verdict per seed: the correctness probe reads each verdict.
         seeds = int(argv[argv.index("--seeds") + 1])
-        assert [span[0] for span in marks["spans"]].count("srdiag.trace") == seeds
+        names = [span[0] for span in marks["spans"]]
+        assert names.count("srdiag.trace") == names.count("srdiag.check") == seeds
         assert len(marks["outputs"]) == seeds
+        assert all(isinstance(row[3], bool) for row in marks["outputs"])
     assert isinstance(marks["pinv_hits"], int) and isinstance(marks["pinv_misses"], int)

@@ -1,7 +1,9 @@
 """Command line surface: specs, exit codes, output formats, seeding."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from corpus import SMALL, random_connected_graph, weighted_triangle
 from test_experiments import DRIVER_KEYS
 from tree_line_oracle import format_tree_line, parse_tree_line, sample_tree_wilson
+import treespark.cli as cli
 from treespark.cli import (
     EXIT_BAD_GRAPH,
     EXIT_FAIL,
@@ -324,6 +327,41 @@ def test_diag_martingale_reports_worst_margin(tmp_path, capsys):
     assert (worst["seed"], worst["bound"]) == (seed, bound)
     assert 1 <= worst["step"] <= 4
     assert worst["margin"] >= 0.0
+
+
+def test_diag_martingale_worst_is_a_nan_margin_after_finite_ones(monkeypatch, capsys):
+    # Seed 2's trace carries a NaN step norm; strict "<" against the
+    # finite margins of seeds 0 and 1 never picked it.
+    draw = cli.martingale_trace
+
+    def poisoned(g, seed):
+        trace = draw(g, seed)
+        if seed != 2:
+            return trace
+        return dataclasses.replace(trace, step_norms=(math.nan,) + trace.step_norms[1:])
+
+    monkeypatch.setattr(cli, "martingale_trace", poisoned)
+    argv = ["diag", "martingale", "--graph", "k:6", "--seeds", "4", "--seed", "0"]
+    assert main(argv) == EXIT_FAIL
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == 1
+    assert math.isnan(payload["worst"]["margin"])
+    assert (payload["worst"]["seed"], payload["worst"]["step"]) == (2, 1)
+    assert payload["worst"]["bound"] == "increment_range"
+
+
+@pytest.mark.parametrize("argv", [["sample"], ["certify", "--eps", "0.5", "--jobs", "1"]])
+def test_a_graph_too_large_to_allocate_exits_size_guard(argv, monkeypatch, capsys):
+    # Stands in for numpy refusing k:3000000 or ring:3000000000; nothing
+    # is allocated for real.
+    def unbuildable(n):
+        raise MemoryError(f"Unable to allocate an edge list for n = {n}")
+
+    _, types, vertices = cli._CONSTRUCTORS["k"]
+    monkeypatch.setitem(cli._CONSTRUCTORS, "k", (unbuildable, types, vertices))
+    assert main([argv[0], "--graph", "k:30", *argv[1:]]) == EXIT_SIZE_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("treespark: size guard: Unable to allocate") and "Traceback" not in err
 
 
 def test_diag_reverse_chernoff(capsys):

@@ -113,6 +113,14 @@ def test_weighted_degrees():
     assert np.allclose(g.weighted_degrees(), [2.0, 3.0, 3.0])
 
 
+def test_weighted_degrees_read_a_weight_vector_like_the_laplacian():
+    g = WeightedGraph(4, ((0, 1, 1.0), (0, 1, 2.5), (1, 2, 0.5), (2, 3, 4.0), (3, 0, 1.5)))
+    for weights in (None, np.array([0.0, 3.0, 1.0, 0.0, 2.0]), np.arange(5.0)):
+        want = np.diag(laplacian(g, weights))
+        assert np.allclose(g.weighted_degrees(weights), want, rtol=0, atol=1e-12)
+    assert np.array_equal(g.weighted_degrees(np.ones(5)), [3.0, 3.0, 2.0, 2.0])
+
+
 @pytest.mark.parametrize(
     "edges,err",
     [

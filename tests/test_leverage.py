@@ -166,12 +166,27 @@ def test_transfer_current_rejects_bad_contractions():
         with pytest.raises(ValueError, match="out of range"):
             TransferCurrent(triangle()).contract(bad)
     tc = TransferCurrent(triangle())
-    tc.contract(0)
+    tc = tc.contract(0)
     with pytest.raises(InvalidConditioningError, match="already contracted"):
         tc.contract(0)
-    tc.contract(1)
+    tc = tc.contract(1)
     with pytest.raises(InvalidConditioningError, match="closes a cycle"):
         tc.contract(2)
+
+
+def test_contract_returns_a_new_state_and_leaves_its_input_alone():
+    g = weighted_k4()
+    tc = TransferCurrent(g)
+    y, ends, contracted = tc.y.copy(), tc.ends.copy(), tc.contracted.copy()
+    nxt = tc.contract(2)
+    assert isinstance(nxt, TransferCurrent) and nxt is not tc
+    assert np.array_equal(tc.y, y) and np.array_equal(tc.ends, ends)
+    assert np.array_equal(tc.contracted, contracted)
+    assert nxt.contracted[2] and not tc.contracted[2]
+    # Two children of one state are independent of each other.
+    other = tc.contract(0)
+    assert not other.contracted[2] and not nxt.contracted[0]
+    assert np.array_equal(nxt.marginals(), conditional_marginals(g, [2]))
 
 
 def test_chained_contraction_order_independent():
@@ -231,7 +246,7 @@ def test_marginals_after_matches_one_more_contraction(name, g):
     for state in forests(g):
         tc = TransferCurrent(g)
         for eid in state.contracted:
-            tc.contract(eid)
+            tc = tc.contract(eid)
         cands = tc.candidates()
         rows = tc.marginals_after(cands)
         for row, c in zip(rows, cands):
@@ -240,6 +255,48 @@ def test_marginals_after_matches_one_more_contraction(name, g):
             assert np.abs(row - quotient_marginals(g, nxt)).max() <= 1e-12
             assert all(row[e] == 0.0 for e in loops)
             assert all(row[e] == 1.0 for e in nxt.contracted)
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [(name, g) for name, g in SMALL if g.m <= 10]
+    + [
+        ("random_multi_a", random_connected_graph(5, 4, 2)),
+        ("random_multi_b", random_connected_graph(6, 3, 8)),
+    ],
+)
+def test_marginals_after_rows_equal_contracted_marginals_bit_for_bit(name, g):
+    # A trace takes each step's marginals from the row it already has;
+    # that row must be the contracted state's own marginals exactly.
+    for state in forests(g):
+        tc = TransferCurrent(g)
+        for eid in state.contracted:
+            tc = tc.contract(eid)
+        cands = tc.candidates()
+        for row, c in zip(tc.marginals_after(cands), cands):
+            assert np.array_equal(row, tc.contract(int(c)).marginals())
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    SHRINKING
+    + [
+        ("random_multi_a", random_connected_graph(5, 4, 2)),
+        ("random_multi_b", random_connected_graph(6, 3, 8)),
+    ],
+)
+def test_ends_are_the_quotient_blocks_of_each_endpoint(name, g):
+    # Along every forest, the two rows of ``ends`` name the same vertex
+    # partition as the oracle's block of each endpoint.
+    us, vs, _ = g.edge_arrays
+    for state in forests(g):
+        tc = TransferCurrent(g)
+        for eid in state.contracted:
+            tc = tc.contract(eid)
+        _, vmap, _, _ = state.quotient()
+        want = np.array(vmap)[np.array((us, vs))]
+        pairs = set(zip(tc.ends.ravel().tolist(), want.ravel().tolist()))
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
 def test_quotient_bookkeeping_parallel_edges():

@@ -1,6 +1,7 @@
 """Negative-dependence diagnostics: shrinking marginals, exact Doob
 traces, binomial tails, reverse concentration and the Stirling floor."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -338,7 +339,7 @@ def test_trace_frame_is_built_once_per_graph(monkeypatch):
 
 def test_trace_frame_arrays_refuse_writes():
     frame = _trace_frame(weighted_k4())
-    arrays = (frame.lev, frame.flat, frame.expect_0, frame.tc.y, frame.tc.reps, frame.tc.contracted)
+    arrays = (frame.lev, frame.flat, frame.expect_0, frame.tc.y, frame.tc.ends, frame.tc.contracted)
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
@@ -355,6 +356,33 @@ def test_traces_do_not_depend_on_earlier_traces():
         fresh = martingale_trace(graphs[seed % 2], seed)
         for name in trace.__dataclass_fields__:
             assert np.array_equal(getattr(trace, name), getattr(fresh, name)), name
+
+
+def _with_nan(trace, field, index):
+    values = list(getattr(trace, field))
+    values[index] = math.nan
+    return dataclasses.replace(trace, **{field: tuple(values)})
+
+
+@pytest.mark.parametrize(
+    "field,index",
+    [("step_norms", 0), ("zero_mean_residuals", 0), ("variation_norms", -1), ("cond_mean_norms", 1)],
+)
+def test_a_nan_norm_fails_the_trace_verdict(field, index):
+    trace = martingale_trace(complete_graph(6), 0)
+    assert check_trace_bounds(trace)
+    assert not check_trace_bounds(_with_nan(trace, field, index))
+
+
+@pytest.mark.parametrize(
+    "field,index,step,bound",
+    [("step_norms", 0, 1, "increment_range"), ("variation_norms", -1, 5, "cumulative")],
+)
+def test_a_nan_norm_is_the_worst_margin(field, index, step, bound):
+    # The k:6 seed-0 trace's finite cumulative margin is 15.48.
+    trace = _with_nan(martingale_trace(complete_graph(6), 0), field, index)
+    margin, got_step, got_bound = trace.worst_margin()
+    assert math.isnan(margin) and (got_step, got_bound) == (step, bound)
 
 
 def test_trace_dump_format():

@@ -18,6 +18,15 @@ import numpy as np
 
 ER_MAX_ATTEMPTS = 1000
 
+# Cells of the walk's per-vertex exit guide; cell q covers the variates
+# in [q / GUIDE_CELLS, (q + 1) / GUIDE_CELLS).
+GUIDE_CELLS = 128
+
+# Mean entries per non-root vertex above which a guide cell straddles an
+# exit boundary too often to pay: on ER and clique-star graphs the guided
+# walk was faster up to a mean of about 30 and slower from about 40.
+GUIDE_MAX_MEAN_DEGREE = 32
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when an edge list does not connect all vertices."""
@@ -162,6 +171,42 @@ class WeightedGraph:
         return 0
 
     @cached_property
+    def exit_guide(self) -> list[list[int]] | None:
+        """Per-vertex walk exits read off the variate's cell, or None on dense graphs.
+
+        Entry ``[v][q]`` is the :attr:`adjacency` entry every variate of
+        cell ``q`` takes from ``v`` under the walk's rule, ``int(r * d)``
+        or the bisection of the running weights, and -1 where the cell
+        straddles an exit boundary.  Both rules are monotone in ``r``,
+        so a cell whose smallest variate ``q / 128`` and largest ``(q +
+        1) / 128 - 2**-53`` (numpy's variates are multiples of 2**-53)
+        agree gives that exit to every variate in it.  None when the
+        non-root vertices average more than ``GUIDE_MAX_MEAN_DEGREE``
+        entries.  Vertices of equal incident weights and equal degree
+        share one row.
+        """
+        degrees = np.diff(self.csr[0])
+        if degrees[1:].mean() > GUIDE_MAX_MEAN_DEGREE:
+            return None
+        _, cumw, totw, uniform = self.adjacency
+        cells = np.arange(GUIDE_CELLS)
+        ends = np.stack((cells / GUIDE_CELLS, (cells + 1) / GUIDE_CELLS - 2.0**-53))
+        shared: dict[int, list[int]] = {}
+        guide = []
+        for d, acc, tot, flat in zip(degrees.tolist(), cumw, totw, uniform):
+            row = shared.get(d) if flat else None
+            if row is None:
+                if flat:
+                    exits = (ends * d).astype(np.int64)
+                else:
+                    exits = np.searchsorted(acc, ends * tot, side="right")
+                row = np.where(exits[0] == exits[1], exits[0], -1).tolist()
+                if flat:
+                    shared[d] = row
+            guide.append(row)
+        return guide
+
+    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Compressed adjacency ``(offsets, nbr, eid)``, O(m) int64 arrays.
 
@@ -295,15 +340,33 @@ def guard_vertices(n: int, max_n: int | None) -> None:
         raise SizeGuardError(f"this command is capped at n = {max_n}, got n = {n}")
 
 
+def _edge_lines(path: str, lines) -> list[tuple[int, int, float]]:
+    """Parse edge lines one at a time, naming the first bad line."""
+    edges = []
+    for ln in filter(str.strip, lines):
+        ln = ln.strip()
+        parts = ln.split()
+        if len(parts) != 3:
+            raise GraphFileError(f"{path}: bad edge line {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise GraphFileError(f"{path}: bad edge line {ln!r}") from exc
+    return edges
+
+
 def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
     """Parse the text format written by :func:`write_graph`.
 
     With ``max_n`` set, a header naming more vertices raises
-    SizeGuardError before any edge line is read.
+    SizeGuardError before any edge line is read.  Blank lines are
+    skipped.  When every edge line holds three fields, the body is
+    split once and its columns converted by ``int`` and ``float``;
+    otherwise, or when a field does not convert, the lines are parsed
+    one at a time to name the first bad one.
     """
     with open(path) as fh:
-        lines = (ln.strip() for ln in fh if ln.strip())
-        header = next(lines, None)
+        header = next((ln.strip() for ln in fh if ln.strip()), None)
         if header is None:
             raise GraphFileError(f"{path}: empty graph file")
         head = header.split()
@@ -314,20 +377,25 @@ def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
         except ValueError as exc:
             raise GraphFileError(f"{path}: bad header {header!r}") from exc
         guard_vertices(n, max_n)
-        body = list(lines)
-    if len(body) != m:
-        raise GraphFileError(f"{path}: header promises {m} edges, file has {len(body)}")
-    edges = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphFileError(f"{path}: bad edge line {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise GraphFileError(f"{path}: bad edge line {ln!r}") from exc
+        body = fh.read()
+    lines = body.split("\n")
+    fields = list(map(len, map(str.split, lines)))
+    found = len(fields) - fields.count(0)
+    if found != m:
+        raise GraphFileError(f"{path}: header promises {m} edges, file has {found}")
     try:
-        return WeightedGraph(n, edges)
+        if fields.count(3) != m:
+            raise ValueError("an edge line does not hold three fields")
+        words = body.split()
+        columns = (
+            list(map(int, words[0::3])),
+            list(map(int, words[1::3])),
+            list(map(float, words[2::3])),
+        )
+    except ValueError:
+        columns = tuple(zip(*_edge_lines(path, lines)))
+    try:
+        return WeightedGraph(n, np.array(columns, dtype=np.float64).T)
     except DisconnectedGraphError:
         raise
     except (ValueError, OverflowError) as exc:

@@ -377,7 +377,8 @@ def trace_dump(trace: MartingaleTrace) -> str:
         "ordering": list(trace.ordering),
         "max_edge_norm": trace.max_edge_norm,
         "frame_norm": trace.frame_norm,
-        "max_step_norm": max(trace.step_norms),
+        # np.max propagates a NaN step norm; Python's max skips it past the first.
+        "max_step_norm": float(np.max(trace.step_norms)),
         "final_variation_norm": trace.variation_norms[-1],
         "cumulative_bound": trace.cumulative_bound(),
         "passed": check_trace_bounds(trace),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, component_labels, laplacian
+from .graph import GUIDE_CELLS, WeightedGraph, component_labels, laplacian
 from .leverage import LeverageProfile
 
 WEIGHT_MODES = ("original", "inverse_leverage")
@@ -127,12 +127,17 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     Entry ``v`` (for ``v != 0``) indexes ``g.adjacency[0][v]``, and
     ``g.csr`` entry ``offsets[v] + nxt[v]``: the tree edge by which ``v``
     leaves towards the root.  Entry 0 is 0 and means nothing.  Graphs
-    with a :attr:`~WeightedGraph.regular_degree` take the regular loop;
-    both loops draw the same variates and make the same choices.
+    with a :attr:`~WeightedGraph.regular_degree` take the regular loop,
+    other graphs with an :attr:`~WeightedGraph.exit_guide` the guided
+    loop, and dense irregular graphs the general loop; all three draw
+    the same variates and make the same choices.
     """
     deg = g.regular_degree
     if deg:
         return _regular_exits(g, gen, deg)
+    guide = g.exit_guide
+    if guide is not None:
+        return _guided_exits(g, gen, guide)
     return _general_exits(g, gen)
 
 
@@ -211,6 +216,48 @@ def _regular_exits(g: WeightedGraph, gen: np.random.Generator, deg: int) -> list
             in_tree[u] = 1
             u = nbrs[u][nxt[u]]
     return nxt
+
+
+def _guided_exits(g: WeightedGraph, gen: np.random.Generator, guide) -> list[int]:
+    """:func:`_general_exits` reading most steps off the graph's exit guide.
+
+    numpy turns each buffer of variates into guide cells at once
+    (scaling by a power of two is exact, so the cell is ``int(r *
+    GUIDE_CELLS)``); a step reads its vertex's guide row at the cell,
+    and only a cell that straddles an exit boundary (-1) takes the
+    general loop's rule on ``r`` itself.  One pass over each buffer
+    serves every walk that reaches into it, and the buffers are drawn
+    at the general loop's sizes and moments.
+    """
+    nbrs, cumw, totw, uniform = g.adjacency
+    n = g.n
+    in_tree = bytearray(n)
+    in_tree[0] = 1
+    nxt = [0] * n
+    bufsize = _BUF_START
+    start = u = 1
+    while True:
+        buf = gen.random(bufsize)
+        for q, r in zip((buf * GUIDE_CELLS).astype(np.int64).tolist(), buf.tolist()):
+            j = guide[u][q]
+            if j < 0:
+                if uniform[u]:
+                    j = int(r * len(nbrs[u]))
+                else:
+                    j = bisect_right(cumw[u], r * totw[u])
+            nxt[u] = j
+            u = nbrs[u][j]
+            if in_tree[u]:
+                u = start
+                while not in_tree[u]:
+                    in_tree[u] = 1
+                    u = nbrs[u][nxt[u]]
+                while in_tree[start]:
+                    start += 1
+                    if start == n:
+                        return nxt
+                u = start
+        bufsize = min(bufsize * 4, _BUF_MAX)
 
 
 def _wilson_edge_ids(g: WeightedGraph, gen: np.random.Generator) -> list[int]:

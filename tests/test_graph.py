@@ -1,6 +1,7 @@
 """Graph container, constructions and file round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,6 +374,38 @@ def test_read_graph_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.graph"
     path.write_text(text)
     with pytest.raises(GraphFileError):
+        read_graph(str(path))
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        # Six fields over two lines, but not three on each.
+        ("3 2\n0 1\n1 2 1.0 7\n", "'0 1'"),
+        ("3 2\n0 1 1.0 7\n1 2\n", "'0 1 1.0 7'"),
+        # Three fields on each line; the second does not convert.
+        ("3 2\n0 1 1.0\n1 2.5 1.0\n", "'1 2.5 1.0'"),
+        ("3 2\n0 1 x\n1 y 1.0\n", "'0 1 x'"),
+    ],
+)
+def test_read_graph_names_the_first_bad_edge_line(tmp_path, text, line):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    with pytest.raises(GraphFileError, match=re.escape(f"{path}: bad edge line {line}") + "$"):
+        read_graph(str(path))
+
+
+def test_read_graph_skips_blank_lines_and_splits_on_any_whitespace(tmp_path):
+    path = tmp_path / "odd.graph"
+    # Blank lines, tabs, a form feed and an em space inside lines, CRLF
+    # endings, and the underscores and signs that int() and float() take.
+    path.write_bytes(
+        "\n 3 3 \r\n\r\n0\t1 1.5\r\n \n1\x0c2\u20032.0\n+0 2 1_0.25\n\n".encode()
+    )
+    g = read_graph(str(path))
+    assert g.n == 3 and g.edges == ((0, 1, 1.5), (1, 2, 2.0), (0, 2, 10.25))
+    path.write_text("3 2\n0 1 1.0\n\n")
+    with pytest.raises(GraphFileError, match="header promises 2 edges, file has 1$"):
         read_graph(str(path))
 
 

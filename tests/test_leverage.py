@@ -23,7 +23,9 @@ from quotient_oracle import ContractionState, forests, quotient_marginals
 from treespark.graph import (
     SizeGuardError,
     WeightedGraph,
+    clique_star,
     complete_graph,
+    erdos_renyi_connected,
     laplacian,
     read_graph,
     ring_graph,
@@ -340,6 +342,46 @@ def test_shared_decomposition_builds_one_read_only_frame():
     assert np.allclose(scaled.T @ laplacian(g) @ scaled, np.eye(g.n - 1), atol=1e-10)
     assert np.array_equal(null[:, 0], np.full(g.n, 1.0 / math.sqrt(g.n)))
     assert not scaled[0].any()
+
+
+def _weighted_er(n: int, p: float, seed: int) -> WeightedGraph:
+    g = erdos_renyi_connected(n, p, seed)
+    us, vs, _ = g.edge_arrays
+    ws = np.random.Generator(np.random.Philox(seed + 1)).uniform(1.0, 8.0, g.m)
+    return WeightedGraph(n, np.column_stack((us, vs, ws)))
+
+
+def _direct_frame(g: WeightedGraph) -> np.ndarray:
+    """``C^-T`` from one general inverse of the grounded Cholesky factor."""
+    return np.tril(np.linalg.inv(np.linalg.cholesky(laplacian(g)[1:, 1:]))).T
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [
+        ("er300", erdos_renyi_connected(300, 0.05, 3)),
+        ("cliquestar_20_20", clique_star(20, 20)),
+        ("k400", complete_graph(400)),
+        ("weighted_er1000", _weighted_er(1000, 0.01, 3)),
+    ],
+)
+def test_frame_by_triangular_halves_matches_the_direct_inverse(name, g):
+    scaled, _ = laplacian_frame(g)
+    want = _direct_frame(g)
+    assert np.abs(scaled[1:] - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(scaled.T @ laplacian(g) @ scaled - np.eye(g.n - 1)).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [
+        ("k129", complete_graph(129)),
+        ("weighted_er129", _weighted_er(129, 0.1, 5)),
+        ("random_multigraph", random_connected_graph(30, 40, seed=21)),
+    ],
+)
+def test_frames_of_at_most_129_vertices_take_one_direct_inverse(name, g):
+    assert np.array_equal(laplacian_frame(g)[0][1:], _direct_frame(g))
 
 
 @pytest.mark.parametrize("heavy", [1.0, 1e6])

@@ -402,6 +402,14 @@ def test_trace_dump_format():
     assert summary["k"] == tr.k
 
 
+def test_trace_dump_reports_a_nan_step_norm_after_finite_ones():
+    # Python's max skips a NaN that is not first and dumped 0.7478655730915478.
+    trace = _with_nan(martingale_trace(complete_graph(6), 0), "step_norms", 1)
+    summary = json.loads(trace_dump(trace).strip().split("\n")[-1])
+    assert math.isnan(summary["max_step_norm"])
+    assert summary["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # Binomial tails
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from treespark.graph import (
     WeightedGraph,
     clique_star,
     complete_graph,
+    erdos_renyi_connected,
     laplacian,
     philox_stream,
     ring_graph,
@@ -375,6 +376,20 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _counting_property(monkeypatch, name):
+    calls = []
+    build = WeightedGraph.__dict__[name].func
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(WeightedGraph, name)
+    monkeypatch.setattr(WeightedGraph, name, prop)
+    return calls
+
+
 @pytest.mark.parametrize(
     "name,g",
     [
@@ -386,24 +401,18 @@ def _counting(monkeypatch, name):
     ],
 )
 def test_irregular_or_weighted_graphs_take_the_general_loop(name, g, monkeypatch):
+    # Sparse ones read the general loop's choices off the exit guide;
+    # dense ones keep the general loop itself (see the test after next).
     regular = _counting(monkeypatch, "_regular_exits")
+    guided = _counting(monkeypatch, "_guided_exits")
     general = _counting(monkeypatch, "_general_exits")
     assert g.regular_degree == 0
     sample_tree_wilson(g, 0)
-    assert (len(regular), len(general)) == (0, 1)
+    assert (len(regular), len(guided), len(general)) == (0, 1, 0)
 
 
 def test_loop_choice_is_made_once_per_graph(monkeypatch):
-    calls = []
-    choose = WeightedGraph.__dict__["regular_degree"].func
-
-    def counted(g):
-        calls.append(g)
-        return choose(g)
-
-    prop = functools.cached_property(counted)
-    prop.__set_name__(WeightedGraph, "regular_degree")
-    monkeypatch.setattr(WeightedGraph, "regular_degree", prop)
+    calls = _counting_property(monkeypatch, "regular_degree")
     regular = _counting(monkeypatch, "_regular_exits")
     g = complete_graph(8)
     gen = np.random.Generator(np.random.Philox(0))
@@ -416,6 +425,30 @@ def test_loop_choice_is_made_once_per_graph(monkeypatch):
     h = complete_graph(8)
     sample_tree_wilson(h, 0)
     assert calls == [g, h]
+
+
+def _k40_minus_edge() -> WeightedGraph:
+    """Unit weights, degrees 38 and 39: irregular, and too dense for a guide."""
+    return WeightedGraph(40, complete_graph(40).edges[:-1])
+
+
+def test_guide_or_general_loop_is_chosen_once_per_graph(monkeypatch):
+    guides = _counting_property(monkeypatch, "exit_guide")
+    guided = _counting(monkeypatch, "_guided_exits")
+    general = _counting(monkeypatch, "_general_exits")
+    sparse, dense = clique_star(3, 5), _k40_minus_edge()
+    for g in (sparse, dense):
+        gen = np.random.Generator(np.random.Philox(0))
+        for _ in range(3):
+            sample_tree_stream(g, gen)
+        for _ in wilson_tree_batches(g, gen, 3):
+            pass
+    assert guides == [sparse, dense]
+    assert sparse.exit_guide is not None and dense.exit_guide is None
+    assert (guided, general) == ([sparse] * 6, [dense] * 6)
+    # Graphs with a regular degree never build a guide.
+    sample_tree_wilson(complete_graph(8), 0)
+    assert guides == [sparse, dense]
 
 
 class _TopEveryOther:
@@ -438,6 +471,25 @@ def _tiny_edge_graph(tiny: float) -> WeightedGraph:
     return WeightedGraph(4, ((0, 2, 1e8), (1, 2, 1e8), (1, 3, tiny), (0, 3, 1.0)))
 
 
+def _weighted_er(n: int, p: float, seed: int) -> WeightedGraph:
+    """G(n, p) with weights uniform in [1, 8], like the weighted certify workload."""
+    g = erdos_renyi_connected(n, p, seed)
+    us, vs, _ = g.edge_arrays
+    ws = philox_stream(seed + 1).uniform(1.0, 8.0, g.m)
+    return WeightedGraph(n, np.column_stack((us, vs, ws)))
+
+
+def _dyadic_k4() -> WeightedGraph:
+    """Vertices 1 and 2 have running weights (1, 2, 4) of 4.
+
+    Their exit boundaries sit at r = 1/4 and 1/2, exactly on the left
+    edges of guide cells 32 and 64; vertex 3's weights are equal.
+    """
+    return WeightedGraph(
+        4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 2.0), (1, 2, 1.0), (1, 3, 2.0), (2, 3, 2.0))
+    )
+
+
 @pytest.mark.parametrize(
     "name,g",
     [(name, g) for name, g, _, _ in REGULAR if g.n <= 60]
@@ -452,6 +504,8 @@ def _tiny_edge_graph(tiny: float) -> WeightedGraph:
         ("random_multigraph", random_connected_graph(30, 50, seed=8)),
         ("tiny_1e-8", _tiny_edge_graph(1e-8)),
         ("saturating_1e-9", _tiny_edge_graph(1e-9)),
+        ("dyadic_k4", _dyadic_k4()),
+        ("weighted_er_60", _weighted_er(60, 0.5, 2)),
     ],
 )
 def test_largest_variate_picks_an_entry_in_range(name, g):
@@ -460,10 +514,68 @@ def test_largest_variate_picks_an_entry_in_range(name, g):
     offsets, nbr, eid = g.csr
     for seed in range(5):
         exits = treesample._general_exits(g, _TopEveryOther(seed))
-        if g.regular_degree:
-            assert _wilson_exits(g, _TopEveryOther(seed)) == exits
+        assert _wilson_exits(g, _TopEveryOther(seed)) == exits
         at = offsets[1:-1] + np.array([exits[1:]])
         check_parent_trees(g, nbr[at], eid[at])
+
+
+GUIDED = SMALL + [
+    ("cliquestar_2_4", clique_star(2, 4)),
+    ("cliquestar_20_20", clique_star(20, 20)),
+    ("weighted_er_200", _weighted_er(200, 0.05, 4)),
+    ("weighted_er_60", _weighted_er(60, 0.5, 2)),
+    ("dyadic_k4", _dyadic_k4()),
+    ("tiny_1e-8", _tiny_edge_graph(1e-8)),
+    ("saturating_1e-9", _tiny_edge_graph(1e-9)),
+    ("random_multigraph", random_connected_graph(30, 50, seed=8)),
+    ("random_multigraph_80", random_connected_graph(80, 160, seed=5)),
+]
+
+
+def _step_rule(g: WeightedGraph, v: int, r: float) -> int:
+    """The general loop's choice at vertex ``v`` for the variate ``r``."""
+    nbrs, cumw, totw, uniform = g.adjacency
+    if uniform[v]:
+        return int(r * len(nbrs[v]))
+    return bisect.bisect_right(cumw[v], r * totw[v])
+
+
+@pytest.mark.parametrize("name,g", GUIDED)
+def test_exit_guide_cells_take_the_step_rule_of_every_variate_in_them(name, g):
+    guide = g.exit_guide
+    gen = np.random.Generator(np.random.Philox(1))
+    cell = 2.0**-7
+    for v in range(1, g.n):
+        row = guide[v]
+        assert len(row) == 128
+        for q, j in enumerate(row):
+            lo, hi = q * cell, (q + 1) * cell - 2.0**-53
+            ends = _step_rule(g, v, lo), _step_rule(g, v, hi)
+            if j < 0:
+                assert ends[0] != ends[1]
+                continue
+            assert ends == (j, j)
+            # Variates are multiples of 2**-53 inside the cell.
+            for k in gen.integers(0, 2**46, size=4).tolist():
+                assert _step_rule(g, v, lo + k * 2.0**-53) == j
+
+
+def test_exit_boundaries_on_cell_edges_leave_no_cell_to_bisect():
+    guide = _dyadic_k4().exit_guide
+    assert guide[1] == guide[2] == [0] * 32 + [1] * 32 + [2] * 64
+
+
+@pytest.mark.parametrize("name,g", GUIDED)
+def test_guided_loop_matches_general_loop(name, g):
+    guide = g.exit_guide
+    for seed in range(12):
+        fast = np.random.Generator(np.random.Philox(seed))
+        slow = np.random.Generator(np.random.Philox(seed))
+        # Three trees from one stream, so later trees start mid-buffer.
+        for _ in range(3):
+            assert treesample._guided_exits(g, fast, guide) == treesample._general_exits(g, slow)
+        # Both loops consumed the same variates.
+        assert fast.random() == slow.random()
 
 
 def test_saturating_running_sum_never_picks_past_the_end():

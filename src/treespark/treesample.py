@@ -248,6 +248,9 @@ def _guided_exits(g: WeightedGraph, gen: np.random.Generator, guide) -> list[int
             nxt[u] = j
             u = nbrs[u][j]
             if in_tree[u]:
+                # The walk from start reached the tree: its loop-erased
+                # path joins it, and the next walk starts at the next
+                # vertex still outside.
                 u = start
                 while not in_tree[u]:
                     in_tree[u] = 1

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from treespark.graph import WeightedGraph, clique_star, complete_graph, ring_graph
+from treespark.graph import (
+    WeightedGraph,
+    clique_star,
+    complete_graph,
+    erdos_renyi_connected,
+    philox_stream,
+    ring_graph,
+)
 
 
 def path_graph(n: int, weights=None) -> WeightedGraph:
@@ -132,3 +139,11 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> WeightedGraph
         edges.append((u, v, draw_weight()))
         added += 1
     return WeightedGraph(n, tuple(edges))
+
+
+def weighted_er(n: int, p: float, seed: int) -> WeightedGraph:
+    """G(n, p) with weights uniform in [1, 8], like the weighted certify workload."""
+    g = erdos_renyi_connected(n, p, seed)
+    us, vs, _ = g.edge_arrays
+    ws = philox_stream(seed + 1).uniform(1.0, 8.0, g.m)
+    return WeightedGraph(n, np.column_stack((us, vs, ws)))

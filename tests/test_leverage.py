@@ -15,6 +15,7 @@ from corpus import (
     random_connected_graph,
     star_graph,
     triangle,
+    weighted_er,
     weighted_k4,
     weighted_triangle,
 )
@@ -344,13 +345,6 @@ def test_shared_decomposition_builds_one_read_only_frame():
     assert not scaled[0].any()
 
 
-def _weighted_er(n: int, p: float, seed: int) -> WeightedGraph:
-    g = erdos_renyi_connected(n, p, seed)
-    us, vs, _ = g.edge_arrays
-    ws = np.random.Generator(np.random.Philox(seed + 1)).uniform(1.0, 8.0, g.m)
-    return WeightedGraph(n, np.column_stack((us, vs, ws)))
-
-
 def _direct_frame(g: WeightedGraph) -> np.ndarray:
     """``C^-T`` from one general inverse of the grounded Cholesky factor."""
     return np.tril(np.linalg.inv(np.linalg.cholesky(laplacian(g)[1:, 1:]))).T
@@ -362,7 +356,7 @@ def _direct_frame(g: WeightedGraph) -> np.ndarray:
         ("er300", erdos_renyi_connected(300, 0.05, 3)),
         ("cliquestar_20_20", clique_star(20, 20)),
         ("k400", complete_graph(400)),
-        ("weighted_er1000", _weighted_er(1000, 0.01, 3)),
+        ("weighted_er1000", weighted_er(1000, 0.01, 3)),
     ],
 )
 def test_frame_by_triangular_halves_matches_the_direct_inverse(name, g):
@@ -376,7 +370,7 @@ def test_frame_by_triangular_halves_matches_the_direct_inverse(name, g):
     "name,g",
     [
         ("k129", complete_graph(129)),
-        ("weighted_er129", _weighted_er(129, 0.1, 5)),
+        ("weighted_er129", weighted_er(129, 0.1, 5)),
         ("random_multigraph", random_connected_graph(30, 40, seed=21)),
     ],
 )

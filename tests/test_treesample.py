@@ -18,6 +18,7 @@ from corpus import (
     star_graph,
     triangle,
     weighted_k4,
+    weighted_er,
     weighted_triangle,
 )
 from enumeration_oracle import enumerate_trees
@@ -28,7 +29,6 @@ from treespark.graph import (
     WeightedGraph,
     clique_star,
     complete_graph,
-    erdos_renyi_connected,
     laplacian,
     philox_stream,
     ring_graph,
@@ -471,14 +471,6 @@ def _tiny_edge_graph(tiny: float) -> WeightedGraph:
     return WeightedGraph(4, ((0, 2, 1e8), (1, 2, 1e8), (1, 3, tiny), (0, 3, 1.0)))
 
 
-def _weighted_er(n: int, p: float, seed: int) -> WeightedGraph:
-    """G(n, p) with weights uniform in [1, 8], like the weighted certify workload."""
-    g = erdos_renyi_connected(n, p, seed)
-    us, vs, _ = g.edge_arrays
-    ws = philox_stream(seed + 1).uniform(1.0, 8.0, g.m)
-    return WeightedGraph(n, np.column_stack((us, vs, ws)))
-
-
 def _dyadic_k4() -> WeightedGraph:
     """Vertices 1 and 2 have running weights (1, 2, 4) of 4.
 
@@ -505,7 +497,7 @@ def _dyadic_k4() -> WeightedGraph:
         ("tiny_1e-8", _tiny_edge_graph(1e-8)),
         ("saturating_1e-9", _tiny_edge_graph(1e-9)),
         ("dyadic_k4", _dyadic_k4()),
-        ("weighted_er_60", _weighted_er(60, 0.5, 2)),
+        ("weighted_er_60", weighted_er(60, 0.5, 2)),
     ],
 )
 def test_largest_variate_picks_an_entry_in_range(name, g):
@@ -522,8 +514,8 @@ def test_largest_variate_picks_an_entry_in_range(name, g):
 GUIDED = SMALL + [
     ("cliquestar_2_4", clique_star(2, 4)),
     ("cliquestar_20_20", clique_star(20, 20)),
-    ("weighted_er_200", _weighted_er(200, 0.05, 4)),
-    ("weighted_er_60", _weighted_er(60, 0.5, 2)),
+    ("weighted_er_200", weighted_er(200, 0.05, 4)),
+    ("weighted_er_60", weighted_er(60, 0.5, 2)),
     ("dyadic_k4", _dyadic_k4()),
     ("tiny_1e-8", _tiny_edge_graph(1e-8)),
     ("saturating_1e-9", _tiny_edge_graph(1e-9)),

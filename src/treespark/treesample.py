@@ -231,7 +231,8 @@ def _guided_exits(g: WeightedGraph, gen: np.random.Generator, guide) -> list[int
     """
     nbrs, cumw, totw, uniform = g.adjacency
     n = g.n
-    in_tree = bytearray(n)
+    # A list, not a bytearray: CPython indexes lists on a faster path.
+    in_tree = [0] * n
     in_tree[0] = 1
     nxt = [0] * n
     bufsize = _BUF_START

@@ -22,9 +22,9 @@ ER_MAX_ATTEMPTS = 1000
 # in [q / GUIDE_CELLS, (q + 1) / GUIDE_CELLS).
 GUIDE_CELLS = 128
 
-# Mean entries per non-root vertex above which a guide cell straddles an
-# exit boundary too often to pay: on ER and clique-star graphs the guided
-# walk was faster up to a mean of about 30 and slower from about 40.
+# Mean entries per non-root vertex above which the walk keeps its general
+# loop: a degree-d vertex's guide straddles an exit boundary in about
+# d / GUIDE_CELLS of its cells, and every such step still bisects.
 GUIDE_MAX_MEAN_DEGREE = 32
 
 

@@ -12,7 +12,7 @@ triples given, not on how they were built.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -21,11 +21,6 @@ ER_MAX_ATTEMPTS = 1000
 # Cells of the walk's per-vertex exit guide; cell q covers the variates
 # in [q / GUIDE_CELLS, (q + 1) / GUIDE_CELLS).
 GUIDE_CELLS = 128
-
-# Mean entries per non-root vertex above which the walk keeps its general
-# loop: a degree-d vertex's guide straddles an exit boundary in about
-# d / GUIDE_CELLS of its cells, and every such step still bisects.
-GUIDE_MAX_MEAN_DEGREE = 32
 
 
 class DisconnectedGraphError(ValueError):
@@ -171,8 +166,8 @@ class WeightedGraph:
         return 0
 
     @cached_property
-    def exit_guide(self) -> list[list[int]] | None:
-        """Per-vertex walk exits read off the variate's cell, or None on dense graphs.
+    def exit_guide(self) -> list[list[int]]:
+        """Per-vertex walk exits read off the variate's cell.
 
         Entry ``[v][q]`` is the :attr:`adjacency` entry every variate of
         cell ``q`` takes from ``v`` under the walk's rule, ``int(r * d)``
@@ -180,31 +175,47 @@ class WeightedGraph:
         straddles an exit boundary.  Both rules are monotone in ``r``,
         so a cell whose smallest variate ``q / 128`` and largest ``(q +
         1) / 128 - 2**-53`` (numpy's variates are multiples of 2**-53)
-        agree gives that exit to every variate in it.  None when the
-        non-root vertices average more than ``GUIDE_MAX_MEAN_DEGREE``
-        entries.  Vertices of equal incident weights and equal degree
-        share one row.
+        agree gives that exit to every variate in it.  Vertices of equal
+        incident weights and equal degree share one row; the rows of the
+        other vertices are built together in one numpy pass.
         """
         degrees = np.diff(self.csr[0])
-        if degrees[1:].mean() > GUIDE_MAX_MEAN_DEGREE:
-            return None
         _, cumw, totw, uniform = self.adjacency
+        flat = np.array(uniform)
         cells = np.arange(GUIDE_CELLS)
-        ends = np.stack((cells / GUIDE_CELLS, (cells + 1) / GUIDE_CELLS - 2.0**-53))
-        shared: dict[int, list[int]] = {}
-        guide = []
-        for d, acc, tot, flat in zip(degrees.tolist(), cumw, totw, uniform):
-            row = shared.get(d) if flat else None
-            if row is None:
-                if flat:
-                    exits = (ends * d).astype(np.int64)
-                else:
-                    exits = np.searchsorted(acc, ends * tot, side="right")
-                row = np.where(exits[0] == exits[1], exits[0], -1).tolist()
-                if flat:
-                    shared[d] = row
-            guide.append(row)
-        return guide
+        lo, hi = cells / GUIDE_CELLS, (cells + 1) / GUIDE_CELLS - 2.0**-53
+        shared = {}
+        for d in set(degrees[flat].tolist()):
+            a, b = (lo * d).astype(np.int64), (hi * d).astype(np.int64)
+            shared[d] = np.where(a == b, a, -1).tolist()
+        # The bisection passes an entry of running weight c at r exactly
+        # when c <= r * totw[v].  For each entry below its vertex's total
+        # (the others are never passed), k counts the cell ends, in the
+        # order lo[0], hi[0], lo[1], ..., that do not pass it yet; the
+        # prefix is found by halving steps.
+        ends = np.column_stack((lo, hi)).ravel()
+        owner = np.repeat(np.arange(self.n), degrees)
+        c = np.fromiter(chain.from_iterable(cumw), np.float64, len(owner))
+        t = np.array(totw)[owner]
+        pick = ~flat[owner] & (c < t)
+        c, t = c[pick], t[pick]
+        k = np.zeros(len(c), dtype=np.int64)
+        step = GUIDE_CELLS
+        while step:
+            k = np.where(ends[k + step - 1] * t < c, k + step, k)
+            step //= 2
+        # Cell q's exit is the count of entries passed at lo[q], those
+        # with k <= 2q; an entry first passed at hi[q] (k = 2q + 1)
+        # makes the cell straddle.
+        row = (np.cumsum(~flat) - 1)[owner[pick]]
+        rows = len(flat) - int(flat.sum())
+        width = GUIDE_CELLS + 1
+        passed = np.bincount(row * width + (k + 1) // 2, minlength=rows * width)
+        exits = np.cumsum(passed.reshape(rows, width)[:, :-1], axis=1)
+        odd = k % 2 == 1
+        exits[row[odd], k[odd] // 2] = -1
+        weighted = iter(exits.tolist())
+        return [shared[d] if f else next(weighted) for d, f in zip(degrees.tolist(), uniform)]
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,19 +351,17 @@ def guard_vertices(n: int, max_n: int | None) -> None:
         raise SizeGuardError(f"this command is capped at n = {max_n}, got n = {n}")
 
 
-def _edge_lines(path: str, lines) -> list[tuple[int, int, float]]:
-    """Parse edge lines one at a time, naming the first bad line."""
-    edges = []
+def _check_edge_lines(path: str, lines) -> None:
+    """Raise GraphFileError naming the first non-blank line that is not ``u v w``."""
     for ln in filter(str.strip, lines):
         ln = ln.strip()
         parts = ln.split()
         if len(parts) != 3:
             raise GraphFileError(f"{path}: bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise GraphFileError(f"{path}: bad edge line {ln!r}") from exc
-    return edges
 
 
 def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
@@ -360,10 +369,10 @@ def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
 
     With ``max_n`` set, a header naming more vertices raises
     SizeGuardError before any edge line is read.  Blank lines are
-    skipped.  When every edge line holds three fields, the body is
-    split once and its columns converted by ``int`` and ``float``;
-    otherwise, or when a field does not convert, the lines are parsed
-    one at a time to name the first bad one.
+    skipped.  The body is split once and its columns converted by
+    ``int`` and ``float``; when a line does not hold three fields, or a
+    field does not convert, the lines are checked one at a time to name
+    the first bad one.
     """
     with open(path) as fh:
         header = next((ln.strip() for ln in fh if ln.strip()), None)
@@ -383,17 +392,18 @@ def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
     found = len(fields) - fields.count(0)
     if found != m:
         raise GraphFileError(f"{path}: header promises {m} edges, file has {found}")
+    if fields.count(3) != m:
+        _check_edge_lines(path, lines)
+    words = body.split()
     try:
-        if fields.count(3) != m:
-            raise ValueError("an edge line does not hold three fields")
-        words = body.split()
         columns = (
             list(map(int, words[0::3])),
             list(map(int, words[1::3])),
             list(map(float, words[2::3])),
         )
-    except ValueError:
-        columns = tuple(zip(*_edge_lines(path, lines)))
+    except ValueError as exc:
+        _check_edge_lines(path, lines)
+        raise GraphFileError(f"{path}: {exc}") from exc
     try:
         return WeightedGraph(n, np.array(columns, dtype=np.float64).T)
     except DisconnectedGraphError:

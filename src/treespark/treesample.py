@@ -128,25 +128,23 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     ``g.csr`` entry ``offsets[v] + nxt[v]``: the tree edge by which ``v``
     leaves towards the root.  Entry 0 is 0 and means nothing.  Graphs
     with a :attr:`~WeightedGraph.regular_degree` take the regular loop,
-    other graphs with an :attr:`~WeightedGraph.exit_guide` the guided
-    loop, and dense irregular graphs the general loop; all three draw
-    the same variates and make the same choices.
+    all others the guided loop; both draw the same variates and make
+    the same choices as :func:`_general_exits`.
     """
     deg = g.regular_degree
     if deg:
         return _regular_exits(g, gen, deg)
-    guide = g.exit_guide
-    if guide is not None:
-        return _guided_exits(g, gen, guide)
-    return _general_exits(g, gen)
+    return _guided_exits(g, gen, g.exit_guide)
 
 
 def _general_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     """:func:`_wilson_exits` on any graph, choosing each step at its vertex.
 
-    A uniform ``r <= 1 - 2**-53`` (numpy's largest) gives ``r * x < x``
-    for every normal ``x``, so ``int(r * deg)`` and the bisection both
-    land on an index below ``deg``.
+    The walk runs the faster loops; this one is the tests' reference
+    for their choices and their use of the stream.  A uniform ``r <= 1
+    - 2**-53`` (numpy's largest) gives ``r * x < x`` for every normal
+    ``x``, so ``int(r * deg)`` and the bisection both land on an index
+    below ``deg``.
     """
     nbrs, cumw, totw, uniform = g.adjacency
     n = g.n

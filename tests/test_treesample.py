@@ -390,6 +390,11 @@ def _counting_property(monkeypatch, name):
     return calls
 
 
+def _k40_minus_edge() -> WeightedGraph:
+    """Unit weights, degrees 38 and 39: dense, and irregular."""
+    return WeightedGraph(40, complete_graph(40).edges[:-1])
+
+
 @pytest.mark.parametrize(
     "name,g",
     [
@@ -398,11 +403,12 @@ def _counting_property(monkeypatch, name):
         ("doubled_triangle", doubled_triangle()),
         ("random_multigraph", random_connected_graph(12, 20, seed=3)),
         ("random_multigraph_80", random_connected_graph(80, 160, seed=5)),
+        ("k40_minus_edge", _k40_minus_edge()),
     ],
 )
 def test_irregular_or_weighted_graphs_take_the_general_loop(name, g, monkeypatch):
-    # Sparse ones read the general loop's choices off the exit guide;
-    # dense ones keep the general loop itself (see the test after next).
+    # They read the general loop's choices off the exit guide, sparse
+    # or dense.
     regular = _counting(monkeypatch, "_regular_exits")
     guided = _counting(monkeypatch, "_guided_exits")
     general = _counting(monkeypatch, "_general_exits")
@@ -427,12 +433,7 @@ def test_loop_choice_is_made_once_per_graph(monkeypatch):
     assert calls == [g, h]
 
 
-def _k40_minus_edge() -> WeightedGraph:
-    """Unit weights, degrees 38 and 39: irregular, and too dense for a guide."""
-    return WeightedGraph(40, complete_graph(40).edges[:-1])
-
-
-def test_guide_or_general_loop_is_chosen_once_per_graph(monkeypatch):
+def test_exit_guide_is_built_once_per_graph(monkeypatch):
     guides = _counting_property(monkeypatch, "exit_guide")
     guided = _counting(monkeypatch, "_guided_exits")
     general = _counting(monkeypatch, "_general_exits")
@@ -444,8 +445,7 @@ def test_guide_or_general_loop_is_chosen_once_per_graph(monkeypatch):
         for _ in wilson_tree_batches(g, gen, 3):
             pass
     assert guides == [sparse, dense]
-    assert sparse.exit_guide is not None and dense.exit_guide is None
-    assert (guided, general) == ([sparse] * 6, [dense] * 6)
+    assert (guided, general) == ([sparse] * 6 + [dense] * 6, [])
     # Graphs with a regular degree never build a guide.
     sample_tree_wilson(complete_graph(8), 0)
     assert guides == [sparse, dense]
@@ -521,6 +521,8 @@ GUIDED = SMALL + [
     ("saturating_1e-9", _tiny_edge_graph(1e-9)),
     ("random_multigraph", random_connected_graph(30, 50, seed=8)),
     ("random_multigraph_80", random_connected_graph(80, 160, seed=5)),
+    ("k40_minus_edge", _k40_minus_edge()),
+    ("weighted_er_150", weighted_er(150, 0.9, 5)),
 ]
 
 

@@ -211,7 +211,8 @@ class WeightedGraph:
         rows = len(flat) - int(flat.sum())
         width = GUIDE_CELLS + 1
         passed = np.bincount(row * width + (k + 1) // 2, minlength=rows * width)
-        exits = np.cumsum(passed.reshape(rows, width)[:, :-1], axis=1)
+        passed = passed.reshape(rows, width)
+        exits = np.cumsum(passed, axis=1, out=passed)[:, :-1]
         odd = k % 2 == 1
         exits[row[odd], k[odd] // 2] = -1
         weighted = iter(exits.tolist())

@@ -191,8 +191,9 @@ class WeightedGraph:
         # The bisection passes an entry of running weight c at r exactly
         # when c <= r * totw[v].  For each entry below its vertex's total
         # (the others are never passed), k counts the cell ends, in the
-        # order lo[0], hi[0], lo[1], ..., that do not pass it yet; the
-        # prefix is found by halving steps.
+        # order lo[0], hi[0], lo[1], ..., that do not pass it yet.  The
+        # last end passes it (hi[-1] * t is the float just below t), so
+        # k <= 255 and halving steps from 128 find it.
         ends = np.column_stack((lo, hi)).ravel()
         owner = np.repeat(np.arange(self.n), degrees)
         c = np.fromiter(chain.from_iterable(cumw), np.float64, len(owner))

@@ -480,42 +480,3 @@ def run_degree_dist(n: int, samples: int, base_seed: int) -> Report:
         gate=gate,
         passed=tv <= gate,
     )
-
-
-# ---------------------------------------------------------------------------
-# Unweighted thin tree envelope
-# ---------------------------------------------------------------------------
-
-
-def run_unweighted_thin_tree(
-    g: WeightedGraph, trials: int, base_seed: int, graph_desc: str | None = None
-) -> Report:
-    """Pencil extremes of plain (unreweighted) trees of a unit graph.
-
-    Requires all parent weights to be 1.  Passes when every trial's
-    ``lambda_max`` is at most ``100 * max_leverage * ln n``, the
-    leverage-scaled analogue of the single tree envelope.
-    """
-    _, _, ws = g.edge_arrays
-    if (ws != 1.0).any():
-        raise ValueError("thin tree runs need a unit-weight graph")
-    seeds = _seeds(base_seed, trials)
-    start = time.perf_counter()
-    max_lev = float(leverage_scores(g).values.max())
-    extremes = _run_trials(_CertifyRun(g, 1, ws, laplacian_frame(g)), seeds)
-    max_lambda = max(hi for _, hi in extremes)
-    envelope = 100.0 * max_lev * math.log(g.n)
-    return _report(
-        "unweighted_thin_tree",
-        graph_desc or f"n={g.n},m={g.m}",
-        g.n,
-        start,
-        {"base_seed": base_seed},
-        trials=trials,
-        seeds=seeds,
-        max_leverage=max_lev,
-        envelope=envelope,
-        extremes=extremes,
-        max_lambda=max_lambda,
-        passed=max_lambda <= envelope,
-    )

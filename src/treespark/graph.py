@@ -18,8 +18,8 @@ import numpy as np
 
 ER_MAX_ATTEMPTS = 1000
 
-# Cells of the walk's per-vertex exit guide; cell q covers the variates
-# in [q / GUIDE_CELLS, (q + 1) / GUIDE_CELLS).
+# Cells of the walk's exit guide on every graph that is not regular;
+# cell q covers the variates in [q / GUIDE_CELLS, (q + 1) / GUIDE_CELLS).
 GUIDE_CELLS = 128
 
 
@@ -152,35 +152,31 @@ class WeightedGraph:
         return nbrs, cumw, totw, (lo == hi).tolist()
 
     @cached_property
-    def regular_degree(self) -> int:
-        """Degree ``d`` shared by every vertex of equal incident weights, else 0.
+    def exit_guide(self) -> tuple[int, list[list[int]]]:
+        """``(cells, rows)``: per-vertex walk exits read off the variate's cell.
 
-        Nonzero when every vertex has ``d`` :attr:`adjacency` entries and
-        every ``uniform`` flag is set, as on unit-weight complete graphs
-        and rings.  A walk step from any vertex then takes entry
-        ``int(r * d)`` for its uniform ``r``.
-        """
-        degrees = np.diff(self.csr[0])
-        if degrees.min() == degrees.max() and all(self.adjacency[3]):
-            return int(degrees[0])
-        return 0
-
-    @cached_property
-    def exit_guide(self) -> list[list[int]]:
-        """Per-vertex walk exits read off the variate's cell.
-
-        Entry ``[v][q]`` is the :attr:`adjacency` entry every variate of
+        A variate ``r`` falls in cell ``int(r * cells)``.  Entry
+        ``rows[v][q]`` is the :attr:`adjacency` entry every variate of
         cell ``q`` takes from ``v`` under the walk's rule, ``int(r * d)``
         or the bisection of the running weights, and -1 where the cell
-        straddles an exit boundary.  Both rules are monotone in ``r``,
-        so a cell whose smallest variate ``q / 128`` and largest ``(q +
-        1) / 128 - 2**-53`` (numpy's variates are multiples of 2**-53)
+        straddles an exit boundary.
+
+        A graph whose vertices all have ``d`` entries of equal weight,
+        such as a unit-weight complete graph or ring, gets ``d`` cells
+        and one identity row shared by every vertex: the cell is the
+        exit, so no cell straddles.  Every other graph gets
+        ``GUIDE_CELLS`` cells, and cell ``q`` runs from ``q / 128`` to
+        ``(q + 1) / 128 - 2**-53`` (numpy's variates are multiples of
+        2**-53).  Both rules are monotone in ``r``, so a cell whose ends
         agree gives that exit to every variate in it.  Vertices of equal
         incident weights and equal degree share one row; the rows of the
         other vertices are built together in one numpy pass.
         """
         degrees = np.diff(self.csr[0])
         _, cumw, totw, uniform = self.adjacency
+        if degrees.min() == degrees.max() and all(uniform):
+            d = int(degrees[0])
+            return d, [list(range(d))] * self.n
         flat = np.array(uniform)
         cells = np.arange(GUIDE_CELLS)
         lo, hi = cells / GUIDE_CELLS, (cells + 1) / GUIDE_CELLS - 2.0**-53
@@ -217,7 +213,8 @@ class WeightedGraph:
         odd = k % 2 == 1
         exits[row[odd], k[odd] // 2] = -1
         weighted = iter(exits.tolist())
-        return [shared[d] if f else next(weighted) for d, f in zip(degrees.tolist(), uniform)]
+        rows = [shared[d] if f else next(weighted) for d, f in zip(degrees.tolist(), uniform)]
+        return GUIDE_CELLS, rows
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -126,108 +127,20 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
 
     Entry ``v`` (for ``v != 0``) indexes ``g.adjacency[0][v]``, and
     ``g.csr`` entry ``offsets[v] + nxt[v]``: the tree edge by which ``v``
-    leaves towards the root.  Entry 0 is 0 and means nothing.  Graphs
-    with a :attr:`~WeightedGraph.regular_degree` take the regular loop,
-    all others the guided loop; both draw the same variates and make
-    the same choices as :func:`_general_exits`.
-    """
-    deg = g.regular_degree
-    if deg:
-        return _regular_exits(g, gen, deg)
-    return _guided_exits(g, gen, g.exit_guide)
+    leaves towards the root.  Entry 0 is 0 and means nothing.
 
-
-def _general_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
-    """:func:`_wilson_exits` on any graph, choosing each step at its vertex.
-
-    The walk runs the faster loops; this one is the tests' reference
-    for their choices and their use of the stream.  A uniform ``r <= 1
-    - 2**-53`` (numpy's largest) gives ``r * x < x`` for every normal
-    ``x``, so ``int(r * deg)`` and the bisection both land on an index
-    below ``deg``.
+    numpy turns each buffer of variates into cells of the graph's
+    :attr:`~WeightedGraph.exit_guide` at once, ``int(r * cells)``, and
+    a step reads its vertex's guide row at the cell.  Only a cell that
+    straddles an exit boundary (-1) takes the step rule, ``int(r * d)``
+    or bisection of the running weights, on ``r`` itself.  A regular
+    graph's guide never straddles, so its walk converts no variate to a
+    float.  One pass over each buffer serves every walk that reaches
+    into it; buffers start at ``_BUF_START`` variates and grow fourfold
+    up to ``_BUF_MAX`` as the walk needs them.
     """
     nbrs, cumw, totw, uniform = g.adjacency
-    n = g.n
-    in_tree = bytearray(n)
-    in_tree[0] = 1
-    nxt = [0] * n
-    bufsize = _BUF_START
-    buf = gen.random(bufsize).tolist()
-    pos = 0
-    for start in range(1, n):
-        if in_tree[start]:
-            continue
-        u = start
-        while not in_tree[u]:
-            if pos == bufsize:
-                bufsize = min(bufsize * 4, _BUF_MAX)
-                buf = gen.random(bufsize).tolist()
-                pos = 0
-            r = buf[pos]
-            pos += 1
-            row = nbrs[u]
-            if uniform[u]:
-                j = int(r * len(row))
-            else:
-                j = bisect_right(cumw[u], r * totw[u])
-            nxt[u] = j
-            u = row[j]
-        # Only the loop-erased path joins the tree; vertices the walk
-        # left on erased loops are walked again later.
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = 1
-            u = nbrs[u][nxt[u]]
-    return nxt
-
-
-def _regular_exits(g: WeightedGraph, gen: np.random.Generator, deg: int) -> list[int]:
-    """:func:`_general_exits` where every step is ``int(r * deg)``.
-
-    The choice does not depend on the vertex, so numpy turns each buffer
-    of variates into choices at once; the float64 product truncated
-    toward zero is the same ``j`` the general loop computes.
-    """
-    nbrs = g.adjacency[0]
-    n = g.n
-    in_tree = bytearray(n)
-    in_tree[0] = 1
-    nxt = [0] * n
-    bufsize = _BUF_START
-    js = (gen.random(bufsize) * deg).astype(np.int64).tolist()
-    pos = 0
-    for start in range(1, n):
-        if in_tree[start]:
-            continue
-        u = start
-        while not in_tree[u]:
-            if pos == bufsize:
-                bufsize = min(bufsize * 4, _BUF_MAX)
-                js = (gen.random(bufsize) * deg).astype(np.int64).tolist()
-                pos = 0
-            j = js[pos]
-            pos += 1
-            nxt[u] = j
-            u = nbrs[u][j]
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = 1
-            u = nbrs[u][nxt[u]]
-    return nxt
-
-
-def _guided_exits(g: WeightedGraph, gen: np.random.Generator, guide) -> list[int]:
-    """:func:`_general_exits` reading most steps off the graph's exit guide.
-
-    numpy turns each buffer of variates into guide cells at once
-    (scaling by a power of two is exact, so the cell is ``int(r *
-    GUIDE_CELLS)``); a step reads its vertex's guide row at the cell,
-    and only a cell that straddles an exit boundary (-1) takes the
-    general loop's rule on ``r`` itself.  One pass over each buffer
-    serves every walk that reaches into it, and the buffers are drawn
-    at the general loop's sizes and moments.
-    """
-    nbrs, cumw, totw, uniform = g.adjacency
+    cells, guide = g.exit_guide
     n = g.n
     # A list, not a bytearray: CPython indexes lists on a faster path.
     in_tree = [0] * n
@@ -237,7 +150,11 @@ def _guided_exits(g: WeightedGraph, gen: np.random.Generator, guide) -> list[int
     start = u = 1
     while True:
         buf = gen.random(bufsize)
-        for q, r in zip((buf * GUIDE_CELLS).astype(np.int64).tolist(), buf.tolist()):
+        # Only a 128-cell guide can have cells that straddle and read
+        # ``r``; a regular graph of degree 128 converts its variates for
+        # nothing.
+        rs = buf.tolist() if cells == GUIDE_CELLS else repeat(0.0)
+        for q, r in zip((buf * cells).astype(np.int64).tolist(), rs):
             j = guide[u][q]
             if j < 0:
                 if uniform[u]:

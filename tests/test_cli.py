@@ -76,7 +76,7 @@ SAMPLE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
 def test_sample_lines_match_their_object_route_digest(name, tmp_path, capsys):
     # The weighted multigraph takes the walk's bisect path and has
-    # parallel edges; K_60 takes the regular loop.
+    # parallel edges; K_60 reads a regular graph's identity exit guide.
     if name == "multigraph":
         g = random_connected_graph(30, 50, seed=8)
         spec = str(tmp_path / "multi.graph")

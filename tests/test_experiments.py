@@ -26,7 +26,6 @@ from treespark.experiments import (
     run_single_tree_lower,
     run_single_tree_upper,
     run_sum_trees,
-    run_unweighted_thin_tree,
     write_extremes_csv,
 )
 from treespark.graph import clique_star, complete_graph, laplacian, philox_stream, ring_graph
@@ -243,23 +242,15 @@ def test_certify_run_holds_no_dense_laplacian():
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
 def test_single_tree_runners_match_tree_object_route(name, g):
     # Oracle: one validated SpanningTree per seed, reweighted by its
-    # leverage for the upper envelope and kept plain for thin trees.
+    # leverage.
     frame, prof = laplacian_frame(g), leverage_scores(g)
     seeds = range(5, 9)
-
-    def tree_route(reweight):
-        out = []
-        for seed in seeds:
-            tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
-            tree = reweight_tree(tree, prof) if reweight else tree
-            out.append(normalized_pencil(frame, average_trees([tree])))
-        return out
-
+    want = []
+    for seed in seeds:
+        tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
+        want.append(normalized_pencil(frame, average_trees([reweight_tree(tree, prof)])))
     upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])
-    assert upper.results["extremes"] == tree_route(reweight=True)
-    if all(w == 1.0 for _, _, w in g.edges):
-        thin = run_unweighted_thin_tree(g, trials=len(seeds), base_seed=seeds[0])
-        assert thin.results["extremes"] == tree_route(reweight=False)
+    assert upper.results["extremes"] == want
 
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
@@ -612,39 +603,6 @@ def test_degree_dist_rejects_tiny_n():
 
 
 # ---------------------------------------------------------------------------
-# Thin trees
-# ---------------------------------------------------------------------------
-
-
-def test_thin_tree_on_tree_graph():
-    report = run_unweighted_thin_tree(path_graph(5), trials=3, base_seed=41)
-    assert report.results["max_leverage"] == pytest.approx(1.0, abs=1e-12)
-    for lo, hi in report.results["extremes"]:
-        assert hi == pytest.approx(1.0, abs=1e-9)
-    assert report.results["passed"]
-
-
-def test_thin_tree_rejects_weighted_graph():
-    from corpus import weighted_triangle
-
-    with pytest.raises(ValueError):
-        run_unweighted_thin_tree(weighted_triangle(), trials=1, base_seed=0)
-
-
-def test_thin_tree_ring_vacuous_but_recorded():
-    report = run_unweighted_thin_tree(ring_graph(24), trials=5, base_seed=43)
-    assert report.results["max_leverage"] == pytest.approx(23.0 / 24.0, abs=1e-10)
-    assert report.results["passed"]
-
-
-def test_thin_tree_complete_graph():
-    report = run_unweighted_thin_tree(complete_graph(64), trials=10, base_seed=47)
-    assert report.results["max_leverage"] == pytest.approx(2.0 / 64.0, abs=1e-10)
-    assert report.results["envelope"] == pytest.approx(100.0 * (2.0 / 64.0) * math.log(64))
-    assert report.results["passed"]
-
-
-# ---------------------------------------------------------------------------
 # Reproducibility
 # ---------------------------------------------------------------------------
 
@@ -656,7 +614,6 @@ def test_reports_bit_reproducible():
         lambda: run_multi_tree_lower(1, 4, eps=0.4, trials=5, base_seed=57, t=1),
         lambda: run_single_tree_lower(2, 8, trials=5, base_seed=59),
         lambda: run_degree_dist(8, samples=2000, base_seed=61),
-        lambda: run_unweighted_thin_tree(ring_graph(12), trials=3, base_seed=67),
     ]
     for make in runs:
         a, b = make(), make()
@@ -703,10 +660,6 @@ DRIVER_KEYS = {
         "kind", "graph_desc", "n", "samples", "base_seed", "counts", "reference_pmf",
         "tv_distance", "gate", "passed", "config", "wallclock_sec", "library_version",
     },
-    "unweighted_thin_tree": {
-        "kind", "graph_desc", "n", "trials", "seeds", "max_leverage", "envelope", "extremes",
-        "max_lambda", "passed", "config", "wallclock_sec", "library_version",
-    },
 }
 
 DRIVER_RUNS = {
@@ -715,7 +668,6 @@ DRIVER_RUNS = {
     "multi_tree_lower": lambda: run_multi_tree_lower(2, 5, eps=0.4, trials=2, base_seed=1, t=1),
     "single_tree_lower": lambda: run_single_tree_lower(2, 5, trials=2, base_seed=1),
     "degree_dist": lambda: run_degree_dist(5, samples=50, base_seed=1),
-    "unweighted_thin_tree": lambda: run_unweighted_thin_tree(ring_graph(6), trials=2, base_seed=1),
 }
 
 
@@ -766,7 +718,6 @@ def test_degree_dist_names_its_graph():
         lambda: run_sum_trees(complete_graph(5), eps=0.5, trials=-1, base_seed=0, t=1),
         lambda: run_multi_tree_lower(1, 4, eps=0.4, trials=0, base_seed=0, t=1),
         lambda: run_single_tree_lower(1, 4, trials=0, base_seed=0),
-        lambda: run_unweighted_thin_tree(ring_graph(5), trials=0, base_seed=0),
     ],
 )
 def test_drivers_refuse_zero_trials(run):

@@ -475,19 +475,35 @@ def test_csr_matches_adjacency(name, g):
 
 
 def test_regular_degree():
-    assert complete_graph(2).regular_degree == 1
-    assert complete_graph(60).regular_degree == 59
-    assert ring_graph(500).regular_degree == 2
-    # Equal weights that are not 1 keep every step uniform.
-    assert WeightedGraph(3, ((0, 1, 2.5), (1, 2, 2.5), (0, 2, 2.5))).regular_degree == 2
-    # A 4-cycle with two doubled edges: every vertex has three entries.
-    assert WeightedGraph(
-        4, ((0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 3, 1.0), (0, 3, 1.0))
-    ).regular_degree == 3
-    assert path_graph(4).regular_degree == 0
-    assert star_graph(3).regular_degree == 0
-    assert weighted_triangle().regular_degree == 0
-    assert random_connected_graph(12, 20, seed=3).regular_degree == 0
+    # A graph whose vertices all have d entries of equal weight reads one
+    # identity exit-guide row of d cells; every other graph reads 128.
+    regular = [
+        (complete_graph(2), 1),
+        (complete_graph(60), 59),
+        (ring_graph(500), 2),
+        # Equal weights that are not 1 keep every step uniform.
+        (WeightedGraph(3, ((0, 1, 2.5), (1, 2, 2.5), (0, 2, 2.5))), 2),
+        # A 4-cycle with two doubled edges: every vertex has three entries.
+        (
+            WeightedGraph(
+                4, ((0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 3, 1.0), (0, 3, 1.0))
+            ),
+            3,
+        ),
+    ]
+    for g, d in regular:
+        cells, rows = g.exit_guide
+        assert cells == d
+        assert rows == [list(range(d))] * g.n
+    for g in (
+        path_graph(4),
+        star_graph(3),
+        weighted_triangle(),
+        random_connected_graph(12, 20, seed=3),
+    ):
+        cells, rows = g.exit_guide
+        assert cells == 128
+        assert all(len(row) == 128 for row in rows)
 
 
 def test_log_weight_scale_is_finite():

@@ -48,6 +48,7 @@ from treespark.treesample import (
     tree_edge_counts,
     wilson_tree_batches,
 )
+import walk_oracle
 
 
 def test_wilson_deterministic_per_seed():
@@ -349,30 +350,20 @@ REGULAR = [
     ("ring500", ring_graph(500), 2, 6),
     ("doubled_c4", _doubled_c4(), 3, 40),
 ]
+REGULAR_DEGREE = {name: deg for name, _, deg, _ in REGULAR}
+# The regular graphs keep their own walk seed counts; every other graph takes 12.
+WALK_SEEDS = {name: seeds for name, _, _, seeds in REGULAR}
 
 
-@pytest.mark.parametrize("name,g,deg,seeds", REGULAR)
-def test_regular_loop_matches_general_loop(name, g, deg, seeds):
-    assert g.regular_degree == deg
-    for seed in range(seeds):
-        fast = np.random.Generator(np.random.Philox(seed))
-        slow = np.random.Generator(np.random.Philox(seed))
-        # Three trees from one stream, so later trees start mid-buffer.
-        for _ in range(3):
-            assert _wilson_exits(g, fast) == treesample._general_exits(g, slow)
-        # Both loops consumed the same variates.
-        assert fast.random() == slow.random()
-
-
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, module, name):
     calls = []
-    fn = getattr(treesample, name)
+    fn = getattr(module, name)
 
     def counted(*args):
         calls.append(args[0])
         return fn(*args)
 
-    monkeypatch.setattr(treesample, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -395,60 +386,37 @@ def _k40_minus_edge() -> WeightedGraph:
     return WeightedGraph(40, complete_graph(40).edges[:-1])
 
 
-@pytest.mark.parametrize(
-    "name,g",
-    [
-        ("cliquestar_2_4", clique_star(2, 4)),
-        ("weighted_k4", weighted_k4()),
-        ("doubled_triangle", doubled_triangle()),
-        ("random_multigraph", random_connected_graph(12, 20, seed=3)),
-        ("random_multigraph_80", random_connected_graph(80, 160, seed=5)),
-        ("k40_minus_edge", _k40_minus_edge()),
-    ],
-)
-def test_irregular_or_weighted_graphs_take_the_general_loop(name, g, monkeypatch):
-    # They read the general loop's choices off the exit guide, sparse
-    # or dense.
-    regular = _counting(monkeypatch, "_regular_exits")
-    guided = _counting(monkeypatch, "_guided_exits")
-    general = _counting(monkeypatch, "_general_exits")
-    assert g.regular_degree == 0
-    sample_tree_wilson(g, 0)
-    assert (len(regular), len(guided), len(general)) == (0, 1, 0)
-
-
-def test_loop_choice_is_made_once_per_graph(monkeypatch):
-    calls = _counting_property(monkeypatch, "regular_degree")
-    regular = _counting(monkeypatch, "_regular_exits")
-    g = complete_graph(8)
-    gen = np.random.Generator(np.random.Philox(0))
-    for _ in range(5):
-        sample_tree_stream(g, gen)
-    for _ in wilson_tree_batches(g, gen, 5):
-        pass
-    assert calls == [g]
-    assert len(regular) == 10
-    h = complete_graph(8)
-    sample_tree_wilson(h, 0)
-    assert calls == [g, h]
-
-
 def test_exit_guide_is_built_once_per_graph(monkeypatch):
+    # Regular graphs, and irregular or weighted ones, sparse or dense,
+    # all walk the one guided loop; none reaches the reference walk.
     guides = _counting_property(monkeypatch, "exit_guide")
-    guided = _counting(monkeypatch, "_guided_exits")
-    general = _counting(monkeypatch, "_general_exits")
-    sparse, dense = clique_star(3, 5), _k40_minus_edge()
-    for g in (sparse, dense):
+    walks = _counting(monkeypatch, treesample, "_wilson_exits")
+    general = _counting(monkeypatch, walk_oracle, "_general_exits")
+    graphs = [
+        complete_graph(8),
+        ring_graph(9),
+        _doubled_c4(),
+        clique_star(2, 4),
+        clique_star(3, 5),
+        weighted_k4(),
+        doubled_triangle(),
+        random_connected_graph(12, 20, seed=3),
+        random_connected_graph(80, 160, seed=5),
+        _k40_minus_edge(),
+    ]
+    for g in graphs:
         gen = np.random.Generator(np.random.Philox(0))
         for _ in range(3):
             sample_tree_stream(g, gen)
         for _ in wilson_tree_batches(g, gen, 3):
             pass
-    assert guides == [sparse, dense]
-    assert (guided, general) == ([sparse] * 6 + [dense] * 6, [])
-    # Graphs with a regular degree never build a guide.
-    sample_tree_wilson(complete_graph(8), 0)
-    assert guides == [sparse, dense]
+    assert guides == graphs
+    assert walks == [g for g in graphs for _ in range(6)]
+    assert general == []
+    assert [g.exit_guide[0] for g in graphs] == [7, 2, 3] + [128] * 7
+    h = complete_graph(8)
+    sample_tree_wilson(h, 0)
+    assert guides == graphs + [h]
 
 
 class _TopEveryOther:
@@ -505,7 +473,7 @@ def test_largest_variate_picks_an_entry_in_range(name, g):
     # either step rule reaches, without a clamp.
     offsets, nbr, eid = g.csr
     for seed in range(5):
-        exits = treesample._general_exits(g, _TopEveryOther(seed))
+        exits = walk_oracle._general_exits(g, _TopEveryOther(seed))
         assert _wilson_exits(g, _TopEveryOther(seed)) == exits
         at = offsets[1:-1] + np.array([exits[1:]])
         check_parent_trees(g, nbr[at], eid[at])
@@ -534,40 +502,53 @@ def _step_rule(g: WeightedGraph, v: int, r: float) -> int:
     return bisect.bisect_right(cumw[v], r * totw[v])
 
 
-@pytest.mark.parametrize("name,g", GUIDED)
+def _cell_start(cells: int, q: int) -> float:
+    """Smallest variate, a multiple of 2**-53, whose cell ``int(r * cells)`` is at least ``q``."""
+    k = -(-q * 2**53 // cells)
+    while k and int((k - 1) * 2.0**-53 * cells) >= q:
+        k -= 1
+    while int(k * 2.0**-53 * cells) < q:
+        k += 1
+    return k * 2.0**-53
+
+
+@pytest.mark.parametrize("name,g", GUIDED + [(name, g) for name, g, _, _ in REGULAR])
 def test_exit_guide_cells_take_the_step_rule_of_every_variate_in_them(name, g):
-    guide = g.exit_guide
+    cells, rows = g.exit_guide
+    if name in REGULAR_DEGREE:
+        # Every vertex reads one identity row: cell q is the exit q.
+        assert cells == REGULAR_DEGREE[name]
+        assert all(row == list(range(cells)) for row in rows)
     gen = np.random.Generator(np.random.Philox(1))
-    cell = 2.0**-7
     for v in range(1, g.n):
-        row = guide[v]
-        assert len(row) == 128
+        row = rows[v]
+        assert len(row) == cells
         for q, j in enumerate(row):
-            lo, hi = q * cell, (q + 1) * cell - 2.0**-53
+            lo, hi = _cell_start(cells, q), _cell_start(cells, q + 1) - 2.0**-53
             ends = _step_rule(g, v, lo), _step_rule(g, v, hi)
             if j < 0:
                 assert ends[0] != ends[1]
                 continue
             assert ends == (j, j)
             # Variates are multiples of 2**-53 inside the cell.
-            for k in gen.integers(0, 2**46, size=4).tolist():
+            span = round((hi - lo) * 2.0**53) + 1
+            for k in gen.integers(0, span, size=4).tolist():
                 assert _step_rule(g, v, lo + k * 2.0**-53) == j
 
 
 def test_exit_boundaries_on_cell_edges_leave_no_cell_to_bisect():
-    guide = _dyadic_k4().exit_guide
-    assert guide[1] == guide[2] == [0] * 32 + [1] * 32 + [2] * 64
+    rows = _dyadic_k4().exit_guide[1]
+    assert rows[1] == rows[2] == [0] * 32 + [1] * 32 + [2] * 64
 
 
-@pytest.mark.parametrize("name,g", GUIDED)
+@pytest.mark.parametrize("name,g", GUIDED + [(name, g) for name, g, _, _ in REGULAR])
 def test_guided_loop_matches_general_loop(name, g):
-    guide = g.exit_guide
-    for seed in range(12):
+    for seed in range(WALK_SEEDS.get(name, 12)):
         fast = np.random.Generator(np.random.Philox(seed))
         slow = np.random.Generator(np.random.Philox(seed))
         # Three trees from one stream, so later trees start mid-buffer.
         for _ in range(3):
-            assert treesample._guided_exits(g, fast, guide) == treesample._general_exits(g, slow)
+            assert _wilson_exits(g, fast) == walk_oracle._general_exits(g, slow)
         # Both loops consumed the same variates.
         assert fast.random() == slow.random()
 

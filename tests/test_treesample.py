@@ -386,6 +386,46 @@ def _k40_minus_edge() -> WeightedGraph:
     return WeightedGraph(40, complete_graph(40).edges[:-1])
 
 
+@pytest.mark.parametrize(
+    "name,g",
+    [
+        ("cliquestar_2_4", clique_star(2, 4)),
+        ("weighted_k4", weighted_k4()),
+        ("doubled_triangle", doubled_triangle()),
+        ("random_multigraph", random_connected_graph(12, 20, seed=3)),
+        ("random_multigraph_80", random_connected_graph(80, 160, seed=5)),
+        ("k40_minus_edge", _k40_minus_edge()),
+    ],
+)
+def test_irregular_or_weighted_graphs_take_the_general_loop(name, g, monkeypatch):
+    # They read the general step rule off 128-cell guide rows, sparse or
+    # dense, in the one walk loop; the reference walk never runs.
+    walks = _counting(monkeypatch, treesample, "_wilson_exits")
+    general = _counting(monkeypatch, walk_oracle, "_general_exits")
+    assert g.exit_guide[0] == 128
+    sample_tree_wilson(g, 0)
+    assert (len(walks), len(general)) == (1, 0)
+
+
+def test_loop_choice_is_made_once_per_graph(monkeypatch):
+    # The guide's shape stands for the old loop choice: K_8 gets 7 cells
+    # and identity rows, chosen once however many trees it draws.
+    calls = _counting_property(monkeypatch, "exit_guide")
+    walks = _counting(monkeypatch, treesample, "_wilson_exits")
+    g = complete_graph(8)
+    gen = np.random.Generator(np.random.Philox(0))
+    for _ in range(5):
+        sample_tree_stream(g, gen)
+    for _ in wilson_tree_batches(g, gen, 5):
+        pass
+    assert calls == [g]
+    assert len(walks) == 10
+    assert g.exit_guide == (7, [list(range(7))] * 8)
+    h = complete_graph(8)
+    sample_tree_wilson(h, 0)
+    assert calls == [g, h]
+
+
 def test_exit_guide_is_built_once_per_graph(monkeypatch):
     # Regular graphs, and irregular or weighted ones, sparse or dense,
     # all walk the one guided loop; none reaches the reference walk.

@@ -385,7 +385,7 @@ def run_single_tree_lower(
         [(parents, ids)] = wilson_tree_batches(g, philox_stream(seed), 1)
         parents, ids = parents[0], ids[0]
         tu, tv = us[ids], vs[ids]
-        deg = np.bincount(tu, minlength=n) + np.bincount(tv, minlength=n)
+        deg = g.weighted_degrees(np.bincount(ids, minlength=g.m))
         center = 1 + int(np.argmax(deg[1:]))
         d = int(deg[center])
         # The star: d at the centre, -1 at its tree neighbours, that is

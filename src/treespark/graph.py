@@ -18,7 +18,7 @@ import numpy as np
 
 ER_MAX_ATTEMPTS = 1000
 
-# Cells of the walk's exit guide on every graph that is not regular;
+# Exit-guide cells where vertices do not all share one counts list;
 # cell q covers the variates in [q / GUIDE_CELLS, (q + 1) / GUIDE_CELLS).
 GUIDE_CELLS = 128
 
@@ -126,16 +126,18 @@ class WeightedGraph:
         return tuple(zip(us.tolist(), vs.tolist(), ws.tolist()))
 
     @cached_property
-    def adjacency(self) -> tuple[list, list, list, list]:
-        """Per-vertex neighbour and cumulative-weight lists.
+    def adjacency(self) -> tuple[list, list]:
+        """Per-vertex neighbour and cumulative-weight lists ``(nbrs, cumw)``.
 
         Entries follow stored edge order, one entry per incident edge, so
         parallel edges appear once each; their edge ids sit at the same
-        positions of :attr:`csr`.  Returns ``(nbrs, cumw, totw, uniform)``
-        where ``cumw[v]`` is the running sum of incident weights,
-        ``totw[v]`` its total and ``uniform[v]`` says all incident
-        weights are equal; random walk steps draw a uniform ``r`` and
-        take the first index with ``cumw[v][i] > r * totw[v]``.
+        positions of :attr:`csr`.  ``cumw[v]`` is the running sum of
+        ``v``'s incident weights, and ``cumw[v][-1]`` its total; a random
+        walk step draws a uniform ``r`` and takes the first index with
+        ``cumw[v][i] > r * cumw[v][-1]``.  At a vertex of ``d`` equal
+        weights the list is the counts ``1.0, ..., d``, one list per
+        degree shared by all such vertices: the counts are exact, so the
+        step is ``int(r * d)`` whatever the weight.
         """
         offsets, nbr, eid = self.csr
         wts = self.edge_arrays[2][eid]
@@ -143,59 +145,60 @@ class WeightedGraph:
         spans = list(zip(bounds, bounds[1:]))
         nbr_list, wt_list = nbr.tolist(), wts.tolist()
         nbrs = [nbr_list[a:b] for a, b in spans]
-        cumw = [list(accumulate(wt_list[a:b])) for a, b in spans]
-        totw = [acc[-1] for acc in cumw]
         # A connected graph leaves no vertex without entries, so no
         # reduceat segment is empty.
         lo = np.minimum.reduceat(wts, offsets[:-1])
         hi = np.maximum.reduceat(wts, offsets[:-1])
-        return nbrs, cumw, totw, (lo == hi).tolist()
+        equal = lo == hi
+        degrees = set(np.diff(offsets)[equal].tolist())
+        counts = {d: np.arange(1.0, d + 1).tolist() for d in degrees}
+        cumw = [
+            counts[b - a] if f else list(accumulate(wt_list[a:b]))
+            for (a, b), f in zip(spans, equal.tolist())
+        ]
+        return nbrs, cumw
 
     @cached_property
-    def exit_guide(self) -> tuple[int, list[list[int]]]:
-        """``(cells, rows)``: per-vertex walk exits read off the variate's cell.
+    def exit_guide(self) -> tuple[int, list[list[int]], bool]:
+        """``(cells, rows, straddles)``: per-vertex walk exits by the variate's cell.
 
         A variate ``r`` falls in cell ``int(r * cells)``.  Entry
         ``rows[v][q]`` is the :attr:`adjacency` entry every variate of
-        cell ``q`` takes from ``v`` under the walk's rule, ``int(r * d)``
-        or the bisection of the running weights, and -1 where the cell
-        straddles an exit boundary.
+        cell ``q`` takes from ``v`` under the walk's rule, bisection of
+        ``cumw[v]`` at ``r * cumw[v][-1]``, and -1 where the cell
+        straddles an exit boundary; ``straddles`` says whether any cell
+        does.
 
-        A graph whose vertices all have ``d`` entries of equal weight,
+        A graph whose vertices all share one counts list of length ``d``,
         such as a unit-weight complete graph or ring, gets ``d`` cells
-        and one identity row shared by every vertex: the cell is the
-        exit, so no cell straddles.  Every other graph gets
-        ``GUIDE_CELLS`` cells, and cell ``q`` runs from ``q / 128`` to
-        ``(q + 1) / 128 - 2**-53`` (numpy's variates are multiples of
-        2**-53).  Both rules are monotone in ``r``, so a cell whose ends
-        agree gives that exit to every variate in it.  Vertices of equal
-        incident weights and equal degree share one row; the rows of the
-        other vertices are built together in one numpy pass.
+        and one identity row: the cell is the exit, so no cell straddles.
+        Every other graph gets ``GUIDE_CELLS`` cells, and cell ``q`` runs
+        from ``q / 128`` to ``(q + 1) / 128 - 2**-53`` (numpy's variates
+        are multiples of 2**-53).  The rule is monotone in ``r``, so a
+        cell whose ends agree gives that exit to every variate in it.
+        One numpy pass builds a row per distinct ``cumw`` list, and the
+        vertices that share a list share its row.
         """
-        degrees = np.diff(self.csr[0])
-        _, cumw, totw, uniform = self.adjacency
-        if degrees.min() == degrees.max() and all(uniform):
-            d = int(degrees[0])
-            return d, [list(range(d))] * self.n
-        flat = np.array(uniform)
+        cumw = self.adjacency[1]
+        lists = list({id(c): c for c in cumw}.values())
+        if len(lists) == 1:
+            d = len(cumw[0])
+            return d, [list(range(d))] * self.n, False
         cells = np.arange(GUIDE_CELLS)
         lo, hi = cells / GUIDE_CELLS, (cells + 1) / GUIDE_CELLS - 2.0**-53
-        shared = {}
-        for d in set(degrees[flat].tolist()):
-            a, b = (lo * d).astype(np.int64), (hi * d).astype(np.int64)
-            shared[d] = np.where(a == b, a, -1).tolist()
         # The bisection passes an entry of running weight c at r exactly
-        # when c <= r * totw[v].  For each entry below its vertex's total
-        # (the others are never passed), k counts the cell ends, in the
-        # order lo[0], hi[0], lo[1], ..., that do not pass it yet.  The
-        # last end passes it (hi[-1] * t is the float just below t), so
-        # k <= 255 and halving steps from 128 find it.
+        # when c <= r * t, t being its list's total.  For each entry below
+        # the total (the others are never passed), k counts the cell
+        # ends, in the order lo[0], hi[0], lo[1], ..., that do not pass
+        # it yet.  The last end passes it (hi[-1] * t is the float just
+        # below t), so k <= 255 and halving steps from 128 find it.
         ends = np.column_stack((lo, hi)).ravel()
-        owner = np.repeat(np.arange(self.n), degrees)
-        c = np.fromiter(chain.from_iterable(cumw), np.float64, len(owner))
-        t = np.array(totw)[owner]
-        pick = ~flat[owner] & (c < t)
-        c, t = c[pick], t[pick]
+        sizes = [len(x) for x in lists]
+        row = np.repeat(np.arange(len(lists)), sizes)
+        c = np.fromiter(chain.from_iterable(lists), np.float64, len(row))
+        t = c[np.cumsum(sizes) - 1][row]
+        pick = c < t
+        c, t, row = c[pick], t[pick], row[pick]
         k = np.zeros(len(c), dtype=np.int64)
         step = GUIDE_CELLS
         while step:
@@ -204,17 +207,14 @@ class WeightedGraph:
         # Cell q's exit is the count of entries passed at lo[q], those
         # with k <= 2q; an entry first passed at hi[q] (k = 2q + 1)
         # makes the cell straddle.
-        row = (np.cumsum(~flat) - 1)[owner[pick]]
-        rows = len(flat) - int(flat.sum())
         width = GUIDE_CELLS + 1
-        passed = np.bincount(row * width + (k + 1) // 2, minlength=rows * width)
-        passed = passed.reshape(rows, width)
+        passed = np.bincount(row * width + (k + 1) // 2, minlength=len(lists) * width)
+        passed = passed.reshape(len(lists), width)
         exits = np.cumsum(passed, axis=1, out=passed)[:, :-1]
         odd = k % 2 == 1
         exits[row[odd], k[odd] // 2] = -1
-        weighted = iter(exits.tolist())
-        rows = [shared[d] if f else next(weighted) for d, f in zip(degrees.tolist(), uniform)]
-        return GUIDE_CELLS, rows
+        table = dict(zip(map(id, lists), exits.tolist()))
+        return GUIDE_CELLS, [table[id(c)] for c in cumw], bool(odd.any())
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .graph import GUIDE_CELLS, WeightedGraph, component_labels, laplacian
+from .graph import WeightedGraph, component_labels, laplacian
 from .leverage import LeverageProfile
 
 WEIGHT_MODES = ("original", "inverse_leverage")
@@ -132,15 +132,16 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     numpy turns each buffer of variates into cells of the graph's
     :attr:`~WeightedGraph.exit_guide` at once, ``int(r * cells)``, and
     a step reads its vertex's guide row at the cell.  Only a cell that
-    straddles an exit boundary (-1) takes the step rule, ``int(r * d)``
-    or bisection of the running weights, on ``r`` itself.  A regular
-    graph's guide never straddles, so its walk converts no variate to a
-    float.  One pass over each buffer serves every walk that reaches
-    into it; buffers start at ``_BUF_START`` variates and grow fourfold
-    up to ``_BUF_MAX`` as the walk needs them.
+    straddles an exit boundary (-1) takes the step rule on ``r`` itself:
+    bisection of the vertex's running weights at ``r`` times their
+    total.  A guide with no straddling cell, such as a regular graph's,
+    leaves its walk no variate to convert to a float.  One pass over
+    each buffer serves every walk that reaches into it; buffers start
+    at ``_BUF_START`` variates and grow fourfold up to ``_BUF_MAX`` as
+    the walk needs them.
     """
-    nbrs, cumw, totw, uniform = g.adjacency
-    cells, guide = g.exit_guide
+    nbrs, cumw = g.adjacency
+    cells, guide, straddles = g.exit_guide
     n = g.n
     # A list, not a bytearray: CPython indexes lists on a faster path.
     in_tree = [0] * n
@@ -150,17 +151,12 @@ def _wilson_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     start = u = 1
     while True:
         buf = gen.random(bufsize)
-        # Only a 128-cell guide can have cells that straddle and read
-        # ``r``; a regular graph of degree 128 converts its variates for
-        # nothing.
-        rs = buf.tolist() if cells == GUIDE_CELLS else repeat(0.0)
+        rs = buf.tolist() if straddles else repeat(0.0)
         for q, r in zip((buf * cells).astype(np.int64).tolist(), rs):
             j = guide[u][q]
             if j < 0:
-                if uniform[u]:
-                    j = int(r * len(nbrs[u]))
-                else:
-                    j = bisect_right(cumw[u], r * totw[u])
+                c = cumw[u]
+                j = bisect_right(c, r * c[-1])
             nxt[u] = j
             u = nbrs[u][j]
             if in_tree[u]:

@@ -1,5 +1,6 @@
 """Graph container, constructions and file round trips."""
 
+import bisect
 import math
 import re
 
@@ -443,13 +444,14 @@ def test_missing_file_raises_file_error(tmp_path):
 
 def test_adjacency_cache_consistency():
     g = weighted_triangle()
-    nbrs, cumw, totw, uniform = g.adjacency
+    nbrs, cumw = g.adjacency
     offsets, _, ids = g.csr
     eids = [ids[offsets[v]:offsets[v + 1]].tolist() for v in range(g.n)]
     assert [len(x) for x in nbrs] == [2, 2, 2]
-    assert totw[1] == pytest.approx(3.0)
     assert cumw[1][-1] == pytest.approx(3.0)
-    assert uniform[0] and not uniform[1]
+    # Vertex 0's two unit weights read as the counts 1, 2; vertex 1's
+    # weights 1 and 2 keep their running sum.
+    assert cumw[0] == [1.0, 2.0] and cumw[1] == [1.0, 3.0]
     # eids point back at the right endpoints
     for v in range(3):
         for nb, eid in zip(nbrs[v], eids[v]):
@@ -474,12 +476,38 @@ def test_csr_matches_adjacency(name, g):
             assert {v, nb} == set(g.edges[e][:2])
 
 
+def test_equal_weight_counts_bisect_to_int_r_times_d():
+    # A vertex of d equal weights steps by bisecting its counts 1.0, ...,
+    # d at r * d, which is int(r * d) on every variate: the counts are
+    # exact.  The variates are 0, numpy's largest, every j / d and the
+    # floats on each side of it.
+    top = np.nextafter(1.0, 0.0)
+    for d in [*range(1, 301), 1999]:
+        counts = star_graph(d, 2.5).adjacency[1][0]
+        assert counts == [float(i) for i in range(1, d + 1)]
+        at = np.arange(d) / d
+        rs = [0.0, top, *at.tolist()]
+        rs += np.nextafter(at, 0.0).tolist() + np.nextafter(at, 1.0).tolist()
+        for r in rs:
+            assert bisect.bisect_right(counts, r * counts[-1]) == int(r * d)
+
+
+def test_equal_weight_vertices_share_one_counts_list_per_degree():
+    cumw = path_graph(5, (2.0, 2.0, 5.0, 5.0)).adjacency[1]
+    # Every vertex but 2 has equal weights, of degree 1 or 2.
+    assert cumw[0] is cumw[4] and cumw[0] == [1.0]
+    assert cumw[1] is cumw[3] and cumw[1] == [1.0, 2.0]
+    assert cumw[2] == [2.0, 7.0]
+
+
 def test_regular_degree():
-    # A graph whose vertices all have d entries of equal weight reads one
-    # identity exit-guide row of d cells; every other graph reads 128.
+    # A graph whose vertices all share one counts list of length d reads
+    # one identity exit-guide row of d cells, and no cell straddles;
+    # every other graph reads 128.
     regular = [
         (complete_graph(2), 1),
         (complete_graph(60), 59),
+        (complete_graph(129), 128),
         (ring_graph(500), 2),
         # Equal weights that are not 1 keep every step uniform.
         (WeightedGraph(3, ((0, 1, 2.5), (1, 2, 2.5), (0, 2, 2.5))), 2),
@@ -492,17 +520,18 @@ def test_regular_degree():
         ),
     ]
     for g, d in regular:
-        cells, rows = g.exit_guide
-        assert cells == d
-        assert rows == [list(range(d))] * g.n
-    for g in (
-        path_graph(4),
-        star_graph(3),
-        weighted_triangle(),
-        random_connected_graph(12, 20, seed=3),
+        assert g.exit_guide == (d, [list(range(d))] * g.n, False)
+    # A path and a 4-leaf star have exit boundaries only on cell edges,
+    # so their walks convert no variate.
+    for g, straddles in (
+        (path_graph(4), False),
+        (star_graph(4), False),
+        (star_graph(3), True),
+        (weighted_triangle(), True),
+        (random_connected_graph(12, 20, seed=3), True),
     ):
-        cells, rows = g.exit_guide
-        assert cells == 128
+        cells, rows, flag = g.exit_guide
+        assert (cells, flag) == (128, straddles)
         assert all(len(row) == 128 for row in rows)
 
 

@@ -49,6 +49,7 @@ from treespark.treesample import (
     wilson_tree_batches,
 )
 import walk_oracle
+from walk_oracle import step_rule
 
 
 def test_wilson_deterministic_per_seed():
@@ -349,6 +350,8 @@ REGULAR = [
     # Walks of ~n²/3 steps refill the 8192-variate buffer several times.
     ("ring500", ring_graph(500), 2, 6),
     ("doubled_c4", _doubled_c4(), 3, 40),
+    # As many cells as an irregular guide, and still none straddles.
+    ("k129", complete_graph(129), 128, 12),
 ]
 REGULAR_DEGREE = {name: deg for name, _, deg, _ in REGULAR}
 # The regular graphs keep their own walk seed counts; every other graph takes 12.
@@ -420,7 +423,7 @@ def test_loop_choice_is_made_once_per_graph(monkeypatch):
         pass
     assert calls == [g]
     assert len(walks) == 10
-    assert g.exit_guide == (7, [list(range(7))] * 8)
+    assert g.exit_guide == (7, [list(range(7))] * 8, False)
     h = complete_graph(8)
     sample_tree_wilson(h, 0)
     assert calls == [g, h]
@@ -532,14 +535,11 @@ GUIDED = SMALL + [
     ("k40_minus_edge", _k40_minus_edge()),
     ("weighted_er_150", weighted_er(150, 0.9, 5)),
 ]
-
-
-def _step_rule(g: WeightedGraph, v: int, r: float) -> int:
-    """The general loop's choice at vertex ``v`` for the variate ``r``."""
-    nbrs, cumw, totw, uniform = g.adjacency
-    if uniform[v]:
-        return int(r * len(nbrs[v]))
-    return bisect.bisect_right(cumw[v], r * totw[v])
+# Every walked graph; new cases go last so the others keep their ids.
+WALKED = GUIDED + [(name, g) for name, g, _, _ in REGULAR] + [
+    # 128 cells, none straddling: the walk converts no variate.
+    ("p40", path_graph(40)),
+]
 
 
 def _cell_start(cells: int, q: int) -> float:
@@ -552,9 +552,10 @@ def _cell_start(cells: int, q: int) -> float:
     return k * 2.0**-53
 
 
-@pytest.mark.parametrize("name,g", GUIDED + [(name, g) for name, g, _, _ in REGULAR])
+@pytest.mark.parametrize("name,g", WALKED)
 def test_exit_guide_cells_take_the_step_rule_of_every_variate_in_them(name, g):
-    cells, rows = g.exit_guide
+    cells, rows, straddles = g.exit_guide
+    assert straddles == any(-1 in row for row in rows)
     if name in REGULAR_DEGREE:
         # Every vertex reads one identity row: cell q is the exit q.
         assert cells == REGULAR_DEGREE[name]
@@ -565,7 +566,7 @@ def test_exit_guide_cells_take_the_step_rule_of_every_variate_in_them(name, g):
         assert len(row) == cells
         for q, j in enumerate(row):
             lo, hi = _cell_start(cells, q), _cell_start(cells, q + 1) - 2.0**-53
-            ends = _step_rule(g, v, lo), _step_rule(g, v, hi)
+            ends = step_rule(g, v, lo), step_rule(g, v, hi)
             if j < 0:
                 assert ends[0] != ends[1]
                 continue
@@ -573,7 +574,7 @@ def test_exit_guide_cells_take_the_step_rule_of_every_variate_in_them(name, g):
             # Variates are multiples of 2**-53 inside the cell.
             span = round((hi - lo) * 2.0**53) + 1
             for k in gen.integers(0, span, size=4).tolist():
-                assert _step_rule(g, v, lo + k * 2.0**-53) == j
+                assert step_rule(g, v, lo + k * 2.0**-53) == j
 
 
 def test_exit_boundaries_on_cell_edges_leave_no_cell_to_bisect():
@@ -581,7 +582,7 @@ def test_exit_boundaries_on_cell_edges_leave_no_cell_to_bisect():
     assert rows[1] == rows[2] == [0] * 32 + [1] * 32 + [2] * 64
 
 
-@pytest.mark.parametrize("name,g", GUIDED + [(name, g) for name, g, _, _ in REGULAR])
+@pytest.mark.parametrize("name,g", WALKED)
 def test_guided_loop_matches_general_loop(name, g):
     for seed in range(WALK_SEEDS.get(name, 12)):
         fast = np.random.Generator(np.random.Philox(seed))
@@ -594,9 +595,9 @@ def test_guided_loop_matches_general_loop(name, g):
 
 
 def test_saturating_running_sum_never_picks_past_the_end():
-    cumw, totw = _tiny_edge_graph(1e-9).adjacency[1:3]
-    assert cumw[1] == [1e8, 1e8] and totw[1] == 1e8
-    assert bisect.bisect_right(cumw[1], np.nextafter(1.0, 0.0) * totw[1]) == 0
+    cumw = _tiny_edge_graph(1e-9).adjacency[1]
+    assert cumw[1] == [1e8, 1e8]
+    assert bisect.bisect_right(cumw[1], np.nextafter(1.0, 0.0) * cumw[1][-1]) == 0
 
 
 @pytest.mark.parametrize(

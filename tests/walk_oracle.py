@@ -4,16 +4,45 @@
 graph's exit guide; this loop applies the step rule to every variate
 and draws its buffers at the same sizes and moments, so the two must
 return the same exits and leave the generator at the same position.
+It reads the graph's edges from ``csr`` and ``edge_arrays``, not from
+``adjacency``, and takes a step in one of two forms: ``int(r * d)`` at
+a vertex of ``d`` equal weights, bisection of the running weights
+elsewhere.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
 from treespark.graph import WeightedGraph
 from treespark.treesample import _BUF_MAX, _BUF_START
+
+
+@functools.cache
+def step_lists(g: WeightedGraph) -> tuple[list, list, list]:
+    """Per-vertex ``(nbrs, running weights, equal)`` in ``csr`` order."""
+    offsets, nbr, eid = g.csr
+    bounds = offsets.tolist()
+    nbr_list, wt_list = nbr.tolist(), g.edge_arrays[2][eid].tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    weights = [wt_list[a:b] for a, b in spans]
+    return (
+        [nbr_list[a:b] for a, b in spans],
+        [list(accumulate(w)) for w in weights],
+        [min(w) == max(w) for w in weights],
+    )
+
+
+def step_rule(g: WeightedGraph, v: int, r: float) -> int:
+    """The entry the walk takes from ``v`` on the variate ``r``."""
+    _, cumw, equal = step_lists(g)
+    if equal[v]:
+        return int(r * len(cumw[v]))
+    return bisect_right(cumw[v], r * cumw[v][-1])
 
 
 def _general_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
@@ -25,7 +54,7 @@ def _general_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
     ``x``, so ``int(r * deg)`` and the bisection both land on an index
     below ``deg``.
     """
-    nbrs, cumw, totw, uniform = g.adjacency
+    nbrs, cumw, equal = step_lists(g)
     n = g.n
     in_tree = bytearray(n)
     in_tree[0] = 1
@@ -44,13 +73,12 @@ def _general_exits(g: WeightedGraph, gen: np.random.Generator) -> list[int]:
                 pos = 0
             r = buf[pos]
             pos += 1
-            row = nbrs[u]
-            if uniform[u]:
-                j = int(r * len(row))
+            if equal[u]:
+                j = int(r * len(cumw[u]))
             else:
-                j = bisect_right(cumw[u], r * totw[u])
+                j = bisect_right(cumw[u], r * cumw[u][-1])
             nxt[u] = j
-            u = row[j]
+            u = nbrs[u][j]
         # Only the loop-erased path joins the tree; vertices the walk
         # left on erased loops are walked again later.
         u = start

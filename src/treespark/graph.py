@@ -350,61 +350,46 @@ def guard_vertices(n: int, max_n: int | None) -> None:
         raise SizeGuardError(f"this command is capped at n = {max_n}, got n = {n}")
 
 
-def _check_edge_lines(path: str, lines) -> None:
-    """Raise GraphFileError naming the first non-blank line that is not ``u v w``."""
-    for ln in filter(str.strip, lines):
-        ln = ln.strip()
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphFileError(f"{path}: bad edge line {ln!r}")
-        try:
-            int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise GraphFileError(f"{path}: bad edge line {ln!r}") from exc
-
-
 def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
     """Parse the text format written by :func:`write_graph`.
 
     With ``max_n`` set, a header naming more vertices raises
     SizeGuardError before any edge line is read.  Blank lines are
-    skipped.  The body is split once and its columns converted by
-    ``int`` and ``float``; when a line does not hold three fields, or a
-    field does not convert, the lines are checked one at a time to name
-    the first bad one.
+    skipped.  The edge lines are read in one pass, with no re-scan:
+    each is split into ``u v w`` and converted by ``int`` and ``float``
+    once, and the first line that does not is named.  A file that does
+    not decode as text raises GraphFileError naming the file.
     """
-    with open(path) as fh:
-        header = next((ln.strip() for ln in fh if ln.strip()), None)
-        if header is None:
-            raise GraphFileError(f"{path}: empty graph file")
-        head = header.split()
-        if len(head) != 2:
-            raise GraphFileError(f"{path}: header must be 'n m', got {header!r}")
-        try:
-            n, m = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise GraphFileError(f"{path}: bad header {header!r}") from exc
-        guard_vertices(n, max_n)
-        body = fh.read()
-    lines = body.split("\n")
-    fields = list(map(len, map(str.split, lines)))
-    found = len(fields) - fields.count(0)
-    if found != m:
-        raise GraphFileError(f"{path}: header promises {m} edges, file has {found}")
-    if fields.count(3) != m:
-        _check_edge_lines(path, lines)
-    words = body.split()
     try:
-        columns = (
-            list(map(int, words[0::3])),
-            list(map(int, words[1::3])),
-            list(map(float, words[2::3])),
-        )
-    except ValueError as exc:
-        _check_edge_lines(path, lines)
+        with open(path) as fh:
+            header = next((ln.strip() for ln in fh if ln.strip()), None)
+            if header is None:
+                raise GraphFileError(f"{path}: empty graph file")
+            head = header.split()
+            if len(head) != 2:
+                raise GraphFileError(f"{path}: header must be 'n m', got {header!r}")
+            try:
+                n, m = int(head[0]), int(head[1])
+            except ValueError as exc:
+                raise GraphFileError(f"{path}: bad header {header!r}") from exc
+            guard_vertices(n, max_n)
+            us, vs, ws = [], [], []
+            for ln in fh:
+                if ln.isspace():
+                    continue
+                try:
+                    u, v, w = ln.split()
+                    us.append(int(u))
+                    vs.append(int(v))
+                    ws.append(float(w))
+                except ValueError as exc:
+                    raise GraphFileError(f"{path}: bad edge line {ln.strip()!r}") from exc
+    except UnicodeDecodeError as exc:
         raise GraphFileError(f"{path}: {exc}") from exc
+    if len(ws) != m:
+        raise GraphFileError(f"{path}: header promises {m} edges, file has {len(ws)}")
     try:
-        return WeightedGraph(n, np.array(columns, dtype=np.float64).T)
+        return WeightedGraph(n, np.array((us, vs, ws), dtype=np.float64).T)
     except DisconnectedGraphError:
         raise
     except (ValueError, OverflowError) as exc:

@@ -576,6 +576,14 @@ def test_malformed_file_exit_usage(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data", [b"3 3\xff\n0 1 1\n", b"3 1\n0 1 \xff\n"], ids=["header", "edge-line"])
+def test_undecodable_file_exit_usage_naming_the_file(data, tmp_path, capsys):
+    bad = tmp_path / "bin.graph"
+    bad.write_bytes(data)
+    assert main(["sample", "--graph", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"treespark: {bad}: ")
+
+
 def test_disconnected_file_exit_bad_graph(tmp_path, capsys):
     disc = tmp_path / "disc.graph"
     disc.write_text("4 2\n0 1 1.0\n2 3 1.0\n")

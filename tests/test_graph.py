@@ -387,6 +387,8 @@ def test_read_graph_rejects_malformed(tmp_path, text):
         # Three fields on each line; the second does not convert.
         ("3 2\n0 1 1.0\n1 2.5 1.0\n", "'1 2.5 1.0'"),
         ("3 2\n0 1 x\n1 y 1.0\n", "'0 1 x'"),
+        # A bad line is named even when the edge count is also wrong.
+        ("3 3\n0 1 1.0\n0 2 x\n", "'0 2 x'"),
     ],
 )
 def test_read_graph_names_the_first_bad_edge_line(tmp_path, text, line):
@@ -410,6 +412,32 @@ def test_read_graph_skips_blank_lines_and_splits_on_any_whitespace(tmp_path):
         read_graph(str(path))
 
 
+@pytest.mark.parametrize(
+    "text", ["3 3\r0 1 1\r1 2 1\r0 2 1\r", "3 3\n0 1 1\n1 2 1\n0 2 1"], ids=["cr", "no-final-newline"]
+)
+def test_read_graph_takes_cr_endings_and_a_last_line_without_newline(tmp_path, text):
+    path = tmp_path / "tri.graph"
+    path.write_bytes(text.encode())
+    assert read_graph(str(path)).edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"3 3\xff\n0 1 1\n1 2 1\n0 2 1\n",
+        b"3 3\n0 1 1\n1 2 \xff\n0 2 1\n",
+        # Far enough down that reading the header does not decode it.
+        b"3000 2999\n" + b"".join(b"%d %d 1\n" % (i, i + 1) for i in range(2998)) + b"2998 2999 \xff\n",
+    ],
+    ids=["header", "edge-line", "late-edge-line"],
+)
+def test_read_graph_names_an_undecodable_file(tmp_path, data):
+    path = tmp_path / "bin.graph"
+    path.write_bytes(data)
+    with pytest.raises(GraphFileError, match=re.escape(f"{path}: ") + ".*can't decode byte 0xff"):
+        read_graph(str(path))
+
+
 def test_read_graph_rejects_an_endpoint_too_large_for_a_float(tmp_path):
     path = tmp_path / "huge.graph"
     path.write_text(f"3 1\n0 1{'0' * 400} 1.0\n")
@@ -425,8 +453,8 @@ def test_read_graph_size_guard_fires_on_the_header(tmp_path):
     with pytest.raises(SizeGuardError, match="capped at n = 11, got n = 3000") as exc:
         read_graph(str(path), max_n=11)
     assert not isinstance(exc.value, GraphFileError)
-    # At the cap the same file reaches the full parser.
-    with pytest.raises(GraphFileError):
+    # At the cap the same file reaches its edge lines, and the bad one is named.
+    with pytest.raises(GraphFileError, match=re.escape(f"{path}: bad edge line '0 1 abc'") + "$"):
         read_graph(str(path), max_n=3000)
 
 

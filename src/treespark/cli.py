@@ -19,6 +19,7 @@ when set, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -159,26 +160,27 @@ def _default_seed() -> int:
         raise UsageError(f"TREESPARK_SEED {exc}")
 
 
+def _output(path: str | None, default=None):
+    """``path`` opened for writing, or a context that yields ``default``."""
+    return open(path, "w") if path else contextlib.nullcontext(default)
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path, sys.stdout) as fh:
+        fh.write(text)
 
 
 def _cmd_sample(args) -> int:
     g = parse_graph_spec(args.graph, args.seed)
     ws = g.edge_arrays[2]
-    lines = []
-    for i in range(args.count):
-        # Tree i is the one checked row of its own seed's batch.
-        [(_, ids)] = wilson_tree_batches(g, philox_stream(args.seed + i), 1)
-        ids = np.sort(ids[0])
-        edges = " ".join(map(str, ids.tolist()))
-        weights = " ".join(f"{w:.17g}" for w in ws[ids].tolist())
-        lines.append(f"{g.n}; {edges}; {weights}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out, sys.stdout) as out:
+        for i in range(args.count):
+            # Tree i is the one checked row of its own seed's batch.
+            [[ids]] = wilson_tree_batches(g, philox_stream(args.seed + i), 1)
+            ids = np.sort(ids)
+            edges = " ".join(map(str, ids.tolist()))
+            weights = " ".join(f"{w:.17g}" for w in ws[ids].tolist())
+            out.write(f"{g.n}; {edges}; {weights}\n")
     return EXIT_PASS
 
 
@@ -233,16 +235,13 @@ def _diag_martingale(args) -> tuple[bool, dict]:
     g = parse_graph_spec(args.graph, args.seed, max_n=TRACE_VERTEX_CAP)
     results = []
     margins = []
-    dumps = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        trace = martingale_trace(g, seed)
-        results.append(check_trace_bounds(trace))
-        margins.append((*trace.worst_margin(), seed))
-        if args.dump:
-            dumps.append(trace_dump(trace))
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.writelines(dumps)
+    with _output(args.dump) as dump:
+        for seed in range(args.seed, args.seed + args.seeds):
+            trace = martingale_trace(g, seed)
+            results.append(check_trace_bounds(trace))
+            margins.append((*trace.worst_margin(), seed))
+            if dump:
+                dump.write(trace_dump(trace))
     # The first smallest margin, or the first NaN one: argmin returns it.
     margin, step, bound, seed = margins[int(np.argmin([m[0] for m in margins]))]
     passed = all(results)

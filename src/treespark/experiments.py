@@ -141,7 +141,7 @@ class _CertifyRun:
     g: WeightedGraph
     t: int
     edge_weights: np.ndarray
-    frame: tuple[np.ndarray, np.ndarray]
+    frame: np.ndarray
 
 
 def _certify_run(g: WeightedGraph, t: int) -> _CertifyRun:
@@ -382,17 +382,15 @@ def run_single_tree_lower(
     ratios = []
     certified = []
     for seed in seeds:
-        [(parents, ids)] = wilson_tree_batches(g, philox_stream(seed), 1)
-        parents, ids = parents[0], ids[0]
+        [[ids]] = wilson_tree_batches(g, philox_stream(seed), 1)
         tu, tv = us[ids], vs[ids]
         deg = g.weighted_degrees(np.bincount(ids, minlength=g.m))
         center = 1 + int(np.argmax(deg[1:]))
         d = int(deg[center])
-        # The star: d at the centre, -1 at its tree neighbours, that is
-        # its parent and every vertex whose parent it is.
+        # The star: d at the centre, -1 at its tree neighbours.
         x = np.zeros(n)
-        x[parents[center - 1]] = -1.0
-        x[1:][parents == center] = -1.0
+        x[tv[tu == center]] = -1.0
+        x[tu[tv == center]] = -1.0
         x[center] = float(d)
         tree_form = float(np.sum(ws[ids] * inv_lev * (x[tu] - x[tv]) ** 2))
         parent_form = float(np.sum(ws * (x[us] - x[vs]) ** 2))
@@ -459,9 +457,10 @@ def run_degree_dist(n: int, samples: int, base_seed: int) -> Report:
     start = time.perf_counter()
     g = complete_graph(n)
     hist = np.zeros(n - 1, dtype=np.int64)
-    # Vertex 0 is the root, so its tree degree counts its children.
-    for parents, _ in wilson_tree_batches(g, philox_stream(base_seed), samples):
-        hist += np.bincount((parents == 0).sum(axis=1) - 1, minlength=n - 1)
+    us = g.edge_arrays[0]
+    # Edges list their smaller endpoint first, so us names vertex 0's edges.
+    for ids in wilson_tree_batches(g, philox_stream(base_seed), samples):
+        hist += np.bincount((us[ids] == 0).sum(axis=1) - 1, minlength=n - 1)
     counts = hist.tolist()
     pmf = degree_reference_pmf(n)
     tv = 0.5 * math.fsum(abs(counts[j] / samples - pmf[j]) for j in range(n - 1))

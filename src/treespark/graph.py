@@ -143,7 +143,10 @@ class WeightedGraph:
         wts = self.edge_arrays[2][eid]
         bounds = offsets.tolist()
         spans = list(zip(bounds, bounds[1:]))
-        nbr_list, wt_list = nbr.tolist(), wts.tolist()
+        # One int object per vertex, which every list naming it shares;
+        # ``nbr.tolist()`` would make a new one per entry.
+        nbr_list = np.array(range(self.n), dtype=object)[nbr].tolist()
+        wt_list = wts.tolist()
         nbrs = [nbr_list[a:b] for a, b in spans]
         # A connected graph leaves no vertex without entries, so no
         # reduceat segment is empty.

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +73,12 @@ def _tril_inverse(low: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def laplacian_frame(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(M, U_0)`` that whitens ``L_G``, computed once per graph.
+def laplacian_frame(g: WeightedGraph) -> np.ndarray:
+    """Read-only frame ``M`` that whitens ``L_G``, computed once per graph.
 
     Grounding vertex 0 leaves ``L_G[1:, 1:] = C C^T`` positive definite,
-    and ``M = [0; C^-T]`` (n x (n - 1)) satisfies ``M^T L_G M = I``;
-    ``U_0`` is the null vector ``1 / sqrt(n)``.  ``M M^T`` acts as
+    and ``M = [0; C^-T]`` (n x (n - 1)) satisfies ``M^T L_G M = I``; the
+    null space of ``L_G`` is spanned by the ones vector.  ``M M^T`` acts as
     ``L_G^+`` on differences of vertices, so ``R_eff(u, v) = ||M[u] -
     M[v]||^2``.  No eigenvalue is thresholded, so no weight range can
     be mistaken for rank loss.  The certify pencil and the leverage
@@ -96,9 +95,8 @@ def laplacian_frame(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     scaled[1:] = _tril_inverse(chol).T
     if not np.isfinite(scaled).all():
         raise ValueError("grounded Laplacian frame has a non-finite entry")
-    null = np.full((g.n, 1), 1.0 / math.sqrt(g.n))
-    scaled.flags.writeable = null.flags.writeable = False
-    return scaled, null
+    scaled.flags.writeable = False
+    return scaled
 
 
 @functools.lru_cache(maxsize=8)
@@ -109,7 +107,7 @@ def _laplacian_pinv(g: WeightedGraph) -> np.ndarray:
     benchmark's ``perfbench/child.py`` imports it to report its
     ``cache_info()``.
     """
-    scaled, _ = laplacian_frame(g)
+    scaled = laplacian_frame(g)
     pinv = scaled @ scaled.T
     pinv -= pinv.mean(axis=0)
     pinv -= pinv.mean(axis=1)[:, None]
@@ -123,7 +121,7 @@ def edge_frame_rows(g: WeightedGraph) -> np.ndarray:
     transfer-current matrix and ``||R[e]||^2`` the leverage score of
     ``e``.  The array is m x (n - 1) and the caller's own.
     """
-    scaled, _ = laplacian_frame(g)
+    scaled = laplacian_frame(g)
     us, vs, ws = g.edge_arrays
     rows = scaled[us] - scaled[vs]
     rows *= np.sqrt(ws)[:, None]
@@ -169,7 +167,7 @@ def leverage_scores(g: WeightedGraph) -> LeverageProfile:
     Gram blocks of ``M`` are cheaper, and only the edges where those
     cancel are redone as row differences.
     """
-    scaled, _ = laplacian_frame(g)
+    scaled = laplacian_frame(g)
     us, vs, ws = g.edge_arrays
     step = max(1, _CHUNK_ENTRIES // g.n)
     reff = np.empty(g.m)

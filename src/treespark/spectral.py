@@ -42,29 +42,26 @@ def eig_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((a + a.T) / 2.0)
 
 
-def normalized_pencil(
-    frame: tuple[np.ndarray, np.ndarray], lap_h: np.ndarray
-) -> tuple[float, float]:
+def normalized_pencil(scaled: np.ndarray, lap_h: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of ``lap_h`` relative to ``L_G``, given as a frame of ``L_G``.
 
-    ``frame`` is ``(M, U_0)``: ``M^T L_G M = I`` and ``U_0`` spans the
-    null space of ``L_G``, as :func:`treespark.leverage.laplacian_frame`
-    returns them.  Conjugating ``lap_h`` by ``M`` restricts the pencil
-    to a complement of that null space, which is deflated explicitly
-    instead of trusting a tiny eigenvalue.  Returns ``(lambda_min_pos,
-    lambda_max)``; the pair is ``(1, 1)`` exactly when the two matrices
-    agree off the null space.  A rank-deficient ``lap_h`` reports
-    ``lambda_min_pos = 0`` rather than raising.
+    ``scaled`` is a frame ``M`` with ``M^T L_G M = I`` on the complement
+    of the ones vector, which spans the null space of ``L_G``, as
+    :func:`treespark.leverage.laplacian_frame` returns it.  Conjugating
+    ``lap_h`` by ``M`` restricts the pencil to that complement, so the
+    null space is deflated explicitly instead of trusting a tiny
+    eigenvalue; ``lap_h`` must vanish on the ones vector.  Returns
+    ``(lambda_min_pos, lambda_max)``; the pair is ``(1, 1)`` exactly
+    when the two matrices agree off the null space.  A rank-deficient
+    ``lap_h`` reports ``lambda_min_pos = 0`` rather than raising.
     """
     lap_h = np.asarray(lap_h, dtype=np.float64)
     h_scale = max(_check_symmetric(lap_h), 1.0)
-    scaled, null = frame
     if not scaled.shape[1]:
         raise ValueError("left Laplacian is identically zero")
-    if null.shape[1]:
-        leak = float(np.abs(lap_h @ null).max())
-        if leak > 1e-8 * h_scale:
-            raise ValueError("right Laplacian does not vanish on the null space of the left")
+    leak = float(np.abs(lap_h.sum(axis=1)).max()) / math.sqrt(len(scaled))
+    if leak > 1e-8 * h_scale:
+        raise ValueError("right Laplacian does not vanish on the null space of the left")
     core = scaled.T @ lap_h @ scaled
     core += core.T
     core *= 0.5

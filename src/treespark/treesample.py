@@ -6,8 +6,8 @@ walks step to a neighbour with probability proportional to the incident
 edge weight, loops are erased implicitly by overwriting each vertex's
 last exit choice, and the tree rooted at vertex 0 is returned as every
 vertex's exit choice.  :func:`wilson_tree_batches` stacks such trees
-into parent and edge-id arrays and certifies each stack at once with
-:func:`check_parent_trees`.
+into edge-id rows, certified a stack at a time through their parents
+by :func:`check_parent_trees`.
 :func:`tree_edge_counts` sums those batches into the per-edge counts
 every tree average is built from.  Randomness comes from
 :func:`~treespark.graph.philox_stream`, so a seed fully determines the
@@ -189,15 +189,13 @@ def sample_tree_stream(g: WeightedGraph, gen: np.random.Generator) -> SpanningTr
 
 
 def wilson_tree_batches(g: WeightedGraph, gen: np.random.Generator, count: int):
-    """Yield ``count`` Wilson trees from ``gen`` as checked array batches.
+    """Yield ``count`` Wilson trees from ``gen`` as checked edge-id batches.
 
-    Each batch is a pair of ``(trees, n - 1)`` int64 arrays: column
-    ``v - 1`` holds vertex ``v``'s parent towards root 0 and the id of
-    the edge joining them.  Trees come in the order
-    :func:`sample_tree_stream` would draw them from the same generator,
-    and :func:`check_parent_trees` has certified every one.  A batch
-    holds at most ``_BATCH_SLOTS`` vertex slots, so long runs stay
-    bounded in memory.
+    Each batch is one ``(trees, n - 1)`` int64 array of edge ids, a tree
+    per row.  Trees come in the order :func:`sample_tree_stream` would
+    draw them from the same generator, and :func:`check_parent_trees`
+    has certified every one through its parents.  A batch holds at most
+    ``_BATCH_SLOTS`` vertex slots, so long runs stay bounded in memory.
     """
     offsets, nbr, eid = g.csr
     per_batch = max(1, _BATCH_SLOTS // g.n)
@@ -205,9 +203,9 @@ def wilson_tree_batches(g: WeightedGraph, gen: np.random.Generator, count: int):
         size = min(per_batch, count - done)
         exits = np.array([_wilson_exits(g, gen) for _ in range(size)], dtype=np.int64)
         at = offsets[1:-1] + exits[:, 1:]
-        parents, ids = nbr[at], eid[at]
-        check_parent_trees(g, parents, ids)
-        yield parents, ids
+        ids = eid[at]
+        check_parent_trees(g, nbr[at], ids)
+        yield ids
 
 
 def tree_edge_counts(g: WeightedGraph, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -219,7 +217,7 @@ def tree_edge_counts(g: WeightedGraph, gen: np.random.Generator, count: int) -> 
     edge is ``laplacian(g, counts * x / count)``.
     """
     counts = np.zeros(g.m, dtype=np.int64)
-    for _, ids in wilson_tree_batches(g, gen, count):
+    for ids in wilson_tree_batches(g, gen, count):
         counts += np.bincount(ids.ravel(), minlength=g.m)
     return counts
 

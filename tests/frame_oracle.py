@@ -4,10 +4,10 @@ The library whitens a graph's Laplacian with its grounded Cholesky
 factor (``laplacian_frame``) and never eigendecomposes it.  This module
 reads the same objects off ``eig_sym`` instead, so the Cholesky route
 has an independent check and raw matrices can be fed to the pencil:
-``normalized_pencil`` takes a frame ``(M, U_0)`` with ``M^T A M = I``
-off the null space of ``A`` and ``U_0`` spanning that null space, and
-``eig_frame`` builds it as ``M = U_r diag(lambda_r)^-1/2`` over the
-numerical range.
+``normalized_pencil`` takes a frame ``M`` with ``M^T A M = I`` off the
+null space of ``A`` (the ones vector, for a connected graph's
+Laplacian), and ``eig_frame`` builds it as ``M = U_r
+diag(lambda_r)^-1/2`` over the numerical range.
 
 That range is the one eigenvalue cutoff left in the project:
 eigenvalues at or below ``n * 2.2e-16`` times the largest count as zero.
@@ -25,11 +25,11 @@ def zero_cutoff(vals: np.ndarray) -> float:
     return len(vals) * 2.2e-16 * max(float(vals[-1]), 0.0)
 
 
-def eig_frame(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(U_r diag(lambda_r)^-1/2, U_0)`` of a symmetric PSD matrix."""
+def eig_frame(a: np.ndarray) -> np.ndarray:
+    """``U_r diag(lambda_r)^-1/2`` of a symmetric PSD matrix."""
     vals, vecs = eig_sym(a)
     keep = vals > zero_cutoff(vals)
-    return vecs[:, keep] * (1.0 / np.sqrt(vals[keep])), vecs[:, ~keep]
+    return vecs[:, keep] * (1.0 / np.sqrt(vals[keep]))
 
 
 def pinv_power(dec: tuple[np.ndarray, np.ndarray], power: float) -> np.ndarray:

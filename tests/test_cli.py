@@ -237,6 +237,16 @@ def test_certify_runs_on_a_weight_range_of_1e400(tmp_path, capsys):
     assert json.loads(captured.out)["pass_fraction"] == 1.0
 
 
+def test_certify_refuses_a_graph_the_grounded_factor_cannot_carry(tmp_path, capsys):
+    path = tmp_path / "heavy.graph"
+    lines = [f"{v} {(v + 1) % 8} {1e20 if v in (1, 5) else 1.0}" for v in range(8)]
+    path.write_text("8 8\n" + "\n".join(lines) + "\n")
+    assert main(["certify", "--graph", str(path), "--eps", "0.5", "--jobs", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grounded Laplacian is not numerically positive definite" in captured.err
+
+
 def test_certify_writes_csv(tmp_path, capsys):
     csv_path = tmp_path / "ext.csv"
     code = main(
@@ -405,7 +415,8 @@ def test_bad_specs_exit_usage(capsys):
     assert main(["sample", "--graph", "k:abc"]) == EXIT_USAGE
     assert main(["sample", "--graph", "/nonexistent/file.graph"]) == EXIT_USAGE
     assert main(["sample", "--graph", "torus:4"]) == EXIT_USAGE
-    capsys.readouterr()
+    assert main(["sample", "--graph", "cliquestar:3"]) == EXIT_USAGE
+    assert "expected 2 comma-separated values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -496,6 +507,7 @@ def test_certify_size_guard_trips_before_the_graph_is_built(spec, capsys):
         (["--eps", "0.5", "--t", "0"], "--t: must be at least 1"),
         (["--eps", "0.5", "--cmult", "-1"], "--cmult: must be in (0, inf)"),
         (["--eps", "0.5", "--cmult", "nan"], "--cmult: must be in (0, inf)"),
+        (["--eps", "abc"], "--eps: expected a number, got 'abc'"),
     ],
 )
 def test_certify_ranges_are_checked_before_the_graph_is_built(flags, message, capsys):

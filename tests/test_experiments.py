@@ -486,6 +486,8 @@ def test_multi_tree_lower_window_refusal():
         run_multi_tree_lower(2, 100, eps=0.01, trials=2, base_seed=0)  # below 5/s
     with pytest.raises(ValueError):
         run_multi_tree_lower(2, 100, eps=0.6, trials=2, base_seed=0)  # above 1/2
+    with pytest.raises(ValueError, match="need t >= 1"):
+        run_multi_tree_lower(1, 4, eps=0.4, trials=2, base_seed=0, t=0)
     # an explicit t runs anyway but records the violated window
     report = run_multi_tree_lower(1, 4, eps=0.4, trials=2, base_seed=0, t=1)
     assert not report.results["eps_window_ok"]
@@ -600,6 +602,8 @@ def test_degree_dist_small_run():
 def test_degree_dist_rejects_tiny_n():
     with pytest.raises(ValueError):
         run_degree_dist(2, samples=10, base_seed=0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        run_degree_dist(5, samples=0, base_seed=0)
 
 
 # ---------------------------------------------------------------------------

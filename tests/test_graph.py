@@ -121,6 +121,8 @@ def test_weighted_degrees_read_a_weight_vector_like_the_laplacian():
         want = np.diag(laplacian(g, weights))
         assert np.allclose(g.weighted_degrees(weights), want, rtol=0, atol=1e-12)
     assert np.array_equal(g.weighted_degrees(np.ones(5)), [3.0, 3.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="expected 5 edge weights"):
+        laplacian(g, np.ones(4))
 
 
 @pytest.mark.parametrize(
@@ -255,6 +257,10 @@ def test_component_labels_edge_cases(n, edges):
 def test_too_few_vertices_rejected():
     with pytest.raises(ValueError):
         WeightedGraph(1, ())
+    with pytest.raises(ValueError, match="n >= 2"):
+        complete_graph(1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        erdos_renyi_connected(1, 0.5, 0)
 
 
 def test_disconnected_rejected():
@@ -341,6 +347,9 @@ def test_erdos_renyi_rejects_bad_probability():
         erdos_renyi_connected(5, 0.0, seed=1)
     with pytest.raises(ValueError):
         erdos_renyi_connected(5, 1.5, seed=1)
+    # Too sparse to come out connected: refused after a bounded search.
+    with pytest.raises(ValueError, match="within 1000 attempts"):
+        erdos_renyi_connected(50, 0.001, 0)
 
 
 @pytest.mark.parametrize("name,g", SMALL)
@@ -485,6 +494,9 @@ def test_adjacency_cache_consistency():
         for nb, eid in zip(nbrs[v], eids[v]):
             u, w, _ = g.edges[eid]
             assert {u, w} == {v, nb}
+    # Every list naming a vertex shares that vertex's one int object.
+    nbrs = complete_graph(300).adjacency[0]
+    assert nbrs[0][-1] is nbrs[1][-1] == 299
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,8 @@ def test_profile_validation():
         LeverageProfile(g, np.array([0.0, 1.0, 1.0]))  # zero score
     with pytest.raises(ValueError):
         LeverageProfile(g, np.array([1.2, 0.4, 0.4]))  # above 1
+    with pytest.raises(ValueError, match="expected 3 scores"):
+        LeverageProfile(g, np.array([[0.5, 0.5, 1.0]]))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="must lie in"):
             LeverageProfile(g, np.array([bad, 1.0, 1.0]))
@@ -325,23 +327,20 @@ def test_frame_cache_keys_on_the_graph_object_and_holds_one_frame():
     assert laplacian_frame(g) is frame
     other = laplacian_frame(twin)
     assert other is not frame
-    assert np.array_equal(other[0], frame[0])
+    assert np.array_equal(other, frame)
     assert laplacian_frame.cache_info().currsize == 1
 
 
 def test_shared_decomposition_builds_one_read_only_frame():
     g = random_connected_graph(30, 40, seed=21)
-    scaled, null = laplacian_frame(g)
-    # Every caller gets the same cached frame arrays.
-    again = laplacian_frame(g)
-    assert again[0] is scaled and again[1] is null
-    assert scaled.shape == (g.n, g.n - 1) and null.shape == (g.n, 1)
-    for arr in (scaled, null):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 0.0
-    # M = [0; C^-T] whitens L_G, and the null vector is exactly 1/sqrt(n).
+    scaled = laplacian_frame(g)
+    # Every caller gets the same cached frame array.
+    assert laplacian_frame(g) is scaled
+    assert scaled.shape == (g.n, g.n - 1)
+    with pytest.raises(ValueError, match="read-only"):
+        scaled[0, 0] = 0.0
+    # M = [0; C^-T] whitens L_G.
     assert np.allclose(scaled.T @ laplacian(g) @ scaled, np.eye(g.n - 1), atol=1e-10)
-    assert np.array_equal(null[:, 0], np.full(g.n, 1.0 / math.sqrt(g.n)))
     assert not scaled[0].any()
 
 
@@ -360,7 +359,7 @@ def _direct_frame(g: WeightedGraph) -> np.ndarray:
     ],
 )
 def test_frame_by_triangular_halves_matches_the_direct_inverse(name, g):
-    scaled, _ = laplacian_frame(g)
+    scaled = laplacian_frame(g)
     want = _direct_frame(g)
     assert np.abs(scaled[1:] - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(scaled.T @ laplacian(g) @ scaled - np.eye(g.n - 1)).max() <= 1e-10
@@ -375,7 +374,7 @@ def test_frame_by_triangular_halves_matches_the_direct_inverse(name, g):
     ],
 )
 def test_frames_of_at_most_129_vertices_take_one_direct_inverse(name, g):
-    assert np.array_equal(laplacian_frame(g)[0][1:], _direct_frame(g))
+    assert np.array_equal(laplacian_frame(g)[1:], _direct_frame(g))
 
 
 @pytest.mark.parametrize("heavy", [1.0, 1e6])
@@ -385,7 +384,7 @@ def test_dense_leverage_matches_frame_row_differences(heavy):
     # redone as a row difference to stay this close.
     g = complete_graph(60)
     g = WeightedGraph(g.n, g.edges[:-1] + ((58, 59, heavy),))
-    scaled, _ = laplacian_frame(g)
+    scaled = laplacian_frame(g)
     us, vs, ws = g.edge_arrays
     want = ws * ((scaled[us] - scaled[vs]) ** 2).sum(axis=1)
     assert np.all(np.abs(leverage_scores(g).values - want) <= 1e-12 * want)
@@ -451,6 +450,14 @@ def test_transfer_current_matches_eigendecomposition_oracle(name, g):
 def test_laplacian_pinv_matches_eigendecomposition_oracle(name, g):
     want, _ = _eig_pinv_and_transfer_current(g)
     assert np.abs(_laplacian_pinv(g) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_leverage_scores_refuse_a_graph_the_grounded_factor_cannot_carry():
+    # Two 1e20 edges on opposite sides of an 8-cycle: whichever vertex
+    # is grounded, one of them lies off it and swamps its neighbours.
+    edges = [(v, (v + 1) % 8, 1e20 if v in (1, 5) else 1.0) for v in range(8)]
+    with pytest.raises(ValueError, match="not numerically positive definite"):
+        leverage_scores(WeightedGraph(8, edges))
 
 
 def test_size_guard_on_large_graph():

@@ -55,6 +55,8 @@ def test_eig_sym_reconstructs(name, g):
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="need a square matrix"):
+        eig_sym(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -156,13 +158,11 @@ def test_pencil_rejects_h_that_leaks_into_the_null_space():
 def test_frame_is_cached_read_only_and_whitens_the_range():
     g = weighted_triangle()
     lap = laplacian(g)
-    scaled, null = laplacian_frame(g)
+    scaled = laplacian_frame(g)
     assert laplacian_frame(g) is laplacian_frame(g)
-    assert scaled.shape == (3, 2) and null.shape == (3, 1)
-    for arr in (scaled, null):
-        assert not arr.flags.writeable
+    assert scaled.shape == (3, 2)
+    assert not scaled.flags.writeable
     assert np.allclose(scaled.T @ lap @ scaled, np.eye(2), atol=1e-12)
-    assert np.allclose(np.abs(null[:, 0]), 1.0 / np.sqrt(3.0), atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -197,6 +197,11 @@ def test_psd_leq_trivial_orders():
     refl = psd_leq(psd, psd)
     assert refl.holds
     assert refl.witness_gap == pytest.approx(0.0, abs=1e-9)
+
+
+def test_psd_leq_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        psd_leq(np.eye(2), np.eye(3))
 
 
 def test_psd_leq_incomparable_pair():

@@ -125,7 +125,7 @@ def _sorted_tree_counts(g, gen, count) -> collections.Counter:
     """How often each sorted edge-id tuple occurs among ``count`` batch rows."""
     return collections.Counter(
         tuple(row)
-        for _, ids in wilson_tree_batches(g, gen, count)
+        for ids in wilson_tree_batches(g, gen, count)
         for row in np.sort(ids, axis=1).tolist()
     )
 
@@ -241,6 +241,10 @@ def test_average_validation():
         average_trees([t1, t2])  # mixed weight modes
     with pytest.raises(ValueError):
         average_trees([t1], probabilities=[0.5])  # does not sum to 1
+    with pytest.raises(ValueError, match="do not align"):
+        average_trees([t1, t1], probabilities=[1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        average_trees([t1, t1], probabilities=[1.5, -0.5])
     h_tree = SpanningTree(complete_graph(4), (0, 1, 2), (1.0, 1.0, 1.0), "original")
     with pytest.raises(ValueError):
         average_trees([t1, h_tree])  # different parent graphs
@@ -270,6 +274,8 @@ def test_spanning_tree_validation():
             SpanningTree(g, (0, 1, 2), (1.0, bad, 1.0), "original")
     with pytest.raises(ValueError):
         SpanningTree(g, (0, 1, 2), (1.0, 1.0, 1.0), "resampled")  # bad mode
+    with pytest.raises(ValueError, match="do not align"):
+        SpanningTree(g, (0, 1, 2), (1.0, 1.0), "original")
 
 
 def test_check_tree_ids_rejects_cycle_count_and_range():
@@ -625,24 +631,21 @@ def test_wilson_exits_give_checked_parent_trees(name, g):
 )
 def test_tree_batches_list_the_stream_trees_in_order(name, g, slots, monkeypatch):
     # Whatever the batch size, row i holds tree i of the stream: vertex
-    # v's parent and exit edge at column v - 1.
+    # v's exit edge at column v - 1.
     if slots is not None:
         monkeypatch.setattr(treesample, "_BATCH_SLOTS", slots)
     count = 7
     gen = np.random.Generator(np.random.Philox(3))
     batches = list(wilson_tree_batches(g, gen, count))
-    parents = np.concatenate([p for p, _ in batches])
-    ids = np.concatenate([e for _, e in batches])
-    assert parents.shape == ids.shape == (count, g.n - 1)
+    ids = np.concatenate(batches)
+    assert ids.shape == (count, g.n - 1)
     per_batch = max(1, (slots or treesample._BATCH_SLOTS) // g.n)
     assert len(batches) == math.ceil(count / per_batch)
-    nbrs = g.adjacency[0]
     offsets, _, eid = g.csr
     eids = [eid[offsets[v]:offsets[v + 1]].tolist() for v in range(g.n)]
     ref = np.random.Generator(np.random.Philox(3))
-    for row_parents, row_ids in zip(parents.tolist(), ids.tolist()):
+    for row_ids in ids.tolist():
         exits = _wilson_exits(g, ref)
-        assert row_parents == [nbrs[v][exits[v]] for v in range(1, g.n)]
         assert row_ids == [eids[v][exits[v]] for v in range(1, g.n)]
 
 

@@ -2,8 +2,8 @@
 
 ``format_tree_line(sample_tree_wilson(g, seed))`` is one line of
 ``treespark sample`` drawn tree by tree through :class:`SpanningTree`
-objects; the CLI reads the same tree off a checked
-``wilson_tree_batches`` row, so the two must agree byte for byte.
+objects; the CLI reads the same tree off a checked edge-id row of
+``wilson_tree_batches``, so the two must agree byte for byte.
 :func:`parse_tree_line` reads a line back against its parent graph.
 """
 

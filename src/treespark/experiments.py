@@ -3,17 +3,22 @@ constructions and sampler law checks, each returning one :class:`Report`.
 
 Every driver derives per-trial seeds as ``base_seed + trial_index``, so
 trials are reproducible one by one and independent of how work is
-scheduled.  Formulas use the natural log; reports echo ``ln n`` and
-``log2 n`` so either convention can be read off.  Pass gates on
-high-probability statements are finite-sample calibration choices and
-are recorded in the report next to the data they gate.
+scheduled.  A seeded tree driver's trial j is its check (pencil, degree
+windows or star vector) on the edge counts of seed ``base_seed + j``'s
+t trees, and ``MAX_TREE_SLOTS`` caps t for every such driver.  Formulas
+use the natural log; reports echo ``ln n`` and ``log2 n`` so either
+convention can be read off.  Pass gates on high-probability statements
+are finite-sample calibration choices and are recorded in the report
+next to the data they gate.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .treesample import tree_edge_counts, wilson_tree_batches
 
 DEFAULT_PASS_GATE = 0.9
 
-# Most tree-edge slots (t trees times n - 1 edges) one certify trial may
+# Most tree-edge slots (t trees times n - 1 edges) one trial may
 # walk: about 1.5 h at ~0.11 ms per K_200 tree on a 2-vCPU VM, while
 # K_2000 at eps = 0.01 (1.2e9 slots) still runs.
 MAX_TREE_SLOTS = 10**10
@@ -86,7 +91,88 @@ def write_extremes_csv(report: Report, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single reweighted tree, upper envelope
+# Seeded trials: one check on each seed's tree edge counts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _TreeRun:
+    """What every trial of one seeded driver shares: ``check`` maps the
+    :func:`tree_edge_counts` of ``t`` trees to a trial's result, and is a
+    module-level function under :func:`functools.partial` so that pool
+    workers can receive it."""
+
+    g: WeightedGraph
+    t: int
+    check: Callable[[np.ndarray], object]
+
+
+def _check_tree_slots(t: int, n: int) -> None:
+    """Refuse ``t`` trees of ``n - 1`` edges before any frame is built."""
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
+    if t * (n - 1) > MAX_TREE_SLOTS:
+        raise ValueError(
+            f"t = {t} trees on n = {n} vertices exceed the cap of "
+            f"MAX_TREE_SLOTS = {MAX_TREE_SLOTS} tree-edge slots per trial"
+        )
+
+
+def _sum_trees_trial(run: _TreeRun, seed: int):
+    """``run.check`` on the edge counts of the ``run.t`` trees of ``seed``."""
+    return run.check(tree_edge_counts(run.g, philox_stream(seed), run.t))
+
+
+# Set only inside pool workers, by the executor's initializer, so each
+# worker receives the run once instead of once per trial.
+_WORKER_RUN: _TreeRun | None = None
+
+
+def _install_run(run: _TreeRun) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def _worker_trial(seed: int):
+    return _sum_trees_trial(_WORKER_RUN, seed)
+
+
+def _run_trials(run: _TreeRun, seeds: list[int], jobs: int = 1) -> list:
+    """Every trial seed's check, in seed order.
+
+    At most ``jobs`` worker processes run the trials, and never more
+    than there are seeds, since each worker receives the whole run;
+    one worker or none means the trials run in this process.
+    """
+    workers = min(jobs, len(seeds))
+    if workers <= 1:
+        return [_sum_trees_trial(run, seed) for seed in seeds]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install_run, initargs=(run,)
+    ) as pool:
+        return list(pool.map(_worker_trial, seeds))
+
+
+def _pencil_extremes(g: WeightedGraph, edge_weights, t: int, counts) -> tuple[float, float]:
+    """Pencil extremes of ``t`` trees with these edge counts, averaged
+    with edge e weighted ``edge_weights[e]``; on the same stream this
+    equals ``normalized_pencil(frame, average_trees([reweight_tree(
+    sample_tree_stream(g, gen), prof) for _ in range(t)]))``."""
+    return normalized_pencil(laplacian_frame(g), laplacian(g, counts * edge_weights / t))
+
+
+def _pencil_run(g: WeightedGraph, t: int) -> _TreeRun:
+    """Pencil check of inverse-leverage trees.  Leverage scores build the
+    cached :func:`laplacian_frame`, so pool workers inherit it."""
+    _, _, ws = g.edge_arrays
+    lev = leverage_scores(g).values
+    return _TreeRun(g, t, partial(_pencil_extremes, g, ws / lev, t))
+
+
+# ---------------------------------------------------------------------------
+# Pencil of one reweighted tree and of tree averages
 # ---------------------------------------------------------------------------
 
 
@@ -101,7 +187,7 @@ def run_single_tree_upper(
     """
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
-    extremes = _run_trials(_certify_run(g, 1), seeds)
+    extremes = _run_trials(_pencil_run(g, 1), seeds)
     highs = sorted(hi for _, hi in extremes)
     envelope = 100.0 * math.log(g.n)
     max_lambda = highs[-1]
@@ -120,80 +206,6 @@ def run_single_tree_upper(
         empirical_constant=max_lambda / math.log(g.n),
         passed=max_lambda <= envelope,
     )
-
-
-# ---------------------------------------------------------------------------
-# Averaged trees as sparsifier candidates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _CertifyRun:
-    """State every certify trial of one run shares, built once per run.
-
-    ``edge_weights`` is the weight each sampled tree gives each edge,
-    the inverse-leverage weight ``w_e / lev_e`` for certify runs;
-    ``frame`` is the shared whitening frame of L_G
-    (:func:`laplacian_frame`), the only form of L_G a trial reads.  It
-    is built before any pool starts, so forked workers share one copy.
-    """
-
-    g: WeightedGraph
-    t: int
-    edge_weights: np.ndarray
-    frame: np.ndarray
-
-
-def _certify_run(g: WeightedGraph, t: int) -> _CertifyRun:
-    _, _, ws = g.edge_arrays
-    lev = leverage_scores(g).values
-    return _CertifyRun(g, t, ws / lev, laplacian_frame(g))
-
-
-def _sum_trees_trial(run: _CertifyRun, seed: int) -> tuple[float, float]:
-    """Pencil extremes of the average of ``run.t`` reweighted trees.
-
-    Equals ``normalized_pencil(run.frame, average_trees([reweight_tree(
-    sample_tree_stream(g, gen), prof) for _ in range(t)]))`` on the same
-    stream, but reads the trees as :func:`tree_edge_counts`: one count
-    per edge and one Laplacian assembly.
-    """
-    g = run.g
-    counts = tree_edge_counts(g, philox_stream(seed), run.t)
-    return normalized_pencil(run.frame, laplacian(g, counts * run.edge_weights / run.t))
-
-
-# Set only inside pool workers, by the executor's initializer, so each
-# worker receives the run once instead of once per trial.
-_WORKER_RUN: _CertifyRun | None = None
-
-
-def _install_run(run: _CertifyRun) -> None:
-    global _WORKER_RUN
-    _WORKER_RUN = run
-
-
-def _worker_trial(seed: int) -> tuple[float, float]:
-    return _sum_trees_trial(_WORKER_RUN, seed)
-
-
-def _run_trials(run: _CertifyRun, seeds: list[int], jobs: int = 1) -> list[tuple[float, float]]:
-    """Pencil extremes of every trial seed, in seed order.
-
-    At most ``jobs`` worker processes run the trials, and never more
-    than there are seeds, since each worker receives the whole run;
-    one worker or none means the trials run in this process.
-    """
-    workers = min(jobs, len(seeds))
-    if workers <= 1:
-        return [_sum_trees_trial(run, seed) for seed in seeds]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_install_run, initargs=(run,)
-    ) as pool:
-        extremes = list(pool.map(_worker_trial, seeds))
-    return extremes
 
 
 def run_sum_trees(
@@ -230,16 +242,10 @@ def run_sum_trees(
             t = math.ceil(c_mult * eps**-2 * math.log(g.n) ** 2)
         except (OverflowError, ValueError):
             raise ValueError(f"t is not finite for eps = {eps!r}, c_mult = {c_mult!r}") from None
-    elif t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
     else:
         c_mult = None  # an explicit t leaves the multiplier unused
-    if t * (g.n - 1) > MAX_TREE_SLOTS:
-        raise ValueError(
-            f"t = {t} trees on n = {g.n} vertices exceed the cap of "
-            f"MAX_TREE_SLOTS = {MAX_TREE_SLOTS} tree-edge slots per trial"
-        )
-    extremes = _run_trials(_certify_run(g, t), seeds, jobs)
+    _check_tree_slots(t, g.n)
+    extremes = _run_trials(_pencil_run(g, t), seeds, jobs)
     ok = [lo >= 1.0 - eps and hi <= 1.0 + eps for lo, hi in extremes]
     pass_fraction = sum(ok) / trials
     # Increments of the tree average have range 1/t in the normalised frame.
@@ -281,6 +287,13 @@ def clique_leverage_value(clique_size: int) -> float:
     return 2.0 / clique_size
 
 
+def _degree_violation(g: WeightedGraph, inv_lev: float, t: int, lo_win, hi_win, counts) -> bool:
+    """Whether the average of ``t`` inverse-leverage trees leaves a
+    vertex's weighted degree outside ``(lo_win, hi_win)``."""
+    avg_deg = g.weighted_degrees(counts * g.edge_arrays[2] * inv_lev) / t
+    return bool(np.any(avg_deg > hi_win) or np.any(avg_deg < lo_win))
+
+
 def run_multi_tree_lower(
     num_cliques: int,
     clique_size: int,
@@ -306,36 +319,24 @@ def run_multi_tree_lower(
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
-    n = g.n
     window = (5.0 / clique_size, 0.5)
     window_ok = window[0] < eps < window[1]
-    t_formula = 0.05 * eps**-2 * math.log(n)
+    t_formula = 0.05 * eps**-2 * math.log(g.n)
     if t is None:
         if not window_ok:
             raise ValueError(
                 f"eps = {eps} outside the admissible window ({window[0]:g}, {window[1]:g})"
             )
         t = max(1, math.floor(t_formula))
-    elif t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-
+    _check_tree_slots(t, g.n)
     lev = clique_leverage_value(clique_size)
-    inv_lev = 1.0 / lev
-    base_deg = g.weighted_degrees()
-    lo_win = (1.0 - eps) * base_deg
-    hi_win = (1.0 + eps) * base_deg
-    ws = g.edge_arrays[2]
-
-    violations = []
-    for seed in seeds:
-        w = tree_edge_counts(g, philox_stream(seed), t) * ws * inv_lev
-        avg_deg = g.weighted_degrees(w) / t
-        violations.append(bool(np.any(avg_deg > hi_win) or np.any(avg_deg < lo_win)))
-
+    deg = g.weighted_degrees()
+    check = partial(_degree_violation, g, 1.0 / lev, t, (1.0 - eps) * deg, (1.0 + eps) * deg)
+    violations = _run_trials(_TreeRun(g, t, check), seeds)
     return _report(
         "multi_tree_lower",
         f"cliquestar:{num_cliques},{clique_size}",
-        n,
+        g.n,
         start,
         {"base_seed": base_seed},
         num_cliques=num_cliques,
@@ -355,6 +356,25 @@ def run_multi_tree_lower(
     )
 
 
+def _star_ratio(g: WeightedGraph, inv_lev: float, counts: np.ndarray) -> tuple[int, float]:
+    """Max tree degree ``d`` over non-hub vertices of one tree, given by
+    its edge counts, and its star vector's quadratic-form ratio."""
+    us, vs, ws = g.edge_arrays
+    ids = np.flatnonzero(counts)
+    tu, tv = us[ids], vs[ids]
+    deg = g.weighted_degrees(counts)
+    center = 1 + int(np.argmax(deg[1:]))
+    d = int(deg[center])
+    # The star: d at the centre, -1 at its tree neighbours.
+    x = np.zeros(g.n)
+    x[tv[tu == center]] = -1.0
+    x[tu[tv == center]] = -1.0
+    x[center] = float(d)
+    tree_form = float(np.sum(ws[ids] * inv_lev * (x[tu] - x[tv]) ** 2))
+    parent_form = float(np.sum(ws * (x[us] - x[vs]) ** 2))
+    return d, tree_form / parent_form
+
+
 def run_single_tree_lower(
     num_cliques: int, clique_size: int, trials: int, base_seed: int
 ) -> Report:
@@ -372,39 +392,17 @@ def run_single_tree_lower(
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
-    n = g.n
-    us, vs, ws = g.edge_arrays
     lev = clique_leverage_value(clique_size)
-    inv_lev = 1.0 / lev
-
-    max_degrees = []
-    factors = []
-    ratios = []
-    certified = []
-    for seed in seeds:
-        [[ids]] = wilson_tree_batches(g, philox_stream(seed), 1)
-        tu, tv = us[ids], vs[ids]
-        deg = g.weighted_degrees(np.bincount(ids, minlength=g.m))
-        center = 1 + int(np.argmax(deg[1:]))
-        d = int(deg[center])
-        # The star: d at the centre, -1 at its tree neighbours.
-        x = np.zeros(n)
-        x[tv[tu == center]] = -1.0
-        x[tu[tv == center]] = -1.0
-        x[center] = float(d)
-        tree_form = float(np.sum(ws[ids] * inv_lev * (x[tu] - x[tv]) ** 2))
-        parent_form = float(np.sum(ws * (x[us] - x[vs]) ** 2))
-        ratio = tree_form / parent_form
-        max_degrees.append(d)
-        factors.append(d / 2.0)
-        ratios.append(ratio)
-        certified.append(bool(ratio > d / 2.0))
-
+    stars = _run_trials(_TreeRun(g, 1, partial(_star_ratio, g, 1.0 / lev)), seeds)
+    max_degrees = [d for d, _ in stars]
+    factors = [d / 2.0 for d in max_degrees]
+    ratios = [ratio for _, ratio in stars]
+    certified = [ratio > f for ratio, f in zip(ratios, factors)]
     half_log_s = math.log(clique_size) / 2.0
     return _report(
         "single_tree_lower",
         f"cliquestar:{num_cliques},{clique_size}",
-        n,
+        g.n,
         start,
         {"base_seed": base_seed},
         num_cliques=num_cliques,

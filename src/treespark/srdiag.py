@@ -439,22 +439,12 @@ def log_binomial_tail(k: int, p: float, threshold: int) -> float:
     return _log_sum_exp(_log_terms(k, p, threshold, k))
 
 
-def binomial_tail(k: int, p: float, threshold: int) -> float:
-    """``Pr[Bin(k, p) >= threshold]`` via compensated log-space summation."""
-    return math.exp(log_binomial_tail(k, p, threshold))
-
-
 def log_binomial_tail_lower(k: int, p: float, threshold: int) -> float:
     """``log Pr[Bin(k, p) <= threshold]`` without underflow."""
     BinomialTailQuery(k, p, threshold)
     if threshold == k:
         return 0.0
     return _log_sum_exp(_log_terms(k, p, 0, threshold))
-
-
-def binomial_tail_lower(k: int, p: float, threshold: int) -> float:
-    """``Pr[Bin(k, p) <= threshold]``."""
-    return math.exp(log_binomial_tail_lower(k, p, threshold))
 
 
 def reverse_chernoff_check(k: int, p: float, eps: float) -> bool:

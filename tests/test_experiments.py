@@ -17,7 +17,7 @@ from enumeration_oracle import enumerate_trees
 from frame_oracle import eig_frame
 from treespark import experiments, leverage, spectral, srdiag, treesample
 from treespark.experiments import (
-    _certify_run,
+    _pencil_run,
     _sum_trees_trial,
     clique_leverage_value,
     degree_reference_pmf,
@@ -31,7 +31,7 @@ from treespark.experiments import (
 from treespark.graph import clique_star, complete_graph, laplacian, philox_stream, ring_graph
 from treespark.leverage import laplacian_frame, leverage_scores
 from treespark.spectral import eig_sym, normalized_pencil
-from treespark.srdiag import binomial_tail
+from treespark.srdiag import log_binomial_tail
 from treespark.treesample import (
     _wilson_edge_ids,
     average_trees,
@@ -148,6 +148,13 @@ def test_sum_trees_caps_tree_slots(monkeypatch):
     assert run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=5).results["t"] == 5
 
 
+def test_multi_tree_lower_caps_tree_slots(monkeypatch):
+    # cliquestar:1,4 has n = 4: 10 trees of 3 edges exceed a cap of 20.
+    monkeypatch.setattr(experiments, "MAX_TREE_SLOTS", 20)
+    with pytest.raises(ValueError, match=r"t = 10 trees on n = 4 .* MAX_TREE_SLOTS = 20 "):
+        run_multi_tree_lower(1, 4, eps=0.4, trials=1, base_seed=0, t=10)
+
+
 def test_sum_trees_rejects_bad_parameters():
     g = complete_graph(6)
     with pytest.raises(ValueError):
@@ -183,7 +190,7 @@ def test_sum_trees_trial_matches_tree_object_route(name, g):
     # Oracle: validated SpanningTree objects, reweighted one by one and
     # averaged, on the same Philox stream as the edge-id trial.
     t = 7
-    run = _certify_run(g, t)
+    run = _pencil_run(g, t)
     prof = leverage_scores(g)
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
@@ -199,12 +206,13 @@ def test_sum_trees_trial_matches_edge_id_route(name, g):
     # The trial on stacked exit choices counts exactly the edges that the
     # per-tree edge-id lists count, so the extremes agree bit for bit.
     t = 7
-    run = _certify_run(g, t)
+    run = _pencil_run(g, t)
+    edge_weights = g.edge_arrays[2] / leverage_scores(g).values
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
-        weights = np.bincount(ids, minlength=g.m) * run.edge_weights / t
-        want = normalized_pencil(run.frame, laplacian(g, weights))
+        weights = np.bincount(ids, minlength=g.m) * edge_weights / t
+        want = normalized_pencil(laplacian_frame(g), laplacian(g, weights))
         assert _sum_trees_trial(run, seed) == want
 
 
@@ -216,13 +224,14 @@ def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
     # that rebuilds M = [0; C^-T] from the Cholesky factor C of the
     # grounded L_G each call.
     t = 7
-    run = _certify_run(g, t)
+    run = _pencil_run(g, t)
+    edge_weights = g.edge_arrays[2] / leverage_scores(g).values
     chol = np.linalg.cholesky(laplacian(g)[1:, 1:])
     frame = np.vstack((np.zeros((1, g.n - 1)), np.tril(np.linalg.inv(chol)).T))
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
-        lap_h = laplacian(g, np.bincount(ids, minlength=g.m) * run.edge_weights / t)
+        lap_h = laplacian(g, np.bincount(ids, minlength=g.m) * edge_weights / t)
         core = frame.T @ lap_h @ frame
         want = np.linalg.eigvalsh((core + core.T) / 2.0)
         assert _sum_trees_trial(run, seed) == (float(want[0]), float(want[-1]))
@@ -230,13 +239,15 @@ def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
 
 def test_certify_run_holds_no_dense_laplacian():
     g = complete_graph(12)
-    run = _certify_run(g, 3)
-    assert [f.name for f in dataclasses.fields(run)] == ["g", "t", "edge_weights", "frame"]
-    assert not any(
-        isinstance(value, np.ndarray) and value.shape == (g.n, g.n) for value in vars(run).values()
-    )
+    laplacian_frame.cache_clear()
+    run = _pencil_run(g, 3)
+    assert [f.name for f in dataclasses.fields(run)] == ["g", "t", "check"]
+    held = [*vars(run).values(), *run.check.args]
+    assert not any(isinstance(value, np.ndarray) and value.shape == (g.n, g.n) for value in held)
     # The frame exists before any pool forks, so workers inherit it.
-    assert run.frame is laplacian_frame(g)
+    assert laplacian_frame.cache_info().misses == 1
+    laplacian_frame(g)
+    assert laplacian_frame.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
@@ -378,6 +389,7 @@ def test_drivers_do_not_depend_on_the_batch_size(monkeypatch):
             run_sum_trees(
                 complete_graph(9), eps=0.5, trials=2, base_seed=1, t=25
             ).results["extremes"],
+            run_single_tree_lower(3, 5, trials=3, base_seed=2).results["quadform_ratios"],
         )
 
     whole = outputs()
@@ -388,7 +400,7 @@ def test_drivers_do_not_depend_on_the_batch_size(monkeypatch):
 
 def test_sum_trees_trial_rejects_a_walk_that_is_not_a_tree(monkeypatch):
     g = complete_graph(5)
-    run = _certify_run(g, 3)
+    run = _pencil_run(g, 3)
     # Vertex 1 exits towards 2 and vertex 2 towards 1: a cycle off the root.
     nbrs = g.adjacency[0]
     bad = [0, nbrs[1].index(2), nbrs[2].index(1), 0, 0]
@@ -563,7 +575,7 @@ def test_single_tree_lower_degree_tail_consistent_with_binomial():
     trials = 10000
     report = run_single_tree_lower(1, 100, trials=trials, base_seed=31)
     frac = sum(1 for d in report.results["max_degrees"] if d >= 7) / trials
-    q = binomial_tail(98, 0.01, 6)
+    q = math.exp(log_binomial_tail(98, 0.01, 6))
     vertices = 99  # non-hub vertices scanned for the maximum
     upper = vertices * q
     lower = vertices * q - math.comb(vertices, 2) * q * q

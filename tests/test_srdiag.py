@@ -31,8 +31,6 @@ from treespark.srdiag import (
     TRACE_EDGE_CAP,
     BinomialTailQuery,
     _trace_frame,
-    binomial_tail,
-    binomial_tail_lower,
     check_stirling_binom_lower,
     check_step_variance_bound,
     check_trace_bounds,
@@ -416,11 +414,11 @@ def test_trace_dump_reports_a_nan_step_norm_after_finite_ones():
 
 
 def test_binomial_tail_frozen_small():
-    assert binomial_tail(2, 0.5, 1) == pytest.approx(0.75, abs=1e-15)
-    assert binomial_tail(2, 0.5, 2) == pytest.approx(0.25, abs=1e-15)
-    assert binomial_tail(2, 0.5, 0) == 1.0
-    assert binomial_tail_lower(2, 0.5, 2) == 1.0
-    assert binomial_tail_lower(2, 0.5, 0) == pytest.approx(0.25, abs=1e-15)
+    assert math.exp(log_binomial_tail(2, 0.5, 1)) == pytest.approx(0.75, abs=1e-15)
+    assert math.exp(log_binomial_tail(2, 0.5, 2)) == pytest.approx(0.25, abs=1e-15)
+    assert math.exp(log_binomial_tail(2, 0.5, 0)) == 1.0
+    assert math.exp(log_binomial_tail_lower(2, 0.5, 2)) == 1.0
+    assert math.exp(log_binomial_tail_lower(2, 0.5, 0)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_binomial_tail_exact_rational_oracle():
@@ -435,22 +433,21 @@ def test_binomial_tail_exact_rational_oracle():
                     Fraction(math.comb(k, i)) * pf**i * (1 - pf) ** (k - i)
                     for i in range(threshold, k + 1)
                 )
-                got = binomial_tail(k, p, threshold)
+                got = math.exp(log_binomial_tail(k, p, threshold))
                 assert abs(got - float(exact_upper)) <= 1e-12
                 exact_lower = sum(
                     Fraction(math.comb(k, i)) * pf**i * (1 - pf) ** (k - i)
                     for i in range(0, threshold + 1)
                 )
-                got_lower = binomial_tail_lower(k, p, threshold)
+                got_lower = math.exp(log_binomial_tail_lower(k, p, threshold))
                 assert abs(got_lower - float(exact_lower)) <= 1e-12
 
 
 def test_binomial_tails_complementary():
     for k, p in ((10, 0.5), (30, 0.2), (64, 0.01)):
         for threshold in range(1, k + 1):
-            total = binomial_tail(k, p, threshold) + binomial_tail_lower(
-                k, p, threshold - 1
-            )
+            upper = math.exp(log_binomial_tail(k, p, threshold))
+            total = upper + math.exp(log_binomial_tail_lower(k, p, threshold - 1))
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -458,7 +455,7 @@ def test_binomial_tail_deep_log_space():
     lo = log_binomial_tail(5000, 0.01, 3000)
     assert math.isfinite(lo)
     assert lo < -1000.0
-    assert binomial_tail(5000, 0.01, 3000) == 0.0  # underflows cleanly
+    assert math.exp(log_binomial_tail(5000, 0.01, 3000)) == 0.0  # underflows cleanly
     assert log_binomial_tail_lower(5000, 0.5, 0) < -3000.0
 
 

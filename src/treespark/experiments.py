@@ -365,10 +365,11 @@ def _star_ratio(g: WeightedGraph, inv_lev: float, counts: np.ndarray) -> tuple[i
     deg = g.weighted_degrees(counts)
     center = 1 + int(np.argmax(deg[1:]))
     d = int(deg[center])
-    # The star: d at the centre, -1 at its tree neighbours.
+    # The star: d at the centre, -1 at its tree neighbours but the hub.
     x = np.zeros(g.n)
     x[tv[tu == center]] = -1.0
     x[tu[tv == center]] = -1.0
+    x[0] = 0.0
     x[center] = float(d)
     tree_form = float(np.sum(ws[ids] * inv_lev * (x[tu] - x[tv]) ** 2))
     parent_form = float(np.sum(ws * (x[us] - x[vs]) ** 2))
@@ -382,21 +383,21 @@ def run_single_tree_lower(
 
     Per trial, draws one tree of the clique-star, finds the maximum tree
     degree ``d`` over non-hub vertices and evaluates the test vector
-    that puts ``d`` on that vertex and ``-1`` on its tree neighbours.
-    With inverse-leverage weights the star alone contributes a quadratic
-    form ratio of ``(d + 1) / 2``, so the trial certifies that the tree
-    is not a ``d / 2`` approximation of the parent; the report records
-    the realised ratios and how often the certified factor reached
-    ``ln(clique_size) / 2``.
+    that puts ``d`` on that vertex and ``-1`` on its tree neighbours
+    other than the hub, whose many parent edges would swamp the parent
+    form.  With inverse-leverage weights the star alone contributes a
+    quadratic form ratio of ``(d + 1) / 2``, so the trial certifies that
+    the tree is not a ``d / 2`` approximation of the parent; the report
+    records the realised ratios and how often the certified factor
+    reached ``ln(clique_size) / 2``.
     """
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
     lev = clique_leverage_value(clique_size)
     stars = _run_trials(_TreeRun(g, 1, partial(_star_ratio, g, 1.0 / lev)), seeds)
-    max_degrees = [d for d, _ in stars]
+    max_degrees, ratios = map(list, zip(*stars))
     factors = [d / 2.0 for d in max_degrees]
-    ratios = [ratio for _, ratio in stars]
     certified = [ratio > f for ratio, f in zip(ratios, factors)]
     half_log_s = math.log(clique_size) / 2.0
     return _report(

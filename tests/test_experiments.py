@@ -333,8 +333,8 @@ def test_multi_tree_lower_violations_match_their_goldens(key):
 
 @pytest.mark.parametrize("cliques,size", CLIQUE_STARS)
 def test_single_tree_lower_matches_edge_id_route(cliques, size):
-    # Oracle: tree degrees, the star vector and both quadratic forms
-    # summed edge by edge over the edge-id list.
+    # Oracle: tree degrees, the star vector (0 on the hub) and both
+    # quadratic forms summed edge by edge over the edge-id list.
     g = clique_star(cliques, size)
     inv_lev = 1.0 / clique_leverage_value(size)
     base_seed, trials = 5, 20
@@ -352,7 +352,8 @@ def test_single_tree_lower_matches_edge_id_route(cliques, size):
         center = max(range(1, g.n), key=lambda v: deg[v])
         x = [0.0] * g.n
         for u in nbrs[center]:
-            x[u] = -1.0
+            if u != 0:  # the hub stays at 0
+                x[u] = -1.0
         x[center] = float(deg[center])
         tree_edges = [g.edges[eid] for eid in ids]
         tree_form = sum(w * inv_lev * (x[u] - x[v]) ** 2 for u, v, w in tree_edges)
@@ -557,9 +558,11 @@ def test_single_tree_lower_smallest_clique():
 
 
 def test_single_tree_lower_single_clique_always_certifies():
-    # On a single clique the parent form is exactly s * d (d + 1) while
-    # the tree form is at least (s/2) d (d+1)^2, so the ratio clears d/2
-    # in every trial.
+    # On a single clique the parent form is s |x|^2 - (sum x)^2: s d (d + 1)
+    # while the hub is not a neighbour of the centre, and below
+    # s (d^2 + d - 1) when it is.  The star's tree edges alone give at least
+    # (s/2) (k (d + 1)^2 + (d - k) d^2) with k non-hub neighbours, so the
+    # ratio clears d/2 in every trial.
     report = run_single_tree_lower(1, 32, trials=200, base_seed=29)
     results = report.results
     assert results["certified_fraction"] == 1.0
@@ -567,6 +570,13 @@ def test_single_tree_lower_single_clique_always_certifies():
     assert results["freq_ratio_ge_half_log_s"] >= results["freq_factor_ge_half_log_s"] - 1e-12
     for d, ratio in zip(results["max_degrees"], results["quadform_ratios"]):
         assert ratio > d / 2.0
+
+
+def test_single_tree_lower_certifies_when_the_hub_neighbours_the_centre():
+    # Six of these seeds draw a tree in which the hub is a neighbour of
+    # the centre; a -1 on the hub let its 950 parent edges swamp the form.
+    report = run_single_tree_lower(50, 20, trials=20, base_seed=0)
+    assert report.results["certified_fraction"] == 1.0
 
 
 def test_single_tree_lower_degree_tail_consistent_with_binomial():

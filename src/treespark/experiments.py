@@ -91,7 +91,44 @@ def write_extremes_csv(report: Report, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Seeded trials: one check on each seed's tree edge counts
+# Single reweighted tree, upper envelope
+# ---------------------------------------------------------------------------
+
+
+def run_single_tree_upper(
+    g: WeightedGraph, trials: int, base_seed: int, graph_desc: str | None = None
+) -> Report:
+    """Largest pencil eigenvalue of single inverse-leverage trees.
+
+    Passes when every trial's ``lambda_max`` stays at or below ``100 ln
+    n``; the report also records the tighter constant the data actually
+    supports (``max / ln n``).
+    """
+    seeds = _seeds(base_seed, trials)
+    start = time.perf_counter()
+    extremes = _run_trials(_pencil_run(g, 1), seeds)
+    highs = sorted(hi for _, hi in extremes)
+    envelope = 100.0 * math.log(g.n)
+    max_lambda = highs[-1]
+    return _report(
+        "single_tree_upper",
+        graph_desc or f"n={g.n},m={g.m}",
+        g.n,
+        start,
+        {"base_seed": base_seed},
+        trials=trials,
+        seeds=seeds,
+        envelope=envelope,
+        extremes=extremes,
+        max_lambda=max_lambda,
+        median_lambda=highs[len(highs) // 2],
+        empirical_constant=max_lambda / math.log(g.n),
+        passed=max_lambda <= envelope,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Seeded trials, each one check on its trees' edge counts; averaged trees
 # ---------------------------------------------------------------------------
 
 
@@ -169,43 +206,6 @@ def _pencil_run(g: WeightedGraph, t: int) -> _TreeRun:
     _, _, ws = g.edge_arrays
     lev = leverage_scores(g).values
     return _TreeRun(g, t, partial(_pencil_extremes, g, ws / lev, t))
-
-
-# ---------------------------------------------------------------------------
-# Pencil of one reweighted tree and of tree averages
-# ---------------------------------------------------------------------------
-
-
-def run_single_tree_upper(
-    g: WeightedGraph, trials: int, base_seed: int, graph_desc: str | None = None
-) -> Report:
-    """Largest pencil eigenvalue of single inverse-leverage trees.
-
-    Passes when every trial's ``lambda_max`` stays at or below ``100 ln
-    n``; the report also records the tighter constant the data actually
-    supports (``max / ln n``).
-    """
-    seeds = _seeds(base_seed, trials)
-    start = time.perf_counter()
-    extremes = _run_trials(_pencil_run(g, 1), seeds)
-    highs = sorted(hi for _, hi in extremes)
-    envelope = 100.0 * math.log(g.n)
-    max_lambda = highs[-1]
-    return _report(
-        "single_tree_upper",
-        graph_desc or f"n={g.n},m={g.m}",
-        g.n,
-        start,
-        {"base_seed": base_seed},
-        trials=trials,
-        seeds=seeds,
-        envelope=envelope,
-        extremes=extremes,
-        max_lambda=max_lambda,
-        median_lambda=highs[len(highs) // 2],
-        empirical_constant=max_lambda / math.log(g.n),
-        passed=max_lambda <= envelope,
-    )
 
 
 def run_sum_trees(

@@ -192,20 +192,25 @@ def _run_trials(run: _TreeRun, seeds: list[int], jobs: int = 1) -> list:
         return list(pool.map(_worker_trial, seeds))
 
 
+def _inverse_leverage_weights(g: WeightedGraph, lev) -> np.ndarray:
+    """``w_e / lev_e``, the tree edge weights every seeded check reads;
+    ``lev`` is the :func:`leverage_scores` array or a closed-form value."""
+    return g.edge_arrays[2] / lev
+
+
 def _pencil_extremes(g: WeightedGraph, edge_weights, t: int, counts) -> tuple[float, float]:
     """Pencil extremes of ``t`` trees with these edge counts, averaged
     with edge e weighted ``edge_weights[e]``; on the same stream this
     equals ``normalized_pencil(frame, average_trees([reweight_tree(
-    sample_tree_stream(g, gen), prof) for _ in range(t)]))``."""
+    sample_tree_stream(g, gen), lev) for _ in range(t)]))``."""
     return normalized_pencil(laplacian_frame(g), laplacian(g, counts * edge_weights / t))
 
 
 def _pencil_run(g: WeightedGraph, t: int) -> _TreeRun:
     """Pencil check of inverse-leverage trees.  Leverage scores build the
     cached :func:`laplacian_frame`, so pool workers inherit it."""
-    _, _, ws = g.edge_arrays
-    lev = leverage_scores(g).values
-    return _TreeRun(g, t, partial(_pencil_extremes, g, ws / lev, t))
+    weights = _inverse_leverage_weights(g, leverage_scores(g))
+    return _TreeRun(g, t, partial(_pencil_extremes, g, weights, t))
 
 
 def run_sum_trees(
@@ -287,10 +292,10 @@ def clique_leverage_value(clique_size: int) -> float:
     return 2.0 / clique_size
 
 
-def _degree_violation(g: WeightedGraph, inv_lev: float, t: int, lo_win, hi_win, counts) -> bool:
-    """Whether the average of ``t`` inverse-leverage trees leaves a
-    vertex's weighted degree outside ``(lo_win, hi_win)``."""
-    avg_deg = g.weighted_degrees(counts * g.edge_arrays[2] * inv_lev) / t
+def _degree_violation(g: WeightedGraph, edge_weights, t: int, lo_win, hi_win, counts) -> bool:
+    """Whether the average of ``t`` trees weighted ``edge_weights``
+    leaves a vertex's weighted degree outside ``(lo_win, hi_win)``."""
+    avg_deg = g.weighted_degrees(counts * edge_weights) / t
     return bool(np.any(avg_deg > hi_win) or np.any(avg_deg < lo_win))
 
 
@@ -313,9 +318,12 @@ def run_multi_tree_lower(
 
     ``t`` defaults to ``floor(0.05 * eps^-2 * ln n)`` (clamped to >= 1),
     in which case ``eps`` must lie strictly inside the admissible window
-    ``(5 / clique_size, 1/2)``.  An explicit ``t`` skips the refusal and
-    only records whether the window held.
+    ``(5 / clique_size, 1/2)``.  An explicit ``t`` skips that refusal and
+    only records whether the window held; ``eps`` outside ``(0, 1)`` is
+    refused either way.
     """
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"need eps in (0, 1), got {eps}")
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
@@ -331,7 +339,8 @@ def run_multi_tree_lower(
     _check_tree_slots(t, g.n)
     lev = clique_leverage_value(clique_size)
     deg = g.weighted_degrees()
-    check = partial(_degree_violation, g, 1.0 / lev, t, (1.0 - eps) * deg, (1.0 + eps) * deg)
+    weights = _inverse_leverage_weights(g, lev)
+    check = partial(_degree_violation, g, weights, t, (1.0 - eps) * deg, (1.0 + eps) * deg)
     violations = _run_trials(_TreeRun(g, t, check), seeds)
     return _report(
         "multi_tree_lower",
@@ -356,7 +365,7 @@ def run_multi_tree_lower(
     )
 
 
-def _star_ratio(g: WeightedGraph, inv_lev: float, counts: np.ndarray) -> tuple[int, float]:
+def _star_ratio(g: WeightedGraph, edge_weights, counts: np.ndarray) -> tuple[int, float]:
     """Max tree degree ``d`` over non-hub vertices of one tree, given by
     its edge counts, and its star vector's quadratic-form ratio."""
     us, vs, ws = g.edge_arrays
@@ -371,7 +380,7 @@ def _star_ratio(g: WeightedGraph, inv_lev: float, counts: np.ndarray) -> tuple[i
     x[tu[tv == center]] = -1.0
     x[0] = 0.0
     x[center] = float(d)
-    tree_form = float(np.sum(ws[ids] * inv_lev * (x[tu] - x[tv]) ** 2))
+    tree_form = float(np.sum(edge_weights[ids] * (x[tu] - x[tv]) ** 2))
     parent_form = float(np.sum(ws * (x[us] - x[vs]) ** 2))
     return d, tree_form / parent_form
 
@@ -395,7 +404,8 @@ def run_single_tree_lower(
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
     lev = clique_leverage_value(clique_size)
-    stars = _run_trials(_TreeRun(g, 1, partial(_star_ratio, g, 1.0 / lev)), seeds)
+    check = partial(_star_ratio, g, _inverse_leverage_weights(g, lev))
+    stars = _run_trials(_TreeRun(g, 1, check), seeds)
     max_degrees, ratios = map(list, zip(*stars))
     factors = [d / 2.0 for d in max_degrees]
     certified = [ratio > f for ratio, f in zip(ratios, factors)]

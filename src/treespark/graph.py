@@ -335,18 +335,6 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> WeightedGraph:
     raise ValueError(f"no connected G({n}, {p}) draw within {ER_MAX_ATTEMPTS} attempts")
 
 
-def write_graph(g: WeightedGraph, path: str) -> None:
-    """Write the text format: header ``n m`` then one ``u v w`` line per edge.
-
-    Weights are printed with 17 significant digits so a read back
-    reproduces the exact float64 values.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v, w in zip(*(arr.tolist() for arr in g.edge_arrays)):
-            fh.write(f"{u} {v} {w:.17g}\n")
-
-
 def guard_vertices(n: int, max_n: int | None) -> None:
     """Raise SizeGuardError when ``max_n`` is set and ``n`` exceeds it."""
     if max_n is not None and n > max_n:
@@ -354,7 +342,8 @@ def guard_vertices(n: int, max_n: int | None) -> None:
 
 
 def read_graph(path: str, max_n: int | None = None) -> WeightedGraph:
-    """Parse the text format written by :func:`write_graph`.
+    """Parse a graph file: a header line ``n m``, then one ``u v w`` line
+    per edge, with 0-indexed vertices and a float weight.
 
     With ``max_n`` set, a header naming more vertices raises
     SizeGuardError before any edge line is read.  Blank lines are

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,44 +127,27 @@ def edge_frame_rows(g: WeightedGraph) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class LeverageProfile:
-    """Per-edge leverage scores aligned with the parent graph's edge ids.
-
-    Scores lie in ``(0, 1]`` and sum to ``n - 1``; both facts are
-    checked on construction.
-    """
-
-    graph: WeightedGraph
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.graph.m,):
-            raise ValueError(
-                f"expected {self.graph.m} scores, got shape {vals.shape}"
-            )
-        # Written so that NaN fails too: every comparison with NaN is false.
-        if not ((vals > 0.0) & (vals <= 1.0 + 1e-10)).all():
-            raise ValueError("leverage scores must lie in (0, 1]")
-        total = float(vals.sum())
-        target = self.graph.n - 1
-        if abs(total - target) > 1e-8:
-            raise ValueError(
-                f"leverage scores sum to {total!r}, expected {target}"
-            )
-        object.__setattr__(self, "values", vals)
+def _check_scores(lev: np.ndarray, n: int) -> None:
+    """Raise ValueError unless every score lies in ``(0, 1]`` and they sum
+    to ``n - 1``, the facts every leverage vector of ``n`` vertices obeys."""
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not ((lev > 0.0) & (lev <= 1.0 + 1e-10)).all():
+        raise ValueError("leverage scores must lie in (0, 1]")
+    total = float(lev.sum())
+    if abs(total - (n - 1)) > 1e-8:
+        raise ValueError(f"leverage scores sum to {total!r}, expected {n - 1}")
 
 
-def leverage_scores(g: WeightedGraph) -> LeverageProfile:
-    """Leverage score ``w_e R_eff(u_e, v_e)`` of every edge.
+def leverage_scores(g: WeightedGraph) -> np.ndarray:
+    """Read-only leverage score ``w_e R_eff(u_e, v_e)`` of every edge.
 
     ``R_eff(u, v) = ||M[u] - M[v]||^2`` for the frame ``M`` of
     :func:`laplacian_frame`, read a bounded chunk of rows at a time, so
     no n x n pseudoinverse is formed.  Differences of gathered rows cost
     ``m n``; once ``m > n^2 / 32`` and they fill more than one chunk,
     Gram blocks of ``M`` are cheaper, and only the edges where those
-    cancel are redone as row differences.
+    cancel are redone as row differences.  Scores outside ``(0, 1]``,
+    or summing to other than ``n - 1``, raise ValueError.
     """
     scaled = laplacian_frame(g)
     us, vs, ws = g.edge_arrays
@@ -186,7 +168,10 @@ def leverage_scores(g: WeightedGraph) -> LeverageProfile:
         diff = np.take(scaled, us[ids], axis=0)
         diff -= np.take(scaled, vs[ids], axis=0)
         reff[ids] = np.einsum("ij,ij->i", diff, diff)
-    return LeverageProfile(g, ws * reff)
+    lev = ws * reff
+    _check_scores(lev, g.n)
+    lev.flags.writeable = False
+    return lev
 
 
 class TransferCurrent:

@@ -392,27 +392,15 @@ def trace_dump(trace: MartingaleTrace) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinomialTailQuery:
-    """Validated arguments of a binomial tail probability.
-
-    ``k`` trials with success probability ``p`` in ``(0, 1/2]`` and an
-    integer ``threshold`` in ``[0, k]``.
-    """
-
-    k: int
-    p: float
-    threshold: int
-
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"need integer k >= 1, got {self.k!r}")
-        if not (0.0 < self.p <= 0.5):
-            raise ValueError(f"success probability must lie in (0, 1/2], got {self.p}")
-        if not isinstance(self.threshold, int) or not (0 <= self.threshold <= self.k):
-            raise ValueError(
-                f"threshold must be an integer in [0, {self.k}], got {self.threshold!r}"
-            )
+def _check_tail_args(k: int, p: float, threshold: int) -> None:
+    """Raise ValueError unless ``k >= 1`` is an integer number of trials,
+    ``p`` lies in ``(0, 1/2]`` and ``threshold`` is an integer in ``[0, k]``."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"need integer k >= 1, got {k!r}")
+    if not (0.0 < p <= 0.5):
+        raise ValueError(f"success probability must lie in (0, 1/2], got {p}")
+    if not isinstance(threshold, int) or not (0 <= threshold <= k):
+        raise ValueError(f"threshold must be an integer in [0, {k}], got {threshold!r}")
 
 
 def _log_terms(k: int, p: float, lo: int, hi: int) -> list[float]:
@@ -433,7 +421,7 @@ def _log_sum_exp(terms: list[float]) -> float:
 
 def log_binomial_tail(k: int, p: float, threshold: int) -> float:
     """``log Pr[Bin(k, p) >= threshold]`` without underflow."""
-    BinomialTailQuery(k, p, threshold)
+    _check_tail_args(k, p, threshold)
     if threshold == 0:
         return 0.0
     return _log_sum_exp(_log_terms(k, p, threshold, k))
@@ -441,7 +429,7 @@ def log_binomial_tail(k: int, p: float, threshold: int) -> float:
 
 def log_binomial_tail_lower(k: int, p: float, threshold: int) -> float:
     """``log Pr[Bin(k, p) <= threshold]`` without underflow."""
-    BinomialTailQuery(k, p, threshold)
+    _check_tail_args(k, p, threshold)
     if threshold == k:
         return 0.0
     return _log_sum_exp(_log_terms(k, p, 0, threshold))
@@ -458,7 +446,7 @@ def reverse_chernoff_check(k: int, p: float, eps: float) -> bool:
     inward nudge on the thresholds absorbs float noise when ``(1 +- eps)
     p k`` is an exact integer.
     """
-    BinomialTailQuery(k, p, 0)
+    _check_tail_args(k, p, 0)
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"deviation must lie in (0, 1/2], got {eps}")
     exponent = eps * eps * p * k

@@ -27,7 +27,6 @@ from itertools import repeat
 import numpy as np
 
 from .graph import WeightedGraph, component_labels, laplacian
-from .leverage import LeverageProfile
 
 WEIGHT_MODES = ("original", "inverse_leverage")
 
@@ -222,19 +221,19 @@ def tree_edge_counts(g: WeightedGraph, gen: np.random.Generator, count: int) -> 
     return counts
 
 
-def reweight_tree(tree: SpanningTree, profile: LeverageProfile) -> SpanningTree:
+def reweight_tree(tree: SpanningTree, lev: np.ndarray) -> SpanningTree:
     """Scale each tree edge weight by its inverse leverage score.
 
-    The resulting random Laplacian has the parent graph's Laplacian as
-    its exact expectation when trees are drawn weight-proportionally.
+    ``lev`` holds the parent graph's scores by edge id, as
+    :func:`~treespark.leverage.leverage_scores` returns them.  The
+    resulting random Laplacian has the parent graph's Laplacian as its
+    exact expectation when trees are drawn weight-proportionally.
     """
-    if profile.graph is not tree.graph:
-        raise ValueError("leverage profile belongs to a different graph")
+    if len(lev) != tree.graph.m:
+        raise ValueError(f"expected {tree.graph.m} leverage scores, got {len(lev)}")
     if tree.weight_mode != "original":
         raise ValueError(f"can only reweight original-weight trees, got {tree.weight_mode!r}")
-    weights = tuple(
-        w / float(profile.values[eid]) for eid, w in zip(tree.edge_ids, tree.weights)
-    )
+    weights = tuple(w / float(lev[eid]) for eid, w in zip(tree.edge_ids, tree.weights))
     return SpanningTree(tree.graph, tree.edge_ids, weights, "inverse_leverage")
 
 

@@ -147,3 +147,15 @@ def weighted_er(n: int, p: float, seed: int) -> WeightedGraph:
     us, vs, _ = g.edge_arrays
     ws = philox_stream(seed + 1).uniform(1.0, 8.0, g.m)
     return WeightedGraph(n, np.column_stack((us, vs, ws)))
+
+
+def write_graph(g: WeightedGraph, path: str) -> None:
+    """Write the text format: header ``n m`` then one ``u v w`` line per edge.
+
+    Weights are printed with 17 significant digits so a read back
+    reproduces the exact float64 values.
+    """
+    with open(path, "w") as fh:
+        fh.write(f"{g.n} {g.m}\n")
+        for u, v, w in zip(*(arr.tolist() for arr in g.edge_arrays)):
+            fh.write(f"{u} {v} {w:.17g}\n")

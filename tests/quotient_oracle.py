@@ -100,7 +100,7 @@ def quotient_marginals(g, state: ContractionState) -> np.ndarray:
     out[list(state.contracted)] = 1.0
     quot, _, eid_map, _ = state.quotient()
     if quot is not None:
-        lev = leverage_scores(quot).values
+        lev = leverage_scores(quot)
         for eid, qid in eid_map.items():
             out[eid] = lev[qid]
     return out

@@ -65,7 +65,7 @@ def test_criterion_01_marginal_law_oracle_equivalence():
             extra = min(10 - (n - 1), 2 + i % 3)
             g = random_connected_graph(n, extra, seed=1000 + i)
             assert g.m <= 10
-            lev = leverage_scores(g).values
+            lev = leverage_scores(g)
             enum_gap = float(np.abs(enumerate_trees(g).marginals() - lev).max())
             worst_exact = max(worst_exact, enum_gap)
             assert enum_gap <= 1e-10
@@ -92,7 +92,7 @@ def test_criterion_02_foster_identity():
         graphs.append(erdos_renyi_connected(40, 0.2, seed=7))
         graphs.append(complete_graph(500))
         for g in graphs:
-            total = math.fsum(leverage_scores(g).values.tolist())
+            total = math.fsum(leverage_scores(g).tolist())
             worst = max(worst, abs(total - (g.n - 1)))
             assert abs(total - (g.n - 1)) <= 1e-8
             checked += 1

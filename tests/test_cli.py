@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import SMALL, random_connected_graph, weighted_triangle
+from corpus import SMALL, random_connected_graph, weighted_triangle, write_graph
 from test_experiments import DRIVER_KEYS
 from tree_line_oracle import format_tree_line, parse_tree_line, sample_tree_wilson
 import treespark.cli as cli
@@ -28,7 +28,7 @@ from treespark.cli import (
     parse_graph_spec,
 )
 from treespark.experiments import DEFAULT_PASS_GATE
-from treespark.graph import WeightedGraph, complete_graph, write_graph
+from treespark.graph import WeightedGraph, complete_graph
 from treespark.srdiag import TRACE_EDGE_CAP
 from treespark.treesample import SpanningTree
 
@@ -245,6 +245,16 @@ def test_certify_refuses_a_graph_the_grounded_factor_cannot_carry(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "grounded Laplacian is not numerically positive definite" in captured.err
+
+
+def test_certify_refuses_leverage_scores_that_miss_foster_identity(tmp_path, capsys):
+    path = tmp_path / "ring.graph"
+    edges = [(v, (v + 1) % 50, 1e8 if v == 25 else 1.0) for v in range(50)]
+    write_graph(WeightedGraph(50, edges), str(path))
+    assert main(["certify", "--graph", str(path), "--eps", "0.5", "--jobs", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leverage scores sum to" in captured.err
 
 
 def test_certify_writes_csv(tmp_path, capsys):

@@ -191,10 +191,10 @@ def test_sum_trees_trial_matches_tree_object_route(name, g):
     # averaged, on the same Philox stream as the edge-id trial.
     t = 7
     run = _pencil_run(g, t)
-    prof = leverage_scores(g)
+    lev = leverage_scores(g)
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
-        trees = [reweight_tree(sample_tree_stream(g, gen), prof) for _ in range(t)]
+        trees = [reweight_tree(sample_tree_stream(g, gen), lev) for _ in range(t)]
         want = normalized_pencil(eig_frame(laplacian(g)), average_trees(trees))
         got = _sum_trees_trial(run, seed)
         for a, b in zip(got, want):
@@ -207,7 +207,7 @@ def test_sum_trees_trial_matches_edge_id_route(name, g):
     # per-tree edge-id lists count, so the extremes agree bit for bit.
     t = 7
     run = _pencil_run(g, t)
-    edge_weights = g.edge_arrays[2] / leverage_scores(g).values
+    edge_weights = g.edge_arrays[2] / leverage_scores(g)
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
@@ -225,7 +225,7 @@ def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
     # grounded L_G each call.
     t = 7
     run = _pencil_run(g, t)
-    edge_weights = g.edge_arrays[2] / leverage_scores(g).values
+    edge_weights = g.edge_arrays[2] / leverage_scores(g)
     chol = np.linalg.cholesky(laplacian(g)[1:, 1:])
     frame = np.vstack((np.zeros((1, g.n - 1)), np.tril(np.linalg.inv(chol)).T))
     for seed in range(3):
@@ -254,12 +254,12 @@ def test_certify_run_holds_no_dense_laplacian():
 def test_single_tree_runners_match_tree_object_route(name, g):
     # Oracle: one validated SpanningTree per seed, reweighted by its
     # leverage.
-    frame, prof = laplacian_frame(g), leverage_scores(g)
+    frame, lev = laplacian_frame(g), leverage_scores(g)
     seeds = range(5, 9)
     want = []
     for seed in seeds:
         tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
-        want.append(normalized_pencil(frame, average_trees([reweight_tree(tree, prof)])))
+        want.append(normalized_pencil(frame, average_trees([reweight_tree(tree, lev)])))
     upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])
     assert upper.results["extremes"] == want
 
@@ -490,7 +490,7 @@ def test_clique_leverage_value_matches_triangle():
 def test_clique_leverage_factorization_identity(cliques, size):
     # The one-clique shortcut must agree with the full-graph pseudoinverse.
     g = clique_star(cliques, size)
-    full = leverage_scores(g).values
+    full = leverage_scores(g)
     assert np.abs(full - clique_leverage_value(size)).max() <= 1e-10
 
 
@@ -501,6 +501,10 @@ def test_multi_tree_lower_window_refusal():
         run_multi_tree_lower(2, 100, eps=0.6, trials=2, base_seed=0)  # above 1/2
     with pytest.raises(ValueError, match="need t >= 1"):
         run_multi_tree_lower(1, 4, eps=0.4, trials=2, base_seed=0, t=0)
+    # an explicit t still needs eps in (0, 1)
+    for eps in (0.0, -0.3, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"need eps in \(0, 1\)"):
+            run_multi_tree_lower(2, 5, eps=eps, trials=2, base_seed=0, t=3)
     # an explicit t runs anyway but records the violated window
     report = run_multi_tree_lower(1, 4, eps=0.4, trials=2, base_seed=0, t=1)
     assert not report.results["eps_window_ok"]

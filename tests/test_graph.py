@@ -7,7 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from corpus import SMALL, path_graph, random_connected_graph, star_graph, weighted_triangle
+from corpus import (
+    SMALL,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    weighted_triangle,
+    write_graph,
+)
 from enumeration_oracle import UnionFind
 from treespark.graph import (
     DisconnectedGraphError,
@@ -21,7 +28,6 @@ from treespark.graph import (
     laplacian,
     read_graph,
     ring_graph,
-    write_graph,
 )
 
 

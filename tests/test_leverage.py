@@ -33,8 +33,8 @@ from treespark.graph import (
 )
 from treespark.leverage import (
     InvalidConditioningError,
-    LeverageProfile,
     TransferCurrent,
+    _check_scores,
     _laplacian_pinv,
     conditional_marginals,
     laplacian_frame,
@@ -45,57 +45,56 @@ from treespark.spectral import eig_sym
 
 def test_tree_leverage_all_one():
     for g in (path_graph(5), star_graph(6)):
-        assert np.allclose(leverage_scores(g).values, 1.0, atol=1e-12)
+        assert np.allclose(leverage_scores(g), 1.0, atol=1e-12)
 
 
 def test_triangle_leverage():
-    assert np.allclose(leverage_scores(triangle()).values, 2.0 / 3.0, atol=1e-12)
+    assert np.allclose(leverage_scores(triangle()), 2.0 / 3.0, atol=1e-12)
 
 
 def test_weighted_triangle_leverage_frozen():
     # Series/parallel reduction gives exactly (3/5, 3/5, 4/5).
-    got = leverage_scores(weighted_triangle()).values
+    got = leverage_scores(weighted_triangle())
     assert np.allclose(got, [0.6, 0.6, 0.8], atol=1e-12)
 
 
 def test_parallel_pair_leverage():
-    got = leverage_scores(parallel_pair()).values
+    got = leverage_scores(parallel_pair())
     assert np.allclose(got, np.array([1.0, 2.0, 0.5]) / 3.5, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,g", SMALL)
 def test_foster_identity(name, g):
-    total = math.fsum(leverage_scores(g).values.tolist())
+    total = math.fsum(leverage_scores(g).tolist())
     assert abs(total - (g.n - 1)) <= 1e-8
 
 
 @pytest.mark.parametrize("name,g", SMALL)
 def test_leverage_in_unit_interval(name, g):
-    vals = leverage_scores(g).values
+    vals = leverage_scores(g)
     assert np.all(vals > 0.0)
     assert np.all(vals <= 1.0 + 1e-10)
+    assert vals.shape == (g.m,) and not vals.flags.writeable
 
 
 def test_profile_validation():
-    g = triangle()
+    n = triangle().n
     with pytest.raises(ValueError):
-        LeverageProfile(g, np.array([0.5, 0.5, 0.5]))  # sum is 1.5, not 2
+        _check_scores(np.array([0.5, 0.5, 0.5]), n)  # sum is 1.5, not 2
     with pytest.raises(ValueError):
-        LeverageProfile(g, np.array([0.0, 1.0, 1.0]))  # zero score
+        _check_scores(np.array([0.0, 1.0, 1.0]), n)  # zero score
     with pytest.raises(ValueError):
-        LeverageProfile(g, np.array([1.2, 0.4, 0.4]))  # above 1
-    with pytest.raises(ValueError, match="expected 3 scores"):
-        LeverageProfile(g, np.array([[0.5, 0.5, 1.0]]))
+        _check_scores(np.array([1.2, 0.4, 0.4]), n)  # above 1
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="must lie in"):
-            LeverageProfile(g, np.array([bad, 1.0, 1.0]))
+            _check_scores(np.array([bad, 1.0, 1.0]), n)
 
 
 def test_empty_state_matches_leverage():
     for _, g in SMALL[:8]:
         state = ContractionState.initial(g)
         assert np.allclose(
-            conditional_marginals(g, state.contracted), leverage_scores(g).values, atol=1e-12
+            conditional_marginals(g, state.contracted), leverage_scores(g), atol=1e-12
         )
 
 
@@ -117,7 +116,7 @@ def test_weighted_triangle_conditional_frozen():
 @pytest.mark.parametrize("name,g", SMALL)
 def test_conditioning_never_raises_marginals(name, g):
     # Conditioning on one edge can only shrink the other marginals.
-    base = leverage_scores(g).values
+    base = leverage_scores(g)
     for eid in range(g.m):
         if base[eid] > 1.0 - 1e-9:
             continue  # bridge: conditioning is vacuous
@@ -199,7 +198,7 @@ def test_chained_contraction_order_independent():
     for _, g in SMALL:
         if g.n < 3 or g.m > 12:
             continue
-        lev = leverage_scores(g).values
+        lev = leverage_scores(g)
         # grow a random 2-edge forest
         for _ in range(4):
             ids = [int(i) for i in gen.permutation(g.m)[:2]]
@@ -387,7 +386,7 @@ def test_dense_leverage_matches_frame_row_differences(heavy):
     scaled = laplacian_frame(g)
     us, vs, ws = g.edge_arrays
     want = ws * ((scaled[us] - scaled[vs]) ** 2).sum(axis=1)
-    assert np.all(np.abs(leverage_scores(g).values - want) <= 1e-12 * want)
+    assert np.all(np.abs(leverage_scores(g) - want) <= 1e-12 * want)
 
 
 def test_leverage_scores_survive_a_weight_range_of_1e400(tmp_path):
@@ -398,7 +397,7 @@ def test_leverage_scores_survive_a_weight_range_of_1e400(tmp_path):
     path = tmp_path / "range.graph"
     path.write_text("4 4\n0 1 1e200\n1 2 1\n2 3 1e-200\n3 0 1\n")
     g = read_graph(str(path))
-    got = leverage_scores(g).values
+    got = leverage_scores(g)
     with mpmath.workdps(50):
         ws = [mpmath.mpf(w) for _, _, w in g.edges]
         for e, w in enumerate(ws):
@@ -458,6 +457,14 @@ def test_leverage_scores_refuse_a_graph_the_grounded_factor_cannot_carry():
     edges = [(v, (v + 1) % 8, 1e20 if v in (1, 5) else 1.0) for v in range(8)]
     with pytest.raises(ValueError, match="not numerically positive definite"):
         leverage_scores(WeightedGraph(8, edges))
+
+
+def test_leverage_scores_refuse_scores_that_miss_foster_identity():
+    # A 1e8 edge halfway round a 50-cycle from the grounded vertex 0: the
+    # factor survives, but the scores sum 8e-8 short of n - 1.
+    edges = [(v, (v + 1) % 50, 1e8 if v == 25 else 1.0) for v in range(50)]
+    with pytest.raises(ValueError, match=r"leverage scores sum to 48\.9999999\d*, expected 49"):
+        leverage_scores(WeightedGraph(50, edges))
 
 
 def test_size_guard_on_large_graph():

@@ -215,7 +215,7 @@ def test_psd_leq_every_triangle_tree_below_triple():
     g = triangle()
     lap = laplacian(g)
     table = enumerate_trees(g)
-    lev = leverage_scores(g).values
+    lev = leverage_scores(g)
     for ids in table.trees:
         lt = np.zeros((3, 3))
         for eid in ids:

@@ -29,7 +29,6 @@ from treespark.leverage import TransferCurrent, leverage_scores
 from treespark.spectral import eig_sym, psd_leq
 from treespark.srdiag import (
     TRACE_EDGE_CAP,
-    BinomialTailQuery,
     _trace_frame,
     check_stirling_binom_lower,
     check_step_variance_bound,
@@ -154,7 +153,7 @@ def test_shrinking_size_guard():
 
 
 def _edge_matrix(g, eid):
-    lev = leverage_scores(g).values
+    lev = leverage_scores(g)
     p = pinv_power(eig_sym(laplacian(g)), 0.5)
     u, v, w = g.edges[eid]
     x = math.sqrt(w / lev[eid]) * (p[u] - p[v])
@@ -460,19 +459,12 @@ def test_binomial_tail_deep_log_space():
 
 
 def test_binomial_tail_query_validation():
-    BinomialTailQuery(10, 0.5, 5)
-    with pytest.raises(ValueError):
-        BinomialTailQuery(0, 0.5, 0)
-    with pytest.raises(ValueError):
-        BinomialTailQuery(10, 0.0, 5)
-    with pytest.raises(ValueError):
-        BinomialTailQuery(10, 0.6, 5)
-    with pytest.raises(ValueError):
-        BinomialTailQuery(10, 0.5, -1)
-    with pytest.raises(ValueError):
-        BinomialTailQuery(10, 0.5, 11)
-    with pytest.raises(ValueError):
-        BinomialTailQuery(10, 0.5, 5.5)
+    bad = [(0, 0.5, 0), (10, 0.0, 5), (10, 0.6, 5), (10, 0.5, -1), (10, 0.5, 11), (10, 0.5, 5.5)]
+    for tail in (log_binomial_tail, log_binomial_tail_lower):
+        assert math.isfinite(tail(10, 0.5, 5))
+        for k, p, threshold in bad:
+            with pytest.raises(ValueError):
+                tail(k, p, threshold)
 
 
 # ---------------------------------------------------------------------------

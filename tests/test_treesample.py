@@ -112,7 +112,7 @@ def test_enumerate_probabilities_sum_to_one():
 @pytest.mark.parametrize("name,g", [(n, g) for n, g in SMALL if g.m <= 12])
 def test_enumeration_marginals_match_leverage(name, g):
     got = enumerate_trees(g).marginals()
-    want = leverage_scores(g).values
+    want = leverage_scores(g)
     assert np.abs(got - want).max() <= 1e-10
 
 
@@ -151,7 +151,7 @@ def test_edge_frequencies_match_leverage_within_4_sigma():
     g = complete_graph(4)
     samples = 200000
     freqs = tree_edge_counts(g, philox_stream(107), samples) / samples
-    lev = leverage_scores(g).values
+    lev = leverage_scores(g)
     for eid in range(g.m):
         sigma = math.sqrt(lev[eid] * (1.0 - lev[eid]) / samples)
         assert abs(freqs[eid] - lev[eid]) <= 4.0 * sigma + 1e-9
@@ -163,7 +163,7 @@ def test_inverse_leverage_average_is_unbiased():
     g = complete_graph(5)
     samples = 100000
     freqs = tree_edge_counts(g, philox_stream(109), samples) / samples
-    lev = leverage_scores(g).values
+    lev = leverage_scores(g)
     for eid in range(g.m):
         sigma = math.sqrt(lev[eid] * (1.0 - lev[eid]) / samples)
         assert abs(freqs[eid] - lev[eid]) <= 5.0 * sigma
@@ -171,18 +171,18 @@ def test_inverse_leverage_average_is_unbiased():
 
 def test_reweight_unit_triangle():
     g = triangle()
-    profile = leverage_scores(g)
+    lev = leverage_scores(g)
     tree = SpanningTree(g, (0, 1), (1.0, 1.0), "original")
-    got = reweight_tree(tree, profile)
+    got = reweight_tree(tree, lev)
     assert got.weight_mode == "inverse_leverage"
     assert got.weights == pytest.approx((1.5, 1.5))
 
 
 def test_reweight_complete_graph_halves_n():
     g = complete_graph(6)
-    profile = leverage_scores(g)
+    lev = leverage_scores(g)
     tree = sample_tree_wilson(g, 3)
-    got = reweight_tree(tree, profile)
+    got = reweight_tree(tree, lev)
     assert np.allclose(got.weights, 3.0, atol=1e-12)  # n/2 for K_n
 
 
@@ -215,12 +215,12 @@ def test_tree_laplacian_matches_manual():
 def test_average_probability_weighted_expectation_exact():
     # Probability-weighted average of all reweighted trees is exactly L_G.
     g = weighted_triangle()
-    profile = leverage_scores(g)
+    lev = leverage_scores(g)
     table = enumerate_trees(g)
     trees = []
     for ids in table.trees:
         ws = tuple(g.edges[e][2] for e in ids)
-        trees.append(reweight_tree(SpanningTree(g, ids, ws, "original"), profile))
+        trees.append(reweight_tree(SpanningTree(g, ids, ws, "original"), lev))
     avg = average_trees(trees, probabilities=table.probabilities)
     assert np.abs(avg - laplacian(g)).max() <= 1e-10
 
@@ -252,7 +252,7 @@ def test_average_validation():
 
 @pytest.mark.parametrize("name,g", [(n, g) for n, g in SMALL if g.n >= 3])
 def test_normalized_edge_matrices_have_unit_norm(name, g):
-    lev = leverage_scores(g).values
+    lev = leverage_scores(g)
     p = pinv_power(eig_sym(laplacian(g)), 0.5)
     for eid, (u, v, w) in enumerate(g.edges):
         x = math.sqrt(w / lev[eid]) * (p[u] - p[v])

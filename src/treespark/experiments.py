@@ -15,6 +15,8 @@ next to the data they gate.
 from __future__ import annotations
 
 import math
+import operator
+import os
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -106,7 +108,7 @@ def run_single_tree_upper(
     """
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
-    extremes = _run_trials(_pencil_run(g, 1), seeds)
+    extremes = _run_trials(partial(_sum_trees_trial, g, 1, _pencil_check(g)), seeds)
     highs = sorted(hi for _, hi in extremes)
     envelope = 100.0 * math.log(g.n)
     max_lambda = highs[-1]
@@ -132,20 +134,13 @@ def run_single_tree_upper(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TreeRun:
-    """What every trial of one seeded driver shares: ``check`` maps the
-    :func:`tree_edge_counts` of ``t`` trees to a trial's result, and is a
-    module-level function under :func:`functools.partial` so that pool
-    workers can receive it."""
-
-    g: WeightedGraph
-    t: int
-    check: Callable[[np.ndarray], object]
-
-
-def _check_tree_slots(t: int, n: int) -> None:
-    """Refuse ``t`` trees of ``n - 1`` edges before any frame is built."""
+def _check_tree_slots(t, n: int) -> int:
+    """``t`` as an int, refused unless ``t`` trees of ``n - 1`` edges fit
+    the cap; called before any frame is built."""
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise ValueError(f"need an integer t, got {t!r}") from None
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     if t * (n - 1) > MAX_TREE_SLOTS:
@@ -153,41 +148,44 @@ def _check_tree_slots(t: int, n: int) -> None:
             f"t = {t} trees on n = {n} vertices exceed the cap of "
             f"MAX_TREE_SLOTS = {MAX_TREE_SLOTS} tree-edge slots per trial"
         )
+    return t
 
 
-def _sum_trees_trial(run: _TreeRun, seed: int):
-    """``run.check`` on the edge counts of the ``run.t`` trees of ``seed``."""
-    return run.check(tree_edge_counts(run.g, philox_stream(seed), run.t))
+def _sum_trees_trial(g: WeightedGraph, t: int, check: Callable, seed: int):
+    """``check(g, counts, t)`` on the edge counts of the ``t`` trees of
+    ``seed``; a check is a module-level function under ``partial`` that
+    binds only its own data, so pool workers can receive it."""
+    return check(g, tree_edge_counts(g, philox_stream(seed), t), t)
 
 
 # Set only inside pool workers, by the executor's initializer, so each
-# worker receives the run once instead of once per trial.
-_WORKER_RUN: _TreeRun | None = None
+# worker receives the trial once instead of once per seed.
+_WORKER_TRIAL: Callable[[int], object] | None = None
 
 
-def _install_run(run: _TreeRun) -> None:
-    global _WORKER_RUN
-    _WORKER_RUN = run
+def _install_trial(trial: Callable[[int], object]) -> None:
+    global _WORKER_TRIAL
+    _WORKER_TRIAL = trial
 
 
 def _worker_trial(seed: int):
-    return _sum_trees_trial(_WORKER_RUN, seed)
+    return _WORKER_TRIAL(seed)
 
 
-def _run_trials(run: _TreeRun, seeds: list[int], jobs: int = 1) -> list:
-    """Every trial seed's check, in seed order.
+def _run_trials(trial: Callable[[int], object], seeds: list[int], jobs: int = 1) -> list:
+    """``trial(seed)`` for every seed, in seed order.
 
-    At most ``jobs`` worker processes run the trials, and never more
-    than there are seeds, since each worker receives the whole run;
-    one worker or none means the trials run in this process.
+    At most ``jobs`` worker processes run the trials, never more than
+    the CPUs or the seeds (each worker receives the whole trial); one
+    worker or none means the trials run in this process.
     """
-    workers = min(jobs, len(seeds))
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
     if workers <= 1:
-        return [_sum_trees_trial(run, seed) for seed in seeds]
+        return [trial(seed) for seed in seeds]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_install_run, initargs=(run,)
+        max_workers=workers, initializer=_install_trial, initargs=(trial,)
     ) as pool:
         return list(pool.map(_worker_trial, seeds))
 
@@ -198,7 +196,7 @@ def _inverse_leverage_weights(g: WeightedGraph, lev) -> np.ndarray:
     return g.edge_arrays[2] / lev
 
 
-def _pencil_extremes(g: WeightedGraph, edge_weights, t: int, counts) -> tuple[float, float]:
+def _pencil_extremes(edge_weights, g: WeightedGraph, counts, t: int) -> tuple[float, float]:
     """Pencil extremes of ``t`` trees with these edge counts, averaged
     with edge e weighted ``edge_weights[e]``; on the same stream this
     equals ``normalized_pencil(frame, average_trees([reweight_tree(
@@ -206,11 +204,11 @@ def _pencil_extremes(g: WeightedGraph, edge_weights, t: int, counts) -> tuple[fl
     return normalized_pencil(laplacian_frame(g), laplacian(g, counts * edge_weights / t))
 
 
-def _pencil_run(g: WeightedGraph, t: int) -> _TreeRun:
-    """Pencil check of inverse-leverage trees.  Leverage scores build the
-    cached :func:`laplacian_frame`, so pool workers inherit it."""
-    weights = _inverse_leverage_weights(g, leverage_scores(g))
-    return _TreeRun(g, t, partial(_pencil_extremes, g, weights, t))
+def _pencil_check(g: WeightedGraph) -> Callable:
+    """Pencil check of inverse-leverage trees, for any tree count.
+    Leverage scores build the cached :func:`laplacian_frame`, so pool
+    workers inherit it."""
+    return partial(_pencil_extremes, _inverse_leverage_weights(g, leverage_scores(g)))
 
 
 def run_sum_trees(
@@ -231,8 +229,8 @@ def run_sum_trees(
     with ``t * (n - 1) > MAX_TREE_SLOTS`` is refused before L_G is
     factored.  A trial passes when both extremes fall inside the window;
     the report gate is the fraction of passing trials required, 0.9 by
-    default.  With ``jobs > 1`` trials run in up to ``jobs`` separate
-    processes, each of which receives the leverage weights and the
+    default.  With ``jobs > 1`` trials run in up to ``jobs`` processes,
+    no more than the CPUs, each receiving the leverage weights and the
     factored L_G once; per-trial seeds are ``base_seed + trial_index``
     either way, so results do not depend on the schedule.
     """
@@ -249,8 +247,8 @@ def run_sum_trees(
             raise ValueError(f"t is not finite for eps = {eps!r}, c_mult = {c_mult!r}") from None
     else:
         c_mult = None  # an explicit t leaves the multiplier unused
-    _check_tree_slots(t, g.n)
-    extremes = _run_trials(_pencil_run(g, t), seeds, jobs)
+    t = _check_tree_slots(t, g.n)
+    extremes = _run_trials(partial(_sum_trees_trial, g, t, _pencil_check(g)), seeds, jobs)
     ok = [lo >= 1.0 - eps and hi <= 1.0 + eps for lo, hi in extremes]
     pass_fraction = sum(ok) / trials
     # Increments of the tree average have range 1/t in the normalised frame.
@@ -262,7 +260,7 @@ def run_sum_trees(
         start,
         config,
         eps_target=eps,
-        t=int(t),
+        t=t,
         c_mult=c_mult,
         trials=trials,
         seeds=seeds,
@@ -292,7 +290,7 @@ def clique_leverage_value(clique_size: int) -> float:
     return 2.0 / clique_size
 
 
-def _degree_violation(g: WeightedGraph, edge_weights, t: int, lo_win, hi_win, counts) -> bool:
+def _degree_violation(edge_weights, lo_win, hi_win, g: WeightedGraph, counts, t: int) -> bool:
     """Whether the average of ``t`` trees weighted ``edge_weights``
     leaves a vertex's weighted degree outside ``(lo_win, hi_win)``."""
     avg_deg = g.weighted_degrees(counts * edge_weights) / t
@@ -336,12 +334,12 @@ def run_multi_tree_lower(
                 f"eps = {eps} outside the admissible window ({window[0]:g}, {window[1]:g})"
             )
         t = max(1, math.floor(t_formula))
-    _check_tree_slots(t, g.n)
+    t = _check_tree_slots(t, g.n)
     lev = clique_leverage_value(clique_size)
     deg = g.weighted_degrees()
     weights = _inverse_leverage_weights(g, lev)
-    check = partial(_degree_violation, g, weights, t, (1.0 - eps) * deg, (1.0 + eps) * deg)
-    violations = _run_trials(_TreeRun(g, t, check), seeds)
+    check = partial(_degree_violation, weights, (1.0 - eps) * deg, (1.0 + eps) * deg)
+    violations = _run_trials(partial(_sum_trees_trial, g, t, check), seeds)
     return _report(
         "multi_tree_lower",
         f"cliquestar:{num_cliques},{clique_size}",
@@ -351,7 +349,7 @@ def run_multi_tree_lower(
         num_cliques=num_cliques,
         clique_size=clique_size,
         eps=eps,
-        t=int(t),
+        t=t,
         t_formula=t_formula,
         eps_window=window,
         eps_window_ok=window_ok,
@@ -365,9 +363,9 @@ def run_multi_tree_lower(
     )
 
 
-def _star_ratio(g: WeightedGraph, edge_weights, counts: np.ndarray) -> tuple[int, float]:
-    """Max tree degree ``d`` over non-hub vertices of one tree, given by
-    its edge counts, and its star vector's quadratic-form ratio."""
+def _star_ratio(edge_weights, g: WeightedGraph, counts: np.ndarray, t: int) -> tuple[int, float]:
+    """Max tree degree ``d`` over non-hub vertices of the one tree (t = 1)
+    with these edge counts, and its star vector's quadratic-form ratio."""
     us, vs, ws = g.edge_arrays
     ids = np.flatnonzero(counts)
     tu, tv = us[ids], vs[ids]
@@ -404,8 +402,8 @@ def run_single_tree_lower(
     start = time.perf_counter()
     g = clique_star(num_cliques, clique_size)
     lev = clique_leverage_value(clique_size)
-    check = partial(_star_ratio, g, _inverse_leverage_weights(g, lev))
-    stars = _run_trials(_TreeRun(g, 1, check), seeds)
+    check = partial(_star_ratio, _inverse_leverage_weights(g, lev))
+    stars = _run_trials(partial(_sum_trees_trial, g, 1, check), seeds)
     max_degrees, ratios = map(list, zip(*stars))
     factors = [d / 2.0 for d in max_degrees]
     certified = [ratio > f for ratio, f in zip(ratios, factors)]

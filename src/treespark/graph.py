@@ -325,11 +325,19 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> WeightedGraph:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     gen = philox_stream(seed)
-    us, vs = np.triu_indices(n, 1)
+    # One variate per vertex pair u < v in row-major order, drawn 2^16
+    # at a time: the sequence one call for every pair would draw.  Pair
+    # k lies in row u, the first with row_ends[u] > k.
+    pairs, block = n * (n - 1) // 2, 1 << 16
+    starts = range(0, pairs, block)
+    row_ends = np.cumsum(np.arange(n - 1, 0, -1))
     for _ in range(ER_MAX_ATTEMPTS):
-        picked = np.flatnonzero(gen.random(len(us)) < p)
+        picked = np.concatenate(
+            [lo + np.flatnonzero(gen.random(min(block, pairs - lo)) < p) for lo in starts]
+        )
+        us = np.searchsorted(row_ends, picked, side="right")
         try:
-            return WeightedGraph(n, _unit_edges(us[picked], vs[picked]))
+            return WeightedGraph(n, _unit_edges(us, picked - row_ends[us] + n))
         except DisconnectedGraphError:
             continue
     raise ValueError(f"no connected G({n}, {p}) draw within {ER_MAX_ATTEMPTS} attempts")

@@ -156,7 +156,6 @@ class MartingaleTrace:
     zero_mean_residuals: tuple[float, ...]
     second_moment_norms: tuple[float, ...]
     second_moments: tuple
-    variations: tuple
 
     @property
     def k(self) -> int:
@@ -264,7 +263,6 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
 
     cond_expectations = [expect_prev]
     second_moments = []
-    variations = []
     # Per step: conditional mean, zero-mean residual, realised increment,
     # running variation and second moment, normed together after the loop.
     normed = []
@@ -285,7 +283,6 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         second = (probs @ (increments @ increments).reshape(c, -1)).reshape(k, k)
         second_moments.append(second)
         variation = variation + second
-        variations.append(variation)
 
         chosen = ordering[i - 1]
         hits = np.flatnonzero(candidates == chosen)
@@ -316,7 +313,6 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         zero_mean_residuals=zero_mean_residuals,
         second_moment_norms=second_norms,
         second_moments=tuple(second_moments),
-        variations=tuple(variations),
     )
 
 

@@ -6,8 +6,8 @@ walks step to a neighbour with probability proportional to the incident
 edge weight, loops are erased implicitly by overwriting each vertex's
 last exit choice, and the tree rooted at vertex 0 is returned as every
 vertex's exit choice.  :func:`wilson_tree_batches` stacks such trees
-into edge-id rows, certified a stack at a time through their parents
-by :func:`check_parent_trees`.
+into edge-id rows, certified a stack at a time from those ids alone by
+:func:`check_parent_trees`.
 :func:`tree_edge_counts` sums those batches into the per-edge counts
 every tree average is built from.  Randomness comes from
 :func:`~treespark.graph.philox_stream`, so a seed fully determines the
@@ -58,34 +58,31 @@ def check_tree_ids(g: WeightedGraph, ids) -> None:
         raise ValueError("tree edges close a cycle and leave a vertex unreached")
 
 
-def check_parent_trees(g: WeightedGraph, parents, edge_ids) -> None:
+def check_parent_trees(g: WeightedGraph, edge_ids) -> None:
     """Raise ValueError unless every row is a spanning tree rooted at 0.
 
-    Row ``i`` gives each vertex ``v != 0``, at column ``v - 1``, a parent
-    ``parents[i, v - 1]`` and the id ``edge_ids[i, v - 1]`` of an edge
-    joining the two.  Parent pointers that all lead to the root span
-    every vertex with ``n - 1`` links and no cycle, and an edge joins
-    exactly one child to its parent, so the edges form a spanning tree
-    of ``g``.  A repeated edge would make its two ends each other's
+    Row ``i`` gives each vertex ``v != 0``, at column ``v - 1``, the id
+    ``edge_ids[i, v - 1]`` of an edge touching ``v``, and ``v``'s parent
+    is that edge's other end.  Parent pointers that all lead to the root
+    span every vertex with ``n - 1`` links and no cycle, and an edge
+    joins exactly one child to its parent, so the edges form a spanning
+    tree of ``g``.  A repeated edge would make its two ends each other's
     parents, a cycle that misses the root.  Pointer jumping settles all
     rows at once in ``ceil(log2 n)`` gathers.
     """
-    n, m = g.n, g.m
-    parents = np.asarray(parents, dtype=np.int64)
+    n = g.n
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    if parents.ndim != 2 or parents.shape[1] != n - 1 or edge_ids.shape != parents.shape:
-        raise ValueError(f"expected matching (trees, {n - 1}) parent and edge arrays")
-    if parents.size and (parents.min() < 0 or parents.max() >= n):
-        raise ValueError("parent vertex out of range")
-    if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= m):
+    if edge_ids.ndim != 2 or edge_ids.shape[1] != n - 1:
+        raise ValueError(f"expected a (trees, {n - 1}) edge id array")
+    if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= g.m):
         raise ValueError("edge id out of range")
     us, vs, _ = g.edge_arrays
+    lo, hi = us[edge_ids], vs[edge_ids]
     child = np.arange(1, n)
-    lo, hi = np.minimum(child, parents), np.maximum(child, parents)
-    if not np.array_equal(us[edge_ids], lo) or not np.array_equal(vs[edge_ids], hi):
-        raise ValueError("an edge does not join its vertex to the vertex's parent")
-    jump = np.zeros((len(parents), n), dtype=np.int64)
-    jump[:, 1:] = parents
+    if not np.all((lo == child) | (hi == child)):
+        raise ValueError("an edge does not touch the vertex of its column")
+    jump = np.zeros((len(edge_ids), n), dtype=np.int64)
+    jump[:, 1:] = lo + hi - child
     for _ in range((n - 1).bit_length()):
         jump = np.take_along_axis(jump, jump, axis=1)
     if jump.any():
@@ -193,17 +190,16 @@ def wilson_tree_batches(g: WeightedGraph, gen: np.random.Generator, count: int):
     Each batch is one ``(trees, n - 1)`` int64 array of edge ids, a tree
     per row.  Trees come in the order :func:`sample_tree_stream` would
     draw them from the same generator, and :func:`check_parent_trees`
-    has certified every one through its parents.  A batch holds at most
+    has certified every one from its edge ids.  A batch holds at most
     ``_BATCH_SLOTS`` vertex slots, so long runs stay bounded in memory.
     """
-    offsets, nbr, eid = g.csr
+    offsets, _, eid = g.csr
     per_batch = max(1, _BATCH_SLOTS // g.n)
     for done in range(0, count, per_batch):
         size = min(per_batch, count - done)
         exits = np.array([_wilson_exits(g, gen) for _ in range(size)], dtype=np.int64)
-        at = offsets[1:-1] + exits[:, 1:]
-        ids = eid[at]
-        check_parent_trees(g, nbr[at], ids)
+        ids = eid[offsets[1:-1] + exits[:, 1:]]
+        check_parent_trees(g, ids)
         yield ids
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from treespark.graph import (
+    DisconnectedGraphError,
     WeightedGraph,
+    _unit_edges,
     clique_star,
     complete_graph,
     erdos_renyi_connected,
@@ -139,6 +141,21 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> WeightedGraph
         edges.append((u, v, draw_weight()))
         added += 1
     return WeightedGraph(n, tuple(edges))
+
+
+def erdos_renyi_triu(n: int, p: float, seed: int) -> tuple[WeightedGraph, int]:
+    """G(n, p) from one variate per vertex pair of ``np.triu_indices``, all
+    drawn in one call per attempt, and the number of rejected attempts:
+    the construction ``erdos_renyi_connected`` draws block by block."""
+    gen = philox_stream(seed)
+    us, vs = np.triu_indices(n, 1)
+    for attempt in range(1000):
+        picked = np.flatnonzero(gen.random(len(us)) < p)
+        try:
+            return WeightedGraph(n, _unit_edges(us[picked], vs[picked])), attempt
+        except DisconnectedGraphError:
+            continue
+    raise AssertionError("reference builder found no connected draw")
 
 
 def weighted_er(n: int, p: float, seed: int) -> WeightedGraph:

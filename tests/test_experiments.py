@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import pickle
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from enumeration_oracle import enumerate_trees
 from frame_oracle import eig_frame
 from treespark import experiments, leverage, spectral, srdiag, treesample
 from treespark.experiments import (
-    _pencil_run,
+    _pencil_check,
     _sum_trees_trial,
     clique_leverage_value,
     degree_reference_pmf,
@@ -155,6 +156,18 @@ def test_multi_tree_lower_caps_tree_slots(monkeypatch):
         run_multi_tree_lower(1, 4, eps=0.4, trials=1, base_seed=0, t=10)
 
 
+@pytest.mark.parametrize("t", [2.5, 4.0, "3"])
+def test_tree_drivers_refuse_a_t_that_is_not_an_integer(t):
+    # Refused by name before L_G is factored, not by a TypeError from
+    # inside the first trial.
+    misses = laplacian_frame.cache_info().misses
+    with pytest.raises(ValueError, match=r"need an integer t, got "):
+        run_sum_trees(complete_graph(6), eps=0.5, trials=1, base_seed=0, t=t)
+    assert laplacian_frame.cache_info().misses == misses
+    with pytest.raises(ValueError, match=r"need an integer t, got "):
+        run_multi_tree_lower(1, 4, eps=0.4, trials=1, base_seed=0, t=t)
+
+
 def test_sum_trees_rejects_bad_parameters():
     g = complete_graph(6)
     with pytest.raises(ValueError):
@@ -190,13 +203,13 @@ def test_sum_trees_trial_matches_tree_object_route(name, g):
     # Oracle: validated SpanningTree objects, reweighted one by one and
     # averaged, on the same Philox stream as the edge-id trial.
     t = 7
-    run = _pencil_run(g, t)
+    check = _pencil_check(g)
     lev = leverage_scores(g)
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         trees = [reweight_tree(sample_tree_stream(g, gen), lev) for _ in range(t)]
         want = normalized_pencil(eig_frame(laplacian(g)), average_trees(trees))
-        got = _sum_trees_trial(run, seed)
+        got = _sum_trees_trial(g, t, check, seed)
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -206,14 +219,14 @@ def test_sum_trees_trial_matches_edge_id_route(name, g):
     # The trial on stacked exit choices counts exactly the edges that the
     # per-tree edge-id lists count, so the extremes agree bit for bit.
     t = 7
-    run = _pencil_run(g, t)
+    check = _pencil_check(g)
     edge_weights = g.edge_arrays[2] / leverage_scores(g)
     for seed in range(3):
         gen = np.random.Generator(np.random.Philox(seed))
         ids = [e for _ in range(t) for e in _wilson_edge_ids(g, gen)]
         weights = np.bincount(ids, minlength=g.m) * edge_weights / t
         want = normalized_pencil(laplacian_frame(g), laplacian(g, weights))
-        assert _sum_trees_trial(run, seed) == want
+        assert _sum_trees_trial(g, t, check, seed) == want
 
 
 @pytest.mark.parametrize(
@@ -224,7 +237,7 @@ def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
     # that rebuilds M = [0; C^-T] from the Cholesky factor C of the
     # grounded L_G each call.
     t = 7
-    run = _pencil_run(g, t)
+    check = _pencil_check(g)
     edge_weights = g.edge_arrays[2] / leverage_scores(g)
     chol = np.linalg.cholesky(laplacian(g)[1:, 1:])
     frame = np.vstack((np.zeros((1, g.n - 1)), np.tril(np.linalg.inv(chol)).T))
@@ -234,16 +247,16 @@ def test_sum_trees_trial_matches_the_inline_pencil_bit_for_bit(g):
         lap_h = laplacian(g, np.bincount(ids, minlength=g.m) * edge_weights / t)
         core = frame.T @ lap_h @ frame
         want = np.linalg.eigvalsh((core + core.T) / 2.0)
-        assert _sum_trees_trial(run, seed) == (float(want[0]), float(want[-1]))
+        assert _sum_trees_trial(g, t, check, seed) == (float(want[0]), float(want[-1]))
 
 
 def test_certify_run_holds_no_dense_laplacian():
     g = complete_graph(12)
     laplacian_frame.cache_clear()
-    run = _pencil_run(g, 3)
-    assert [f.name for f in dataclasses.fields(run)] == ["g", "t", "check"]
-    held = [*vars(run).values(), *run.check.args]
-    assert not any(isinstance(value, np.ndarray) and value.shape == (g.n, g.n) for value in held)
+    check = _pencil_check(g)
+    # The check binds only its edge weights: the trial passes g and t.
+    assert [type(value) for value in check.args] == [np.ndarray]
+    assert check.args[0].shape == (g.m,) and not check.keywords
     # The frame exists before any pool forks, so workers inherit it.
     assert laplacian_frame.cache_info().misses == 1
     laplacian_frame(g)
@@ -401,13 +414,13 @@ def test_drivers_do_not_depend_on_the_batch_size(monkeypatch):
 
 def test_sum_trees_trial_rejects_a_walk_that_is_not_a_tree(monkeypatch):
     g = complete_graph(5)
-    run = _pencil_run(g, 3)
+    check = _pencil_check(g)
     # Vertex 1 exits towards 2 and vertex 2 towards 1: a cycle off the root.
     nbrs = g.adjacency[0]
     bad = [0, nbrs[1].index(2), nbrs[2].index(1), 0, 0]
     monkeypatch.setattr(treesample, "_wilson_exits", lambda g, gen: list(bad))
     with pytest.raises(ValueError, match="cycle that misses the root"):
-        _sum_trees_trial(run, 0)
+        _sum_trees_trial(g, 3, check, 0)
 
 
 def _count_eig_sym(monkeypatch) -> list:
@@ -783,6 +796,41 @@ def test_sum_trees_starts_no_more_workers_than_trials(monkeypatch):
         return real(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    # Enough CPUs that the trial count is the cap, on any machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     report = run_sum_trees(complete_graph(8), eps=0.5, trials=2, base_seed=3, t=2, jobs=4)
     assert sizes == [2]
     assert report.config["jobs"] == 4
+
+
+def test_sum_trees_starts_no_more_workers_than_cpus(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and runs the trials here: no process starts."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seeds):
+            return map(fn, seeds)
+
+    g = complete_graph(8)
+    kwargs = dict(eps=0.5, trials=64, base_seed=3, t=2)
+    serial = run_sum_trees(g, jobs=1, **kwargs)
+    monkeypatch.setattr(experiments, "_WORKER_TRIAL", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    wide = run_sum_trees(g, jobs=64, **kwargs)
+    assert sizes == [3]
+    assert wide.results["extremes"] == serial.results["extremes"]
+    assert wide.config["jobs"] == 64

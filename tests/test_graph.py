@@ -3,12 +3,14 @@
 import bisect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corpus import (
     SMALL,
+    erdos_renyi_triu,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -346,6 +348,33 @@ def test_erdos_renyi_matches_the_pair_list_builder(n, p, seed, rejected):
     want, attempts = _erdos_renyi_reference(n, p, seed)
     assert attempts == rejected
     assert erdos_renyi_connected(n, p, seed).edges == want.edges
+
+
+@pytest.mark.parametrize(
+    "n,p,seed,rejected",
+    [(2, 1.0, 0, 0), (363, 0.5, 1, 0), (400, 0.05, 5, 0), (1000, 0.01, 3, 1)],
+)
+def test_erdos_renyi_matches_the_one_call_builder(n, p, seed, rejected):
+    # 363 * 362 / 2 pairs straddle one variate block; 1000 vertices take
+    # eight blocks a draw, and a rejected draw before the kept one.
+    want, attempts = erdos_renyi_triu(n, p, seed)
+    assert attempts == rejected
+    got = erdos_renyi_connected(n, p, seed)
+    for a, b in zip(got.edge_arrays, want.edge_arrays):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_erdos_renyi_memory_does_not_grow_with_the_pair_count():
+    # About 4.5e6 vertex pairs and 13,500 edges: a variate per pair held
+    # at once would take 36 MB alone.
+    tracemalloc.start()
+    try:
+        g = erdos_renyi_connected(3000, 0.003, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 3000
+    assert peak < 20e6
 
 
 def test_erdos_renyi_rejects_bad_probability():

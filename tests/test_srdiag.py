@@ -214,8 +214,10 @@ def test_variation_monotone_in_psd_order():
     g = complete_graph(5)
     for seed in range(5):
         tr = martingale_trace(g, seed)
-        prev = np.zeros_like(tr.variations[0])
-        for w in tr.variations:
+        # The running predictable quadratic variation, step by step.
+        variations = np.cumsum(tr.second_moments, axis=0)
+        prev = np.zeros_like(variations[0])
+        for w in variations:
             assert psd_leq(prev, w).holds
             prev = w
 

@@ -197,17 +197,16 @@ def _cmd_certify(args) -> int:
         jobs=args.jobs,
         graph_desc=args.graph,
     )
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     if args.csv:
         write_extremes_csv(report, args.csv)
-    results = report.results
     if not args.json:
         print(
-            f"certify: pass_fraction={results['pass_fraction']:g} gate={results['gate']:g} "
-            f"{'PASS' if results['passed'] else 'FAIL'}",
+            f"certify: pass_fraction={report['pass_fraction']:g} gate={report['gate']:g} "
+            f"{'PASS' if report['passed'] else 'FAIL'}",
             file=sys.stderr,
         )
-    return EXIT_PASS if results["passed"] else EXIT_FAIL
+    return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
 def _diag_marginals(args) -> tuple[bool, dict]:

@@ -147,12 +147,12 @@ def test_criterion_05_single_tree_envelope_k500():
     with criterion(5, "single-tree spectral ceiling on K_500") as rec:
         report = run_single_tree_upper(complete_graph(500), trials=50, base_seed=777)
         envelope = 100.0 * math.log(500)
-        assert report.results["passed"]
-        assert report.results["max_lambda"] <= envelope
-        assert report.results["median_lambda"] <= 3.0 * math.log(500)
+        assert report["passed"]
+        assert report["max_lambda"] <= envelope
+        assert report["median_lambda"] <= 3.0 * math.log(500)
         rec["detail"] = (
-            f"[max {report.results['max_lambda']:.3f} <= {envelope:.1f}; "
-            f"median {report.results['median_lambda']:.3f} <= {3.0 * math.log(500):.2f}]"
+            f"[max {report['max_lambda']:.3f} <= {envelope:.1f}; "
+            f"median {report['median_lambda']:.3f} <= {3.0 * math.log(500):.2f}]"
         )
 
 
@@ -161,12 +161,12 @@ def test_criterion_06_tree_average_sparsifies_k200():
         report = run_sum_trees(
             complete_graph(200), eps=0.5, trials=10, base_seed=888, c_mult=1.0
         )
-        assert report.results["t"] == 113
-        assert report.results["pass_fraction"] >= 0.9
-        lo = min(l for l, _ in report.results["extremes"])
-        hi = max(h for _, h in report.results["extremes"])
+        assert report["t"] == 113
+        assert report["pass_fraction"] >= 0.9
+        lo = min(l for l, _ in report["extremes"])
+        hi = max(h for _, h in report["extremes"])
         rec["detail"] = (
-            f"[t=113, pass fraction {report.results['pass_fraction']:.2f}; extremes in "
+            f"[t=113, pass fraction {report['pass_fraction']:.2f}; extremes in "
             f"({lo:.3f}, {hi:.3f})]"
         )
 
@@ -174,13 +174,13 @@ def test_criterion_06_tree_average_sparsifies_k200():
 def test_criterion_07_few_trees_violate_cliquestar_degrees():
     with criterion(7, "few-tree averages fail on the clique-star") as rec:
         report = run_multi_tree_lower(100, 100, eps=0.4, trials=20, base_seed=999)
-        assert report.results["t"] == 2
-        assert report.results["eps_window_ok"]
-        assert abs(report.results["leverage_value"] - 0.02) <= 1e-12
-        assert report.results["violation_fraction"] >= 0.95
+        assert report["t"] == 2
+        assert report["eps_window_ok"]
+        assert abs(report["leverage_value"] - 0.02) <= 1e-12
+        assert report["violation_fraction"] >= 0.95
         rec["detail"] = (
-            f"[n={report.n}, t=2; violation fraction {report.results['violation_fraction']:.2f}; "
-            f"leverage via {report.results['leverage_method'].split('(')[0].strip()}]"
+            f"[n={report['n']}, t=2; violation fraction {report['violation_fraction']:.2f}; "
+            f"leverage via {report['leverage_method'].split('(')[0].strip()}]"
         )
 
 
@@ -195,9 +195,9 @@ def test_criterion_08_degree_law():
         pmf = degree_reference_pmf(3)
         assert max(abs(a - b) for a, b in zip(law, pmf)) <= 1e-14
         report = run_degree_dist(50, samples=200000, base_seed=555)
-        assert report.results["tv_distance"] <= 0.01
-        assert report.results["passed"]
-        rec["detail"] = f"[n=3 exact; n=50 TV {report.results['tv_distance']:.5f} <= 0.01]"
+        assert report["tv_distance"] <= 0.01
+        assert report["passed"]
+        rec["detail"] = f"[n=3 exact; n=50 TV {report['tv_distance']:.5f} <= 0.01]"
 
 
 def _mp_binomial_upper_tail(k: int, p, threshold: int):

@@ -651,7 +651,7 @@ def test_certify_json_names_each_setting_once(capsys):
     argv = ["certify", "--graph", "k:8", "--eps", "0.5", "--t", "2", "--trials", "3"]
     main(argv + ["--seed", "4", "--jobs", "1", "--json"])
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == DRIVER_KEYS["sum_trees"]
+    assert list(payload) == DRIVER_KEYS["sum_trees"]
     assert payload["kind"] == "sum_trees"
     assert payload["graph_desc"] == "k:8"
     assert (payload["t"], payload["c_mult"], payload["trials"]) == (2, None, 3)

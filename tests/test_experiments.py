@@ -1,7 +1,6 @@
 """Experiment harness reports: envelopes, sparsifier gates, lower-bound
 constructions, degree law and reproducibility."""
 
-import dataclasses
 import importlib.util
 import json
 import math
@@ -43,9 +42,7 @@ from treespark.treesample import (
 
 
 def _without_wallclock(report) -> dict:
-    d = report.to_dict()
-    d.pop("wallclock_sec")
-    return d
+    return {key: value for key, value in report.items() if key != "wallclock_sec"}
 
 
 # ---------------------------------------------------------------------------
@@ -55,27 +52,27 @@ def _without_wallclock(report) -> dict:
 
 def test_single_tree_upper_on_tree_graph():
     report = run_single_tree_upper(path_graph(6), trials=4, base_seed=0)
-    for lo, hi in report.results["extremes"]:
+    for lo, hi in report["extremes"]:
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
-    assert report.results["passed"]
-    assert report.results["envelope"] == pytest.approx(100.0 * math.log(6))
+    assert report["passed"]
+    assert report["envelope"] == pytest.approx(100.0 * math.log(6))
 
 
 def test_single_tree_upper_ring_recorded():
     report = run_single_tree_upper(ring_graph(100), trials=50, base_seed=1)
-    assert report.results["passed"]  # envelope 100 ln 100 is generous at this size
-    assert report.results["max_lambda"] > 1.0
-    assert report.results["median_lambda"] <= report.results["max_lambda"]
-    assert report.results["empirical_constant"] == pytest.approx(
-        report.results["max_lambda"] / math.log(100)
+    assert report["passed"]  # envelope 100 ln 100 is generous at this size
+    assert report["max_lambda"] > 1.0
+    assert report["median_lambda"] <= report["max_lambda"]
+    assert report["empirical_constant"] == pytest.approx(
+        report["max_lambda"] / math.log(100)
     )
-    assert len(report.results["extremes"]) == 50
+    assert len(report["extremes"]) == 50
 
 
 def test_single_tree_upper_json_round_trip():
     report = run_single_tree_upper(complete_graph(8), trials=3, base_seed=2)
-    payload = json.dumps(report.to_dict())
+    payload = json.dumps(report)
     assert json.loads(payload)["kind"] == "single_tree_upper"
     assert json.loads(payload)["config"]["ln_n"] == pytest.approx(math.log(8))
     assert json.loads(payload)["config"]["log2_n"] == pytest.approx(math.log2(8))
@@ -88,16 +85,16 @@ def test_single_tree_upper_json_round_trip():
 
 def test_sum_trees_tree_graph_exact():
     report = run_sum_trees(path_graph(5), eps=0.1, trials=3, base_seed=0, t=1)
-    assert report.results["pass_fraction"] == 1.0
-    for lo, hi in report.results["extremes"]:
+    assert report["pass_fraction"] == 1.0
+    for lo, hi in report["extremes"]:
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sum_trees_single_tree_cannot_approximate_k200():
     report = run_sum_trees(complete_graph(200), eps=0.5, trials=10, base_seed=3, t=1)
-    assert report.results["pass_fraction"] == 0.0
-    assert not report.results["passed"]
+    assert report["pass_fraction"] == 0.0
+    assert not report["passed"]
 
 
 @pytest.mark.parametrize("n", [100, 400, 1000])
@@ -107,20 +104,20 @@ def test_single_ring_tree_has_exact_pencil_extremes(n):
     # extremes are exactly (1/(n-1), n/(n-1)).
     report = run_single_tree_upper(ring_graph(n), trials=2, base_seed=0)
     want = (1.0 / (n - 1), n / (n - 1.0))
-    for extremes in report.extremes:
+    for extremes in report["extremes"]:
         for got, exact in zip(extremes, want):
             assert abs(got - exact) <= 1e-11 * exact
 
 
 def test_sum_trees_default_t_formula():
     report = run_sum_trees(complete_graph(16), eps=0.5, trials=2, base_seed=4)
-    assert report.results["t"] == math.ceil(0.5**-2 * math.log(16) ** 2)
-    assert report.results["c_mult"] == 1.0
-    assert report.config["range_per_tree"] == pytest.approx(1.0 / report.results["t"])
+    assert report["t"] == math.ceil(0.5**-2 * math.log(16) ** 2)
+    assert report["c_mult"] == 1.0
+    assert report["config"]["range_per_tree"] == pytest.approx(1.0 / report["t"])
     # An explicit t leaves c_mult unused, so it is not reported.
     g = complete_graph(6)
-    assert run_sum_trees(g, 0.5, 2, 0, t=4).results["c_mult"] is None
-    assert run_sum_trees(g, 0.5, 2, 0, c_mult=3.0, t=4).results["c_mult"] is None
+    assert run_sum_trees(g, 0.5, 2, 0, t=4)["c_mult"] is None
+    assert run_sum_trees(g, 0.5, 2, 0, c_mult=3.0, t=4)["c_mult"] is None
     # the desk-scale reference instance resolves to t = 113
     assert math.ceil(1.0 * 0.5**-2 * math.log(200) ** 2) == 113
 
@@ -146,7 +143,7 @@ def test_sum_trees_caps_tree_slots(monkeypatch):
         run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=6)
     assert calls == []
     assert laplacian_frame.cache_info().misses == 0
-    assert run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=5).results["t"] == 5
+    assert run_sum_trees(g, eps=0.5, trials=1, base_seed=0, t=5)["t"] == 5
 
 
 def test_multi_tree_lower_caps_tree_slots(monkeypatch):
@@ -188,8 +185,8 @@ def test_sum_trees_parallel_matches_serial():
         kwargs = dict(eps=0.5, trials=4, base_seed=7, t=5)
         serial = run_sum_trees(g, jobs=1, **kwargs)
         parallel = run_sum_trees(g, jobs=2, **kwargs)
-        assert serial.results["extremes"] == parallel.results["extremes"]
-        assert serial.results["pass_fraction"] == parallel.results["pass_fraction"]
+        assert serial["extremes"] == parallel["extremes"]
+        assert serial["pass_fraction"] == parallel["pass_fraction"]
 
 
 ORACLE_GRAPHS = [(name, g) for name, g in SMALL if g.n >= 3] + [
@@ -274,7 +271,7 @@ def test_single_tree_runners_match_tree_object_route(name, g):
         tree = sample_tree_stream(g, np.random.Generator(np.random.Philox(seed)))
         want.append(normalized_pencil(frame, average_trees([reweight_tree(tree, lev)])))
     upper = run_single_tree_upper(g, trials=len(seeds), base_seed=seeds[0])
-    assert upper.results["extremes"] == want
+    assert upper["extremes"] == want
 
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS)
@@ -314,7 +311,7 @@ def test_multi_tree_lower_matches_edge_id_route(cliques, size):
         high, low = avg_deg > (1.0 + eps) * base_deg, avg_deg < (1.0 - eps) * base_deg
         want.append(bool(np.any(high) or np.any(low)))
     report = run_multi_tree_lower(cliques, size, eps=eps, trials=trials, base_seed=base_seed, t=t)
-    assert report.results["violations"] == want
+    assert report["violations"] == want
 
 
 # Violations of seeds 0..59 ("1" = violated), captured at the version that
@@ -340,7 +337,7 @@ MULTI_TREE_VIOLATIONS.update(
 def test_multi_tree_lower_violations_match_their_goldens(key):
     cliques, size, eps, t = key
     report = run_multi_tree_lower(cliques, size, eps=eps, trials=60, base_seed=0, t=t)
-    got = "".join("1" if v else "0" for v in report.results["violations"])
+    got = "".join("1" if v else "0" for v in report["violations"])
     assert got == MULTI_TREE_VIOLATIONS[key]
 
 
@@ -372,9 +369,9 @@ def test_single_tree_lower_matches_edge_id_route(cliques, size):
         tree_form = sum(w * inv_lev * (x[u] - x[v]) ** 2 for u, v, w in tree_edges)
         parent_form = sum(w * (x[u] - x[v]) ** 2 for u, v, w in g.edges)
         ratio = tree_form / parent_form
-        assert report.results["max_degrees"][j] == deg[center]
-        assert report.results["certified"][j] == (ratio > deg[center] / 2.0)
-        assert abs(report.results["quadform_ratios"][j] - ratio) <= 1e-12 * ratio
+        assert report["max_degrees"][j] == deg[center]
+        assert report["certified"][j] == (ratio > deg[center] / 2.0)
+        assert abs(report["quadform_ratios"][j] - ratio) <= 1e-12 * ratio
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
@@ -386,24 +383,24 @@ def test_degree_dist_matches_edge_id_route(n):
     g = complete_graph(n)
     for _ in range(samples):
         counts[sum(1 for eid in _wilson_edge_ids(g, gen) if eid < n - 1) - 1] += 1
-    assert run_degree_dist(n, samples=samples, base_seed=11).results["counts"] == counts
+    assert run_degree_dist(n, samples=samples, base_seed=11)["counts"] == counts
 
 
 def test_drivers_do_not_depend_on_the_batch_size(monkeypatch):
     def outputs():
         return (
-            run_degree_dist(7, samples=300, base_seed=3).results["counts"],
+            run_degree_dist(7, samples=300, base_seed=3)["counts"],
             run_multi_tree_lower(
                 3, 5, eps=0.4, trials=3, base_seed=2, t=40
-            ).results["violations"],
+            )["violations"],
             (
                 tree_edge_counts(random_connected_graph(24, 30, seed=2), philox_stream(4), 200)
                 / 200
             ).tolist(),
             run_sum_trees(
                 complete_graph(9), eps=0.5, trials=2, base_seed=1, t=25
-            ).results["extremes"],
-            run_single_tree_lower(3, 5, trials=3, base_seed=2).results["quadform_ratios"],
+            )["extremes"],
+            run_single_tree_lower(3, 5, trials=3, base_seed=2)["quadform_ratios"],
         )
 
     whole = outputs()
@@ -467,7 +464,7 @@ def test_sum_trees_deviation_shrinks_with_t():
 
     def mean_dev(t):
         report = run_sum_trees(g, eps=0.5, trials=8, base_seed=11, t=t)
-        extremes = report.results["extremes"]
+        extremes = report["extremes"]
         return np.mean([max(abs(lo - 1.0), abs(hi - 1.0)) for lo, hi in extremes])
 
     d2, d4, d8 = mean_dev(2), mean_dev(4), mean_dev(8)
@@ -485,8 +482,8 @@ def test_write_extremes_csv(tmp_path):
     for j, line in enumerate(lines[1:]):
         trial, seed, lo, hi = line.split(",")
         assert int(trial) == j
-        assert int(seed) == report.results["seeds"][j]
-        assert (float(lo), float(hi)) == report.results["extremes"][j]
+        assert int(seed) == report["seeds"][j]
+        assert (float(lo), float(hi)) == report["extremes"][j]
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +517,8 @@ def test_multi_tree_lower_window_refusal():
             run_multi_tree_lower(2, 5, eps=eps, trials=2, base_seed=0, t=3)
     # an explicit t runs anyway but records the violated window
     report = run_multi_tree_lower(1, 4, eps=0.4, trials=2, base_seed=0, t=1)
-    assert not report.results["eps_window_ok"]
-    assert report.results["eps_window"] == (1.25, 0.5)
+    assert not report["eps_window_ok"]
+    assert report["eps_window"] == (1.25, 0.5)
 
 
 def test_multi_tree_lower_exact_oracle_on_k4():
@@ -547,31 +544,31 @@ def test_multi_tree_lower_exact_oracle_on_k4():
     trials = 400
     report = run_multi_tree_lower(1, 4, eps=0.4, trials=trials, base_seed=13, t=1)
     sigma = math.sqrt(exact * (1.0 - exact) / trials)
-    assert abs(report.results["violation_fraction"] - exact) <= 4.0 * sigma
+    assert abs(report["violation_fraction"] - exact) <= 4.0 * sigma
 
 
 def test_multi_tree_lower_large_t_restores_approximation():
     report = run_multi_tree_lower(2, 5, eps=0.4, trials=10, base_seed=17, t=300)
-    assert report.results["violation_fraction"] <= 0.1
+    assert report["violation_fraction"] <= 0.1
 
 
 def test_multi_tree_lower_formula_fields():
     report = run_multi_tree_lower(4, 12, eps=0.45, trials=2, base_seed=19)
     n = 4 * 11 + 1
     formula = 0.05 * 0.45**-2 * math.log(n)
-    assert report.results["t"] == max(1, math.floor(formula))
-    assert report.results["t_formula"] == pytest.approx(formula)
-    assert report.results["eps_window_ok"]
-    assert report.results["leverage_value"] == pytest.approx(2.0 / 12.0, abs=1e-12)
-    assert "clique" in report.results["leverage_method"]
-    assert report.results["degree_role"]
+    assert report["t"] == max(1, math.floor(formula))
+    assert report["t_formula"] == pytest.approx(formula)
+    assert report["eps_window_ok"]
+    assert report["leverage_value"] == pytest.approx(2.0 / 12.0, abs=1e-12)
+    assert "clique" in report["leverage_method"]
+    assert report["degree_role"]
 
 
 def test_single_tree_lower_smallest_clique():
     report = run_single_tree_lower(2, 3, trials=30, base_seed=23)
-    assert all(d <= 2 for d in report.results["max_degrees"])
-    assert all(f <= 1.0 for f in report.results["certified_factors"])
-    assert report.results["leverage_value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert all(d <= 2 for d in report["max_degrees"])
+    assert all(f <= 1.0 for f in report["certified_factors"])
+    assert report["leverage_value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_single_tree_lower_single_clique_always_certifies():
@@ -581,11 +578,10 @@ def test_single_tree_lower_single_clique_always_certifies():
     # (s/2) (k (d + 1)^2 + (d - k) d^2) with k non-hub neighbours, so the
     # ratio clears d/2 in every trial.
     report = run_single_tree_lower(1, 32, trials=200, base_seed=29)
-    results = report.results
-    assert results["certified_fraction"] == 1.0
-    assert 0.0 <= results["freq_factor_ge_half_log_s"] <= 1.0
-    assert results["freq_ratio_ge_half_log_s"] >= results["freq_factor_ge_half_log_s"] - 1e-12
-    for d, ratio in zip(results["max_degrees"], results["quadform_ratios"]):
+    assert report["certified_fraction"] == 1.0
+    assert 0.0 <= report["freq_factor_ge_half_log_s"] <= 1.0
+    assert report["freq_ratio_ge_half_log_s"] >= report["freq_factor_ge_half_log_s"] - 1e-12
+    for d, ratio in zip(report["max_degrees"], report["quadform_ratios"]):
         assert ratio > d / 2.0
 
 
@@ -593,7 +589,7 @@ def test_single_tree_lower_certifies_when_the_hub_neighbours_the_centre():
     # Six of these seeds draw a tree in which the hub is a neighbour of
     # the centre; a -1 on the hub let its 950 parent edges swamp the form.
     report = run_single_tree_lower(50, 20, trials=20, base_seed=0)
-    assert report.results["certified_fraction"] == 1.0
+    assert report["certified_fraction"] == 1.0
 
 
 def test_single_tree_lower_degree_tail_consistent_with_binomial():
@@ -601,7 +597,7 @@ def test_single_tree_lower_degree_tail_consistent_with_binomial():
     # second-order bounds from the exact 1 + Bin(98, 1/100) law.
     trials = 10000
     report = run_single_tree_lower(1, 100, trials=trials, base_seed=31)
-    frac = sum(1 for d in report.results["max_degrees"] if d >= 7) / trials
+    frac = sum(1 for d in report["max_degrees"] if d >= 7) / trials
     q = math.exp(log_binomial_tail(98, 0.01, 6))
     vertices = 99  # non-hub vertices scanned for the maximum
     upper = vertices * q
@@ -633,9 +629,9 @@ def test_degree_pmf_matches_enumeration_at_n3():
 
 def test_degree_dist_small_run():
     report = run_degree_dist(6, samples=20000, base_seed=37)
-    assert sum(report.results["counts"]) == 20000
-    assert report.results["tv_distance"] <= report.results["gate"]
-    assert report.results["passed"]
+    assert sum(report["counts"]) == 20000
+    assert report["tv_distance"] <= report["gate"]
+    assert report["passed"]
 
 
 def test_degree_dist_rejects_tiny_n():
@@ -666,43 +662,41 @@ def test_reports_bit_reproducible():
 
 def test_reports_carry_provenance():
     report = run_degree_dist(6, samples=500, base_seed=71)
-    assert report.library_version
-    assert report.wallclock_sec >= 0.0
-    assert dataclasses.is_dataclass(report)
+    assert isinstance(report, dict)
+    assert report["library_version"]
+    assert report["wallclock_sec"] >= 0.0
 
 
 # ---------------------------------------------------------------------------
 # The report envelope
 # ---------------------------------------------------------------------------
 
-# Each driver's JSON keys, written out as the per-driver report classes
-# gave them; the degree law gains only ``graph_desc``.
+# Each driver's JSON keys in order: the envelope, then the driver's
+# outputs as the per-driver report classes gave them; the degree law
+# gains only ``graph_desc``.
+ENVELOPE_KEYS = ["kind", "graph_desc", "n", "config", "wallclock_sec", "library_version"]
 DRIVER_KEYS = {
-    "single_tree_upper": {
-        "kind", "graph_desc", "n", "trials", "seeds", "envelope", "extremes", "max_lambda",
-        "median_lambda", "empirical_constant", "passed", "config", "wallclock_sec",
-        "library_version",
-    },
-    "sum_trees": {
-        "kind", "graph_desc", "n", "eps_target", "t", "c_mult", "trials", "seeds", "extremes",
-        "pass_fraction", "gate", "passed", "config", "wallclock_sec", "library_version",
-    },
-    "multi_tree_lower": {
-        "kind", "graph_desc", "num_cliques", "clique_size", "n", "eps", "t", "t_formula",
-        "eps_window", "eps_window_ok", "leverage_value", "leverage_method", "degree_role",
-        "trials", "seeds", "violations", "violation_fraction", "config", "wallclock_sec",
-        "library_version",
-    },
-    "single_tree_lower": {
-        "kind", "graph_desc", "num_cliques", "clique_size", "n", "trials", "seeds",
-        "max_degrees", "certified_factors", "quadform_ratios", "certified",
-        "certified_fraction", "freq_factor_ge_half_log_s", "freq_ratio_ge_half_log_s",
-        "leverage_value", "config", "wallclock_sec", "library_version",
-    },
-    "degree_dist": {
-        "kind", "graph_desc", "n", "samples", "base_seed", "counts", "reference_pmf",
-        "tv_distance", "gate", "passed", "config", "wallclock_sec", "library_version",
-    },
+    "single_tree_upper": ENVELOPE_KEYS + [
+        "trials", "seeds", "envelope", "extremes", "max_lambda", "median_lambda",
+        "empirical_constant", "passed",
+    ],
+    "sum_trees": ENVELOPE_KEYS + [
+        "eps_target", "t", "c_mult", "trials", "seeds", "extremes", "pass_fraction", "gate",
+        "passed",
+    ],
+    "multi_tree_lower": ENVELOPE_KEYS + [
+        "num_cliques", "clique_size", "eps", "t", "t_formula", "eps_window", "eps_window_ok",
+        "leverage_value", "leverage_method", "degree_role", "trials", "seeds", "violations",
+        "violation_fraction",
+    ],
+    "single_tree_lower": ENVELOPE_KEYS + [
+        "num_cliques", "clique_size", "trials", "seeds", "max_degrees", "certified_factors",
+        "quadform_ratios", "certified", "certified_fraction", "freq_factor_ge_half_log_s",
+        "freq_ratio_ge_half_log_s", "leverage_value",
+    ],
+    "degree_dist": ENVELOPE_KEYS + [
+        "samples", "base_seed", "counts", "reference_pmf", "tv_distance", "gate", "passed",
+    ],
 }
 
 DRIVER_RUNS = {
@@ -717,19 +711,17 @@ DRIVER_RUNS = {
 @pytest.mark.parametrize("kind", sorted(DRIVER_KEYS))
 def test_driver_json_keys_are_pinned(kind):
     report = DRIVER_RUNS[kind]()
-    payload = json.loads(json.dumps(report.to_dict()))
-    assert set(payload) == DRIVER_KEYS[kind]
-    assert payload["kind"] == report.kind == kind
-    assert {"ln_n", "log2_n"} <= set(payload["config"])
-    # Everything but the envelope comes from ``results``, unrenamed.
-    envelope = {"kind", "graph_desc", "n", "config", "wallclock_sec", "library_version"}
-    assert set(report.results) == DRIVER_KEYS[kind] - envelope
+    assert isinstance(report, dict)
+    assert list(json.loads(json.dumps(report))) == DRIVER_KEYS[kind]
+    assert report["kind"] == kind
+    assert {"ln_n", "log2_n"} <= set(report["config"])
 
 
 def test_report_reads_results_as_attributes():
+    # perfbench/capture_reference.py reads ``rep.t`` and ``rep.extremes``.
     report = DRIVER_RUNS["sum_trees"]()
-    assert report.t == report.results["t"] == 2
-    assert report.extremes is report.results["extremes"]
+    assert report.t == report["t"] == 2
+    assert report.extremes is report["extremes"]
     with pytest.raises(AttributeError, match="no_such_output"):
         report.no_such_output
     assert pickle.loads(pickle.dumps(report)) == report
@@ -746,12 +738,12 @@ def test_reference_capture_reads_the_sum_trees_report(monkeypatch):
     workload = capture.W.Workload("k8", "certify", "k:8", ops_per_call=2, pool=2)
     t, extremes = capture.certify_extremes(workload, "k:8")
     report = run_sum_trees(complete_graph(8), eps=0.5, trials=2, base_seed=0)
-    assert t == report.results["t"]
-    assert extremes == [list(x) for x in report.results["extremes"]]
+    assert t == report["t"]
+    assert extremes == [list(x) for x in report["extremes"]]
 
 
 def test_degree_dist_names_its_graph():
-    assert run_degree_dist(5, samples=10, base_seed=0).graph_desc == "k:5"
+    assert run_degree_dist(5, samples=10, base_seed=0)["graph_desc"] == "k:5"
 
 
 @pytest.mark.parametrize(
@@ -781,8 +773,8 @@ def test_sum_trees_starts_no_pool_for_one_trial(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     for jobs in (4, 0):
         wide = run_sum_trees(g, jobs=jobs, **kwargs)
-        assert wide.results["extremes"] == serial.results["extremes"]
-        assert wide.config["jobs"] == jobs
+        assert wide["extremes"] == serial["extremes"]
+        assert wide["config"]["jobs"] == jobs
 
 
 def test_sum_trees_starts_no_more_workers_than_trials(monkeypatch):
@@ -800,7 +792,7 @@ def test_sum_trees_starts_no_more_workers_than_trials(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     report = run_sum_trees(complete_graph(8), eps=0.5, trials=2, base_seed=3, t=2, jobs=4)
     assert sizes == [2]
-    assert report.config["jobs"] == 4
+    assert report["config"]["jobs"] == 4
 
 
 def test_sum_trees_starts_no_more_workers_than_cpus(monkeypatch):
@@ -832,5 +824,5 @@ def test_sum_trees_starts_no_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     wide = run_sum_trees(g, jobs=64, **kwargs)
     assert sizes == [3]
-    assert wide.results["extremes"] == serial.results["extremes"]
-    assert wide.config["jobs"] == 64
+    assert wide["extremes"] == serial["extremes"]
+    assert wide["config"]["jobs"] == 64

@@ -213,19 +213,13 @@ def _diag_marginals(args) -> tuple[bool, dict]:
     # A connected graph within the edge cap has at most one more vertex than edges.
     g = parse_graph_spec(args.graph, args.seed, max_n=SHRINKING_EDGE_CAP + 1)
     report = shrinking_marginals_suite(g)
-    forest, edge, conditional, unconditional = report.worst
     return report.passed, {
         "suite": "marginals",
         "graph": args.graph,
         "forests": report.num_forests,
         "pairs": report.num_pairs,
         "max_excess": report.max_excess,
-        "worst": {
-            "forest": forest,
-            "edge": edge,
-            "conditional": conditional,
-            "unconditional": unconditional,
-        },
+        "worst": dict(zip(("forest", "edge", "conditional", "unconditional"), report.worst)),
         "passed": report.passed,
     }
 

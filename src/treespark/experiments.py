@@ -24,7 +24,9 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .graph import WeightedGraph, clique_star, complete_graph, laplacian, philox_stream
+from .graph import (
+    SizeGuardError, WeightedGraph, clique_star, complete_graph, laplacian, philox_stream
+)
 from .leverage import laplacian_frame, leverage_scores
 from .spectral import normalized_pencil
 from .treesample import tree_edge_counts, wilson_tree_batches
@@ -36,10 +38,13 @@ DEFAULT_PASS_GATE = 0.9
 # K_2000 at eps = 0.01 (1.2e9 slots) still runs.
 MAX_TREE_SLOTS = 10**10
 
+# Most Wilson walk steps one run may expect: about 1.4 h at ~0.5 us
+# per step, the same scale as the slot cap.
+MAX_WALK_STEPS = 10**10
+
 
 class _FlatReport(dict):
-    """A driver's flat JSON report; the benchmark's reference capture
-    reads its keys as attributes (``rep.t``)."""
+    """A driver's flat JSON report; its keys also read as attributes (``rep.t``)."""
 
     def __init__(self, **fields):
         super().__init__(**fields)
@@ -84,11 +89,11 @@ def run_single_tree_upper(
 
     Passes when every trial's ``lambda_max`` stays at or below ``100 ln
     n``; the report also records the tighter constant the data actually
-    supports (``max / ln n``).
+    supports (``max / ln n``).  ``MAX_WALK_STEPS`` caps the walks.
     """
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
-    extremes = _run_trials(partial(_sum_trees_trial, g, 1, _pencil_check(g)), seeds)
+    extremes = _run_trials(_pencil_trial(g, trials, 1), seeds)
     highs = sorted(hi for _, hi in extremes)
     envelope = 100.0 * math.log(g.n)
     max_lambda = highs[-1]
@@ -191,6 +196,21 @@ def _pencil_check(g: WeightedGraph) -> Callable:
     return partial(_pencil_extremes, _inverse_leverage_weights(g, leverage_scores(g)))
 
 
+def _pencil_trial(g: WeightedGraph, trials: int, t: int) -> Callable:
+    """The pencil trial of ``t`` trees, refused before any walk when
+    ``trials`` of it expect over ``MAX_WALK_STEPS`` steps: a Wilson tree
+    rooted at 0 expects ``sum_v d_v R_eff(v, 0)``, and ``R_eff(v, 0) =
+    ||M[v]||^2``."""
+    check, frame = _pencil_check(g), laplacian_frame(g)
+    per_tree = float(g.weighted_degrees() @ np.einsum("ij,ij->i", frame, frame))
+    if trials * t * per_tree > MAX_WALK_STEPS:
+        raise SizeGuardError(
+            f"{trials} trials x t = {t} trees x {per_tree:.4g} expected Wilson steps per "
+            f"tree = {trials * t * per_tree:.4g} exceed MAX_WALK_STEPS = {MAX_WALK_STEPS:.4g}"
+        )
+    return partial(_sum_trees_trial, g, t, check)
+
+
 def run_sum_trees(
     g: WeightedGraph,
     eps: float,
@@ -207,8 +227,10 @@ def run_sum_trees(
 
     ``t`` defaults to ``ceil(c_mult * eps^-2 * (ln n)^2)``, and a ``t``
     with ``t * (n - 1) > MAX_TREE_SLOTS`` is refused before L_G is
-    factored.  A trial passes when both extremes fall inside the window;
-    the report gate is the fraction of passing trials required, 0.9 by
+    factored; once it is, a run whose walks expect more than
+    ``MAX_WALK_STEPS`` steps in all raises SizeGuardError.  A trial
+    passes when both extremes fall inside the window; the report gate,
+    in [0, 1], is the fraction of passing trials required, 0.9 by
     default.  With ``jobs > 1`` trials run in up to ``jobs`` processes,
     no more than the CPUs, each receiving the leverage weights and the
     factored L_G once; per-trial seeds are ``base_seed + trial_index``
@@ -216,6 +238,8 @@ def run_sum_trees(
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"need eps in (0, 1), got {eps}")
+    if not (0.0 <= gate <= 1.0):
+        raise ValueError(f"need gate in [0, 1], got {gate}")
     seeds = _seeds(base_seed, trials)
     start = time.perf_counter()
     if t is None:
@@ -228,7 +252,7 @@ def run_sum_trees(
     else:
         c_mult = None  # an explicit t leaves the multiplier unused
     t = _check_tree_slots(t, g.n)
-    extremes = _run_trials(partial(_sum_trees_trial, g, t, _pencil_check(g)), seeds, jobs)
+    extremes = _run_trials(_pencil_trial(g, trials, t), seeds, jobs)
     ok = [lo >= 1.0 - eps and hi <= 1.0 + eps for lo, hi in extremes]
     pass_fraction = sum(ok) / trials
     # Increments of the tree average have range 1/t in the normalised frame.
@@ -423,10 +447,7 @@ def degree_reference_pmf(n: int) -> list[float]:
     is the probability of degree ``j + 1``.
     """
     p = 1.0 / n
-    out = []
-    for j in range(n - 1):
-        out.append(math.comb(n - 2, j) * p**j * (1.0 - p) ** (n - 2 - j))
-    return out
+    return [math.comb(n - 2, j) * p**j * (1.0 - p) ** (n - 2 - j) for j in range(n - 1)]
 
 
 def run_degree_dist(n: int, samples: int, base_seed: int) -> dict:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,8 +235,8 @@ def _trace_frame(g: WeightedGraph) -> _TraceFrame:
 def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
     """Build the exact martingale trace for a given edge reveal order.
 
-    ``ordering`` must list the edges of a spanning tree of ``g`` in the
-    order they are revealed.  Each step averages over every edge the
+    ``ordering`` must list the edge ids of a spanning tree of ``g`` in
+    the order they are revealed.  Each step averages over every edge the
     reveal could have produced next, weighting candidate e by its
     conditional marginal divided by the number of unrevealed slots, and
     records the realised increment, the mixture mean (which must vanish)
@@ -250,7 +251,11 @@ def trace_for_ordering(g: WeightedGraph, ordering) -> MartingaleTrace:
         raise SizeGuardError(
             f"martingale trace capped at m = {TRACE_EDGE_CAP} edges, got m = {g.m}"
         )
-    ordering = tuple(int(e) for e in ordering)
+    ordering = tuple(ordering)
+    for e in ordering:
+        if not (isinstance(e, numbers.Integral) and 0 <= e < g.m):
+            raise ValueError(f"edge id {e!r} is not an integer in [0, {g.m})")
+    ordering = tuple(map(int, ordering))
     k = g.n - 1
     if len(ordering) != k or len(set(ordering)) != k:
         raise ValueError(f"ordering must list {k} distinct edges")

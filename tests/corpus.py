@@ -66,6 +66,19 @@ def weighted_k4() -> WeightedGraph:
     return WeightedGraph(4, edges)
 
 
+def slow_walk_graph() -> WeightedGraph:
+    """Two triangles, one of weight-1e4 edges, joined by two 1e-4 edges.
+
+    It passes the leverage check, yet a Wilson walk from vertex 0
+    expects about 3.0e8 steps per tree.
+    """
+    edges = (
+        (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1e4), (4, 5, 1e4), (3, 5, 1e4),
+        (2, 3, 1e-4), (0, 5, 1e-4),
+    )
+    return WeightedGraph(6, edges)
+
+
 def k5_minus_edge() -> WeightedGraph:
     full = complete_graph(5)
     return WeightedGraph(5, full.edges[:-1])

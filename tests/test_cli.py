@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from corpus import SMALL, random_connected_graph, weighted_triangle, write_graph
+from corpus import SMALL, random_connected_graph, slow_walk_graph, weighted_triangle, write_graph
 from test_experiments import DRIVER_KEYS
 from tree_line_oracle import format_tree_line, parse_tree_line, sample_tree_wilson
 import treespark.cli as cli
+import treespark.experiments as experiments
 from treespark.cli import (
     EXIT_BAD_GRAPH,
     EXIT_FAIL,
@@ -506,6 +507,22 @@ def test_certify_size_guard_trips_before_the_graph_is_built(spec, capsys):
     assert main(["certify", "--graph", spec, "--eps", "0.5", "--jobs", "1"]) == EXIT_SIZE_GUARD
     assert time.perf_counter() - start < 0.5
     assert "capped at n = 2000" in capsys.readouterr().err
+
+
+def test_certify_refuses_hours_of_walking_before_any_tree(tmp_path, monkeypatch, capsys):
+    # At eps = 0.5 certify draws 10 trials of t = 13 trees, and each tree
+    # of this graph expects 3.0e8 walk steps.
+    def refuse(*args):
+        raise AssertionError("a tree was drawn")
+
+    monkeypatch.setattr(experiments, "tree_edge_counts", refuse)
+    path = tmp_path / "slow.graph"
+    write_graph(slow_walk_graph(), str(path))
+    argv = ["certify", "--graph", str(path), "--eps", "0.5", "--jobs", "1"]
+    assert main(argv) == EXIT_SIZE_GUARD
+    err = capsys.readouterr().err
+    assert "10 trials x t = 13 trees x 3e+08 expected Wilson steps per tree" in err
+    assert "MAX_WALK_STEPS = 1e+10" in err
 
 
 @pytest.mark.parametrize(

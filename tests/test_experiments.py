@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus import SMALL, path_graph, random_connected_graph
+from corpus import SMALL, path_graph, random_connected_graph, slow_walk_graph
 from enumeration_oracle import enumerate_trees
 from frame_oracle import eig_frame
 from treespark import experiments, leverage, spectral, srdiag, treesample
@@ -28,7 +28,14 @@ from treespark.experiments import (
     run_sum_trees,
     write_extremes_csv,
 )
-from treespark.graph import clique_star, complete_graph, laplacian, philox_stream, ring_graph
+from treespark.graph import (
+    SizeGuardError,
+    clique_star,
+    complete_graph,
+    laplacian,
+    philox_stream,
+    ring_graph,
+)
 from treespark.leverage import laplacian_frame, leverage_scores
 from treespark.spectral import eig_sym, normalized_pencil
 from treespark.srdiag import log_binomial_tail
@@ -151,6 +158,63 @@ def test_multi_tree_lower_caps_tree_slots(monkeypatch):
     monkeypatch.setattr(experiments, "MAX_TREE_SLOTS", 20)
     with pytest.raises(ValueError, match=r"t = 10 trees on n = 4 .* MAX_TREE_SLOTS = 20 "):
         run_multi_tree_lower(1, 4, eps=0.4, trials=1, base_seed=0, t=10)
+
+
+@pytest.mark.parametrize(
+    "g", [complete_graph(200), random_connected_graph(24, 30, seed=2)], ids=["k200", "multigraph"]
+)
+def test_walk_step_cap_reads_the_expected_steps_of_one_tree(g, monkeypatch):
+    # Wilson's walk from root 0 expects sum_v d_v R_eff(v, 0) steps, and
+    # R_eff(v, 0) is the diagonal of the inverse grounded Laplacian; one
+    # tree fits a cap just above that and not one just below.
+    want = g.weighted_degrees()[1:] @ np.diag(np.linalg.inv(laplacian(g)[1:, 1:]))
+    monkeypatch.setattr(experiments, "MAX_WALK_STEPS", want * (1.0 + 1e-10))
+    assert run_single_tree_upper(g, trials=1, base_seed=0)["trials"] == 1
+    monkeypatch.setattr(experiments, "MAX_WALK_STEPS", want * (1.0 - 1e-10))
+    with pytest.raises(SizeGuardError, match=r"1 trials x t = 1 trees x "):
+        run_single_tree_upper(g, trials=1, base_seed=0)
+
+
+def test_k200_trees_expect_396_walk_steps(monkeypatch):
+    # 199 vertices of degree 199, each at resistance 2/200 from the root.
+    monkeypatch.setattr(experiments, "MAX_WALK_STEPS", 0)
+    with pytest.raises(SizeGuardError, match=r"x 396 expected Wilson steps per tree = 396 "):
+        run_single_tree_upper(complete_graph(200), trials=1, base_seed=0)
+
+
+def test_pencil_drivers_cap_expected_walk_steps(monkeypatch):
+    # K_8 expects 7 * 7 * 2/8 = 12.25 steps per tree: 2 trials of 2 trees,
+    # or 4 single trees, expect 49, inside a cap of 50 and over one of 48.
+    g = complete_graph(8)
+    monkeypatch.setattr(experiments, "MAX_WALK_STEPS", 50)
+    assert run_sum_trees(g, eps=0.5, trials=2, base_seed=0, t=2)["t"] == 2
+    assert len(run_single_tree_upper(g, trials=4, base_seed=0)["extremes"]) == 4
+    monkeypatch.setattr(experiments, "MAX_WALK_STEPS", 48)
+    with pytest.raises(SizeGuardError, match=r"2 trials x t = 2 trees x 12.25 .* = 49 exceed "):
+        run_sum_trees(g, eps=0.5, trials=2, base_seed=0, t=2)
+    with pytest.raises(SizeGuardError, match=r"4 trials x t = 1 trees .* MAX_WALK_STEPS = 48"):
+        run_single_tree_upper(g, trials=4, base_seed=0)
+
+
+def test_pencil_drivers_refuse_the_slow_walk_graph_before_any_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tree was drawn")
+
+    monkeypatch.setattr(experiments, "tree_edge_counts", refuse)
+    g = slow_walk_graph()
+    with pytest.raises(SizeGuardError, match=r"13 trees x 3e\+08 .* = 3.9e\+10 exceed "):
+        run_sum_trees(g, eps=0.5, trials=10, base_seed=0)
+    with pytest.raises(SizeGuardError, match=r"40 trials x t = 1 trees"):
+        run_single_tree_upper(g, trials=40, base_seed=0)
+
+
+@pytest.mark.parametrize("gate", [-1.0, 1.5, math.nan])
+def test_sum_trees_refuses_a_gate_outside_the_unit_interval(gate):
+    # Refused before L_G is factored; NaN would reach the JSON report.
+    misses = laplacian_frame.cache_info().misses
+    with pytest.raises(ValueError, match=r"need gate in \[0, 1\], got "):
+        run_sum_trees(complete_graph(6), eps=0.5, trials=1, base_seed=0, t=1, gate=gate)
+    assert laplacian_frame.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("t", [2.5, 4.0, "3"])

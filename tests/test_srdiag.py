@@ -307,6 +307,30 @@ def test_trace_rejects_bad_orderings():
         trace_for_ordering(g, (0, 1, 99))  # names no edge of g
 
 
+@pytest.mark.parametrize(
+    "ordering,message",
+    [
+        ((0, 1, 2.7), r"edge id 2\.7 is not an integer in \[0, 6\)"),
+        ((0, 1, 99), r"edge id 99 is not an integer in \[0, 6\)"),
+        ((0, 1, -1), r"edge id -1 is not an integer in \[0, 6\)"),
+    ],
+    ids=["fraction", "past_m", "negative"],
+)
+def test_trace_refuses_ids_that_name_no_edge_before_building_its_frame(ordering, message):
+    # int(2.7) traced edge 2, and 99 or -1 read as an edge that cannot be
+    # revealed; each is now refused by name before the frame is built.
+    misses = _trace_frame.cache_info().misses
+    with pytest.raises(ValueError, match=message):
+        trace_for_ordering(complete_graph(4), ordering)
+    assert _trace_frame.cache_info().misses == misses
+
+
+def test_trace_takes_numpy_integer_ids():
+    g = complete_graph(4)
+    ids = np.array([0, 1, 2])
+    assert trace_for_ordering(g, ids).step_norms == trace_for_ordering(g, (0, 1, 2)).step_norms
+
+
 def test_trace_size_guard():
     with pytest.raises(SizeGuardError):
         martingale_trace(ring_graph(13), 0)

@@ -175,13 +175,6 @@ def test_walk_step_cap_reads_the_expected_steps_of_one_tree(g, monkeypatch):
         run_single_tree_upper(g, trials=1, base_seed=0)
 
 
-def test_k200_trees_expect_396_walk_steps(monkeypatch):
-    # 199 vertices of degree 199, each at resistance 2/200 from the root.
-    monkeypatch.setattr(experiments, "MAX_WALK_STEPS", 0)
-    with pytest.raises(SizeGuardError, match=r"x 396 expected Wilson steps per tree = 396 "):
-        run_single_tree_upper(complete_graph(200), trials=1, base_seed=0)
-
-
 def test_pencil_drivers_cap_expected_walk_steps(monkeypatch):
     # K_8 expects 7 * 7 * 2/8 = 12.25 steps per tree: 2 trials of 2 trees,
     # or 4 single trees, expect 49, inside a cap of 50 and over one of 48.

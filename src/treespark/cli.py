@@ -4,7 +4,7 @@ Commands
 --------
 ``treespark sample``   write sampled spanning trees as text lines
 ``treespark certify``  tree-average sparsifier certificate with JSON report
-``treespark diag``     diagnostic suites (marginals, martingale, tails, ...)
+``treespark diag``     diagnostic suites: marginals, martingale, reverse-chernoff
 
 Graphs are given either as a file path (format: ``n m`` header then
 ``u v w`` lines) or as a constructor spec: ``k:N`` (complete),
@@ -40,7 +40,6 @@ from .graph import (
     ring_graph,
 )
 from .leverage import DENSE_SOLVE_CAP
-from .spectral import check_symmetric_triangle
 from .srdiag import (
     SHRINKING_EDGE_CAP,
     TRACE_VERTEX_CAP,
@@ -48,7 +47,6 @@ from .srdiag import (
     default_reverse_chernoff_grid,
     martingale_trace,
     reverse_chernoff_check,
-    check_stirling_binom_lower,
     shrinking_marginals_suite,
     trace_dump,
 )
@@ -101,8 +99,8 @@ def parse_graph_spec(spec: str, seed: int, max_n: int | None = None):
     raise UsageError(f"graph spec {spec!r} is neither a constructor nor a file")
 
 
-def _int_at_least(low: int, high: int | None = None):
-    """argparse type for integers that must be at least ``low`` (and at most ``high``)."""
+def _int_at_least(low: int):
+    """argparse type for integers that must be at least ``low``."""
 
     def parse(text: str) -> int:
         try:
@@ -111,8 +109,6 @@ def _int_at_least(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -248,48 +244,22 @@ def _diag_martingale(args) -> tuple[bool, dict]:
     }
 
 
-def _tally(suite: str, results: list[bool], **fields) -> tuple[bool, dict]:
-    """A suite's verdict and payload: its name, ``fields``, failures, passed."""
-    passed = all(results)
-    return passed, {
-        "suite": suite,
-        **fields,
-        "failures": results.count(False),
-        "passed": passed,
-    }
-
-
 def _diag_reverse_chernoff(args) -> tuple[bool, dict]:
     grid = default_reverse_chernoff_grid()
     results = [reverse_chernoff_check(k, p, eps) for k, p, eps in grid]
-    return _tally("reverse-chernoff", results, triples=len(grid))
-
-
-def _diag_stirling(args) -> tuple[bool, dict]:
-    results = [
-        check_stirling_binom_lower(k, l)
-        for k in range(2, args.kmax + 1)
-        for l in range(1, k)
-    ]
-    return _tally("stirling", results, kmax=args.kmax, pairs=len(results))
-
-
-def _diag_matrix_fact(args) -> tuple[bool, dict]:
-    gen = philox_stream(args.seed)
-    results = []
-    for _ in range(args.pairs):
-        a = gen.uniform(-1.0, 1.0, (args.dim, args.dim))
-        b = gen.uniform(-1.0, 1.0, (args.dim, args.dim))
-        results.append(check_symmetric_triangle((a + a.T) / 2.0, (b + b.T) / 2.0))
-    return _tally("matrix-fact", results, pairs=args.pairs, dim=args.dim)
+    passed = all(results)
+    return passed, {
+        "suite": "reverse-chernoff",
+        "triples": len(grid),
+        "failures": results.count(False),
+        "passed": passed,
+    }
 
 
 _DIAG_SUITES = {
     "marginals": _diag_marginals,
     "martingale": _diag_martingale,
     "reverse-chernoff": _diag_reverse_chernoff,
-    "stirling": _diag_stirling,
-    "matrix-fact": _diag_matrix_fact,
 }
 
 
@@ -332,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("suite", choices=sorted(_DIAG_SUITES))
     p_diag.add_argument("--graph", default="k:5")
     p_diag.add_argument("--seeds", type=_positive_int, default=20)
-    p_diag.add_argument("--kmax", type=_int_at_least(2), default=60)
-    p_diag.add_argument("--pairs", type=_positive_int, default=200)
-    # Each pair draws two dim x dim matrices; the dense cap bounds them.
-    p_diag.add_argument("--dim", type=_int_at_least(1, DENSE_SOLVE_CAP), default=8)
     p_diag.add_argument("--seed", type=_seed_int, default=None)
     p_diag.add_argument("--dump", type=_output_path, default=None)
     p_diag.add_argument("--out", type=_output_path, default=None)

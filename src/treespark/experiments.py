@@ -444,10 +444,15 @@ def degree_reference_pmf(n: int) -> list[float]:
     """Law of a fixed vertex's tree degree in the complete graph.
 
     Exactly ``1 + Binomial(n - 2, 1/n)``; index j of the returned list
-    is the probability of degree ``j + 1``.
+    is the probability of degree ``j + 1``.  Each term is the last one
+    times ``(n - 2 - j) / ((j + 1)(n - 1))``, starting from ``(1 -
+    1/n)^(n - 2)`` taken in log space, so no binomial coefficient is
+    turned into a float and large n cannot overflow.
     """
-    p = 1.0 / n
-    return [math.comb(n - 2, j) * p**j * (1.0 - p) ** (n - 2 - j) for j in range(n - 1)]
+    pmf = [math.exp((n - 2) * math.log1p(-1.0 / n))]
+    for j in range(n - 2):
+        pmf.append(pmf[-1] * (n - 2 - j) / ((j + 1) * (n - 1)))
+    return pmf
 
 
 def run_degree_dist(n: int, samples: int, base_seed: int) -> dict:

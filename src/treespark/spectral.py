@@ -1,18 +1,15 @@
 """Dense symmetric eigen-utilities: eigensolving, relative condition
-numbers of Laplacian pencils and PSD order tests.
+numbers of Laplacian pencils and spectral norms.
 
 No eigenvalue is thresholded here: the pencil reads a whitening frame of
-L_G and the PSD order test decides on the spectrum of ``B - A``.
+L_G instead of cutting off a tiny eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-PSD_TOL = 1e-9
 
 
 def _check_symmetric(a: np.ndarray) -> float:
@@ -69,20 +66,6 @@ def normalized_pencil(scaled: np.ndarray, lap_h: np.ndarray) -> tuple[float, flo
     return float(vals[0]), float(vals[-1])
 
 
-@dataclass(frozen=True)
-class PsdOrderVerdict:
-    """Outcome of a PSD order test ``A <= B``.
-
-    ``witness_gap`` is the smallest eigenvalue of ``B - A``; it reads 0
-    on a common null space of the two inputs.  ``scale`` is the larger
-    operator norm (floored at 1) that verdicts are measured against.
-    """
-
-    holds: bool
-    witness_gap: float
-    scale: float
-
-
 def _opnorm(a: np.ndarray):
     """Spectral norm of a symmetric matrix, or of each matrix in a stack.
 
@@ -94,28 +77,3 @@ def _opnorm(a: np.ndarray):
     else:
         norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
-
-
-def psd_leq(a: np.ndarray, b: np.ndarray) -> PsdOrderVerdict:
-    """Test ``a <= b`` in the PSD order, scale-invariantly.
-
-    Holds iff the witness gap is at least ``-PSD_TOL * scale`` with
-    ``scale = max(opnorm(a), opnorm(b), 1)``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _check_symmetric(a)
-    _check_symmetric(b)
-    scale = max(_opnorm(a), _opnorm(b), 1.0)
-    gap = float(np.linalg.eigvalsh(b - a)[0])
-    return PsdOrderVerdict(gap >= -PSD_TOL * scale, gap, scale)
-
-
-def check_symmetric_triangle(a: np.ndarray, b: np.ndarray) -> bool:
-    """Verify ``(a - b)^2 <= 2 a^2 + 2 b^2`` for symmetric a, b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    diff = a - b
-    return psd_leq(diff @ diff, 2.0 * a @ a + 2.0 * b @ b).holds

@@ -389,7 +389,7 @@ def trace_dump(trace: MartingaleTrace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Binomial tails, reverse concentration, Stirling
+# Binomial tails and reverse concentration
 # ---------------------------------------------------------------------------
 
 
@@ -471,21 +471,3 @@ def default_reverse_chernoff_grid() -> list[tuple[int, float, float]]:
                 if eps * eps * p * k >= 3.0:
                     grid.append((k, p, eps))
     return grid
-
-
-def check_stirling_binom_lower(k: int, l: int) -> bool:
-    """Stirling-type floor on a binomial coefficient.
-
-    Verifies ``C(k, l) >= (1 / (e sqrt(2 pi l))) (k/l)^l (k/(k-l))^(k-l)``
-    for ``1 <= l <= k - 1``, compared in log space.
-    """
-    if not isinstance(k, int) or not isinstance(l, int) or not (1 <= l <= k - 1):
-        raise ValueError(f"need integers with 1 <= l <= k - 1, got k={k!r} l={l!r}")
-    log_binom = math.lgamma(k + 1) - math.lgamma(l + 1) - math.lgamma(k - l + 1)
-    log_floor = (
-        -1.0
-        - 0.5 * math.log(2.0 * math.pi * l)
-        + l * math.log(k / l)
-        + (k - l) * math.log(k / (k - l))
-    )
-    return log_binom >= log_floor

@@ -1,11 +1,12 @@
-"""The range-projection PSD order test, as an oracle for ``psd_leq``.
+"""PSD order tests for the suites that check matrix inequalities.
 
-``psd_leq(A, B)`` decides on the smallest eigenvalue of ``B - A``.  The
-route here first projects onto the numerical range of ``A^2 + B^2``
-(eigenvalues above ``frame_oracle.zero_cutoff``) and decides on the
-restriction of ``B - A`` there.  The common null space of A and B is an
-invariant subspace of ``B - A`` with eigenvalue 0, which always clears
-the ``-PSD_TOL * scale`` threshold, so the two must agree.
+``psd_leq(A, B)`` decides ``A <= B`` on the smallest eigenvalue of
+``B - A``.  ``range_psd_leq`` first projects onto the numerical range of
+``A^2 + B^2`` (eigenvalues above ``frame_oracle.zero_cutoff``) and
+decides on the restriction of ``B - A`` there.  The common null space
+of A and B is an invariant subspace of ``B - A`` with eigenvalue 0,
+which always clears the ``-PSD_TOL * scale`` threshold, so the two
+routes must agree.
 
 Run as a script to compare them on many random pairs from five
 families::
@@ -17,13 +18,55 @@ from __future__ import annotations
 
 import itertools
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from frame_oracle import zero_cutoff
-from treespark.spectral import PSD_TOL, _opnorm, eig_sym, psd_leq
+from treespark.spectral import _check_symmetric, _opnorm, eig_sym
+
+PSD_TOL = 1e-9
 
 FAMILIES = ("matrix-fact", "shared-null", "chain", "bump", "scaled")
+
+
+@dataclass(frozen=True)
+class PsdOrderVerdict:
+    """Outcome of a PSD order test ``A <= B``.
+
+    ``witness_gap`` is the smallest eigenvalue of ``B - A``; it reads 0
+    on a common null space of the two inputs.  ``scale`` is the larger
+    operator norm (floored at 1) that verdicts are measured against.
+    """
+
+    holds: bool
+    witness_gap: float
+    scale: float
+
+
+def psd_leq(a: np.ndarray, b: np.ndarray) -> PsdOrderVerdict:
+    """Test ``a <= b`` in the PSD order, scale-invariantly.
+
+    Holds iff the witness gap is at least ``-PSD_TOL * scale`` with
+    ``scale = max(opnorm(a), opnorm(b), 1)``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_symmetric(a)
+    _check_symmetric(b)
+    scale = max(_opnorm(a), _opnorm(b), 1.0)
+    gap = float(np.linalg.eigvalsh(b - a)[0])
+    return PsdOrderVerdict(gap >= -PSD_TOL * scale, gap, scale)
+
+
+def check_symmetric_triangle(a: np.ndarray, b: np.ndarray) -> bool:
+    """Verify ``(a - b)^2 <= 2 a^2 + 2 b^2`` for symmetric a, b."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    diff = a - b
+    return psd_leq(diff @ diff, 2.0 * a @ a + 2.0 * b @ b).holds
 
 
 def range_psd_leq(a: np.ndarray, b: np.ndarray) -> bool:

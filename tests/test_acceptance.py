@@ -16,6 +16,7 @@ import numpy as np
 
 from corpus import SHRINKING, SMALL, TRACE, random_connected_graph
 from enumeration_oracle import enumerate_trees
+from psd_order_oracle import psd_leq
 from treespark.experiments import (
     clique_leverage_value,
     degree_reference_pmf,
@@ -32,7 +33,6 @@ from treespark.graph import (
     ring_graph,
 )
 from treespark.leverage import leverage_scores
-from treespark.spectral import psd_leq
 from treespark.srdiag import (
     default_reverse_chernoff_grid,
     log_binomial_tail,

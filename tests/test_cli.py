@@ -23,8 +23,6 @@ from treespark.cli import (
     EXIT_PASS,
     EXIT_SIZE_GUARD,
     EXIT_USAGE,
-    _tally,
-    build_parser,
     main,
     parse_graph_spec,
 )
@@ -393,26 +391,18 @@ def test_diag_reverse_chernoff(capsys):
     assert payload["failures"] == 0
 
 
-def test_diag_stirling(capsys):
-    assert main(["diag", "stirling", "--kmax", "40"]) == EXIT_PASS
+def test_diag_reverse_chernoff_failures_exit_fail(monkeypatch, capsys):
+    # Fail every triple at p = 1/2; the payload counts them and the
+    # command exits 1 with the same keys in the same order.
+    check = cli.reverse_chernoff_check
+    monkeypatch.setattr(cli, "reverse_chernoff_check", lambda k, p, eps: p != 0.5 and check(k, p, eps))
+    assert main(["diag", "reverse-chernoff"]) == EXIT_FAIL
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["suite", "kmax", "pairs", "failures", "passed", "library_version"]
-    assert payload["pairs"] == sum(k - 1 for k in range(2, 41))
-
-
-def test_diag_matrix_fact(capsys):
-    assert main(["diag", "matrix-fact", "--pairs", "50", "--dim", "6", "--seed", "5"]) == EXIT_PASS
-    payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["suite", "pairs", "dim", "failures", "passed", "library_version"]
-    assert payload["failures"] == 0
-
-
-def test_tally_counts_failures():
-    assert _tally("demo", [True, False, False], size=3) == (
-        False,
-        {"suite": "demo", "size": 3, "failures": 2, "passed": False},
-    )
-    assert _tally("demo", [True]) == (True, {"suite": "demo", "failures": 0, "passed": True})
+    assert list(payload) == ["suite", "triples", "failures", "passed", "library_version"]
+    failing = sum(p == 0.5 for _, p, _ in cli.default_reverse_chernoff_grid())
+    assert 0 < failing < payload["triples"]
+    assert payload["failures"] == failing
+    assert payload["passed"] is False
 
 
 def test_diag_to_file(tmp_path, capsys):
@@ -454,9 +444,6 @@ def test_count_flags_below_one_exit_usage(argv, flag, capsys):
     [
         (["diag", "martingale", "--graph", "k:5", "--seeds", "0"], "--seeds: must be at least 1"),
         (["diag", "martingale", "--seeds", "-3"], "--seeds: must be at least 1"),
-        (["diag", "matrix-fact", "--pairs", "0"], "--pairs: must be at least 1"),
-        (["diag", "matrix-fact", "--dim", "0"], "--dim: must be at least 1"),
-        (["diag", "stirling", "--kmax", "1"], "--kmax: must be at least 2"),
     ],
 )
 def test_diag_counts_that_would_pass_vacuously_exit_usage(argv, message, capsys):
@@ -588,12 +575,35 @@ def test_martingale_edge_cap_trips_on_parallel_edges(tmp_path, capsys):
     assert f"capped at m = {TRACE_EDGE_CAP} edges, got m = {TRACE_EDGE_CAP + 1}" in capsys.readouterr().err
 
 
-def test_matrix_fact_dim_is_capped_by_argparse():
-    parser = build_parser()
-    assert parser.parse_args(["diag", "matrix-fact", "--dim", "2000"]).dim == 2000
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["diag", "matrix-fact", "--pairs", "0"], "argument suite: invalid choice: 'matrix-fact'"),
+        (["diag", "matrix-fact", "--dim", "0"], "argument suite: invalid choice: 'matrix-fact'"),
+        (["diag", "stirling", "--kmax", "1"], "argument suite: invalid choice: 'stirling'"),
+        (["diag", "matrix-fact", "--dim", "2001"], "argument suite: invalid choice: 'matrix-fact'"),
+        (["diag", "reverse-chernoff", "--kmax", "100000"], "unrecognized arguments: --kmax 100000"),
+        (["diag", "martingale", "--pairs", "200"], "unrecognized arguments: --pairs 200"),
+        (["diag", "marginals", "--dim", "8"], "unrecognized arguments: --dim 8"),
+    ],
+    ids=["matrix-fact-pairs", "matrix-fact-dim", "stirling-kmax", "matrix-fact-dim-cap", "kmax", "pairs", "dim"],
+)
+def test_removed_lemma_suites_and_flags_exit_usage(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["diag", "matrix-fact", "--dim", "2001"])
+        main(argv)
     assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_diag_help_offers_three_suites_and_no_lemma_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{marginals,martingale,reverse-chernoff}" in out
+    assert not any(flag in out for flag in ("--kmax", "--pairs", "--dim"))
 
 
 def test_certify_size_guard_reads_only_the_file_header(tmp_path, capsys):

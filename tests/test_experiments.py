@@ -9,6 +9,7 @@ import pickle
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -673,6 +674,20 @@ def test_degree_pmf_reference_values():
     pmf = degree_reference_pmf(3)
     assert pmf == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
     assert math.fsum(degree_reference_pmf(50)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_degree_pmf_past_float_binomials():
+    # C(1998, j) overflows a float from j ~ 170 on, so the law must be
+    # formed without it; mpmath gives the exact terms.
+    n = 2000
+    pmf = degree_reference_pmf(n)
+    assert len(pmf) == n - 1
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(1) / n
+        for j in (0, 1, 2, 5, 20, 100):
+            exact = mpmath.binomial(n - 2, j) * p**j * (1 - p) ** (n - 2 - j)
+            assert pmf[j] == pytest.approx(float(exact), rel=1e-12), j
 
 
 def test_degree_pmf_matches_enumeration_at_n3():

@@ -6,15 +6,9 @@ import pytest
 from corpus import SMALL, triangle, weighted_triangle
 from enumeration_oracle import enumerate_trees
 from frame_oracle import eig_frame, pinv_power
-from psd_order_oracle import random_pairs, range_psd_leq
+from psd_order_oracle import check_symmetric_triangle, psd_leq, random_pairs, range_psd_leq
 from treespark.graph import WeightedGraph, complete_graph, laplacian
-from treespark.spectral import (
-    _opnorm,
-    check_symmetric_triangle,
-    eig_sym,
-    normalized_pencil,
-    psd_leq,
-)
+from treespark.spectral import _opnorm, eig_sym, normalized_pencil
 from treespark.leverage import laplacian_frame, leverage_scores
 
 

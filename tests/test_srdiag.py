@@ -23,14 +23,14 @@ from corpus import (
 )
 from enumeration_oracle import enumerate_trees
 from frame_oracle import pinv_power
+from psd_order_oracle import psd_leq
 from quotient_oracle import forests, quotient_marginals, quotient_trace
 from treespark.graph import SizeGuardError, WeightedGraph, complete_graph, laplacian, ring_graph
 from treespark.leverage import TransferCurrent, leverage_scores
-from treespark.spectral import eig_sym, psd_leq
+from treespark.spectral import eig_sym
 from treespark.srdiag import (
     TRACE_EDGE_CAP,
     _trace_frame,
-    check_stirling_binom_lower,
     check_step_variance_bound,
     check_trace_bounds,
     default_reverse_chernoff_grid,
@@ -527,6 +527,24 @@ def test_reverse_chernoff_spot_grid():
     grid = default_reverse_chernoff_grid()
     for triple in grid[:: max(1, len(grid) // 20)]:
         assert reverse_chernoff_check(*triple)
+
+
+def check_stirling_binom_lower(k: int, l: int) -> bool:
+    """Stirling-type floor on a binomial coefficient.
+
+    Verifies ``C(k, l) >= (1 / (e sqrt(2 pi l))) (k/l)^l (k/(k-l))^(k-l)``
+    for ``1 <= l <= k - 1``, compared in log space.
+    """
+    if not isinstance(k, int) or not isinstance(l, int) or not (1 <= l <= k - 1):
+        raise ValueError(f"need integers with 1 <= l <= k - 1, got k={k!r} l={l!r}")
+    log_binom = math.lgamma(k + 1) - math.lgamma(l + 1) - math.lgamma(k - l + 1)
+    log_floor = (
+        -1.0
+        - 0.5 * math.log(2.0 * math.pi * l)
+        + l * math.log(k / l)
+        + (k - l) * math.log(k / (k - l))
+    )
+    return log_binom >= log_floor
 
 
 def test_stirling_floor_small_cases():

@@ -4,16 +4,19 @@ Commands
 --------
 ``treespark sample``   write sampled spanning trees as text lines
 ``treespark certify``  tree-average sparsifier certificate with JSON report
-``treespark diag``     diagnostic suites: marginals, martingale, reverse-chernoff
+``treespark diag``     diagnostic suites: marginals, martingale, reverse-chernoff;
+                       each takes only the flags it reads (``diag SUITE --help``)
 
 Graphs are given either as a file path (format: ``n m`` header then
 ``u v w`` lines) or as a constructor spec: ``k:N`` (complete),
-``ring:N``, ``cliquestar:L,S`` or ``er:N,P`` (seeded by ``--seed``).
+``ring:N``, ``cliquestar:L,S`` or ``er:N,P`` (seeded by ``--seed``).  The
+file flags ``--out``, ``--csv`` and ``--dump`` each need a distinct,
+non-empty path in an existing directory.
 
 Exit codes: 0 pass, 1 gate or diagnostic failure, 2 usage or unreadable
 input, 3 invalid (disconnected) graph, 4 size guard refusal or a graph
-too large to allocate.  The default seed comes from ``TREESPARK_SEED``
-when set, else 0.
+too large to allocate.  An unset ``--seed`` comes from ``TREESPARK_SEED``,
+else 0; a command without ``--seed`` never reads it.
 """
 
 from __future__ import annotations
@@ -139,21 +142,15 @@ def _fraction(low: float = 0.0, high: float = 1.0, closed: bool = True):
 
 
 def _output_path(text: str) -> str:
-    """argparse type for a file to write: its directory must already exist."""
+    """argparse type for a file to write: a non-empty path whose directory exists."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
     folder = os.path.dirname(text) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     return text
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("TREESPARK_SEED", "0")
-    try:
-        return _seed_int(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"TREESPARK_SEED {exc}")
 
 
 def _output(path: str | None, default=None):
@@ -205,11 +202,11 @@ def _cmd_certify(args) -> int:
     return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
-def _diag_marginals(args) -> tuple[bool, dict]:
+def _diag_marginals(args) -> dict:
     # A connected graph within the edge cap has at most one more vertex than edges.
     g = parse_graph_spec(args.graph, args.seed, max_n=SHRINKING_EDGE_CAP + 1)
     report = shrinking_marginals_suite(g)
-    return report.passed, {
+    return {
         "suite": "marginals",
         "graph": args.graph,
         "forests": report.num_forests,
@@ -220,7 +217,7 @@ def _diag_marginals(args) -> tuple[bool, dict]:
     }
 
 
-def _diag_martingale(args) -> tuple[bool, dict]:
+def _diag_martingale(args) -> dict:
     g = parse_graph_spec(args.graph, args.seed, max_n=TRACE_VERTEX_CAP)
     results = []
     margins = []
@@ -233,26 +230,24 @@ def _diag_martingale(args) -> tuple[bool, dict]:
                 dump.write(trace_dump(trace))
     # The first smallest margin, or the first NaN one: argmin returns it.
     margin, step, bound, seed = margins[int(np.argmin([m[0] for m in margins]))]
-    passed = all(results)
-    return passed, {
+    return {
         "suite": "martingale",
         "graph": args.graph,
         "seeds": args.seeds,
         "failures": results.count(False),
         "worst": {"margin": margin, "seed": seed, "step": step, "bound": bound},
-        "passed": passed,
+        "passed": all(results),
     }
 
 
-def _diag_reverse_chernoff(args) -> tuple[bool, dict]:
+def _diag_reverse_chernoff(args) -> dict:
     grid = default_reverse_chernoff_grid()
     results = [reverse_chernoff_check(k, p, eps) for k, p, eps in grid]
-    passed = all(results)
-    return passed, {
+    return {
         "suite": "reverse-chernoff",
         "triples": len(grid),
         "failures": results.count(False),
-        "passed": passed,
+        "passed": all(results),
     }
 
 
@@ -264,10 +259,10 @@ _DIAG_SUITES = {
 
 
 def _cmd_diag(args) -> int:
-    passed, payload = _DIAG_SUITES[args.suite](args)
+    payload = _DIAG_SUITES[args.suite](args)
     payload["library_version"] = __version__
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return EXIT_PASS if payload["passed"] else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,13 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=_cmd_certify)
 
     p_diag = sub.add_parser("diag", help="diagnostic suites")
-    p_diag.add_argument("suite", choices=sorted(_DIAG_SUITES))
-    p_diag.add_argument("--graph", default="k:5")
-    p_diag.add_argument("--seeds", type=_positive_int, default=20)
-    p_diag.add_argument("--seed", type=_seed_int, default=None)
-    p_diag.add_argument("--dump", type=_output_path, default=None)
-    p_diag.add_argument("--out", type=_output_path, default=None)
     p_diag.set_defaults(func=_cmd_diag)
+    suites = p_diag.add_subparsers(dest="suite", required=True)
+    p_marg = suites.add_parser("marginals", help="shrinking marginals of every forest")
+    p_mart = suites.add_parser("martingale", help="exact edge-revelation martingale traces")
+    p_chernoff = suites.add_parser("reverse-chernoff", help="binomial anti-concentration grid")
+    for p in (p_marg, p_mart):
+        p.add_argument("--graph", default="k:5")
+        p.add_argument("--seed", type=_seed_int, default=None)
+    p_mart.add_argument("--seeds", type=_positive_int, default=20)
+    p_mart.add_argument("--dump", type=_output_path, default=None)
+    for p in (p_marg, p_mart, p_chernoff):
+        p.add_argument("--out", type=_output_path, default=None)
 
     return parser
 
@@ -313,9 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    files = {}
+    for flag in ("--out", "--csv", "--dump"):
+        path = getattr(args, flag[2:], None)
+        first = path and files.setdefault(os.path.realpath(path), flag)
+        if first and first != flag:
+            parser.error(f"argument {flag}: names the same file as {first}")
     try:
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
+        # A command without --seed draws nothing and never reads TREESPARK_SEED.
+        if getattr(args, "seed", 0) is None:
+            try:
+                args.seed = _seed_int(os.environ.get("TREESPARK_SEED", "0"))
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"TREESPARK_SEED {exc}")
         return args.func(args)
     except DisconnectedGraphError as exc:
         print(f"treespark: invalid graph: {exc}", file=sys.stderr)

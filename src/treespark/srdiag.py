@@ -171,13 +171,13 @@ class MartingaleTrace:
         """
         return 10.0 * self.frame_norm * self.max_edge_norm * math.log(self.k)
 
-    def envelopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step caps ``(mu / s, 4 mu R / s)``, ``s = k - i + 1`` slots at step i.
+    def envelopes(self) -> np.ndarray:
+        """Per-step caps, a ``(4, k)`` array; step i has ``s = k - i + 1`` slots.
 
-        They bound the conditional mean and the second moment norms.
-        """
-        mu, slots = self.frame_norm, np.arange(self.k, 0, -1)
-        return mu / slots, 4.0 * mu * self.max_edge_norm / slots
+        Rows 0, ``R``, ``mu / s`` and ``4 mu R / s`` bound the zero-mean
+        residual, increment, conditional mean and second moment norms."""
+        mu, r, slots = self.frame_norm, self.max_edge_norm, np.arange(self.k, 0, -1)
+        return np.array([np.zeros(self.k), np.full(self.k, r), mu / slots, 4.0 * mu * r / slots])
 
     def worst_margin(self) -> tuple[float, int, str]:
         """Smallest slack ``(margin, step, bound)`` to the range ``R`` or ``10 mu R ln k``.
@@ -332,33 +332,23 @@ def martingale_trace(g: WeightedGraph, rng_seed: int) -> MartingaleTrace:
     return trace_for_ordering(g, [ids[j] for j in gen.permutation(len(ids))])
 
 
-def check_step_variance_bound(trace: MartingaleTrace) -> bool:
-    """Per-step predictable variance and conditional mean bounds.
-
-    Step i (with ``s = k - i + 1`` unrevealed slots) must satisfy
-    ``||E[X_i^2 | past]|| <= 4 * mu * R / s`` and the per-edge
-    conditional mean bound ``||E[A | past]|| <= mu / s``, each up to
-    ``STEP_SLACK``, with the caps of :meth:`MartingaleTrace.envelopes`.
-    """
-    norms = np.array([trace.cond_mean_norms, trace.second_moment_norms])
-    return bool(np.all(norms <= np.array(trace.envelopes()) + STEP_SLACK))
-
-
 def check_trace_bounds(trace: MartingaleTrace) -> bool:
     """All trace invariants at once.
 
-    Checks the zero-mean residuals, the increment range ``max step norm
-    <= R``, the conditional mean norm bound ``mu / slots``, the per-step
-    variance bound and the cumulative envelope ``10 mu R ln k`` on the
-    final variation norm.  The envelope degenerates to zero at k = 1,
-    where it still holds: every edge of a 2-vertex graph carries the
-    same normalised matrix, so all increments vanish.  Every check reads
-    ``norm <= cap``, so a NaN norm or cap fails it.
+    Step i must keep its zero-mean residual, increment, conditional mean
+    and second moment norms within the caps of
+    :meth:`MartingaleTrace.envelopes`, each up to ``STEP_SLACK``, and the
+    final variation norm within the cumulative envelope ``10 mu R ln k``.
+    The envelope degenerates to zero at k = 1, where it still holds:
+    every edge of a 2-vertex graph carries the same normalised matrix,
+    so all increments vanish.  Every check reads ``norm <= cap``, so a
+    NaN norm or cap fails it.
     """
+    norms = np.array(
+        [trace.zero_mean_residuals, trace.step_norms, trace.cond_mean_norms, trace.second_moment_norms]
+    )
     return bool(
-        np.all(np.array(trace.zero_mean_residuals) <= STEP_SLACK)
-        and np.all(np.array(trace.step_norms) <= trace.max_edge_norm + STEP_SLACK)
-        and check_step_variance_bound(trace)
+        np.all(norms <= trace.envelopes() + STEP_SLACK)
         and trace.variation_norms[-1] <= trace.cumulative_bound() + CUMULATIVE_SLACK
     )
 
@@ -370,7 +360,7 @@ def trace_dump(trace: MartingaleTrace) -> str:
     ``4 mu R / slots``, i.e. the proved cap on the variation norm after
     step i.  The JSON record summarises the trace and its verdict.
     """
-    running = np.cumsum(trace.envelopes()[1])
+    running = np.cumsum(trace.envelopes()[3])
     steps = zip(trace.step_norms, trace.variation_norms, running)
     lines = [f"{i} {x:.12g} {w:.12g} {b:.12g}" for i, (x, w, b) in enumerate(steps, start=1)]
     summary = {

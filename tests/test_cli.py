@@ -1,10 +1,12 @@
 """Command line surface: specs, exit codes, output formats, seeding."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -575,16 +577,34 @@ def test_martingale_edge_cap_trips_on_parallel_edges(tmp_path, capsys):
     assert f"capped at m = {TRACE_EDGE_CAP} edges, got m = {TRACE_EDGE_CAP + 1}" in capsys.readouterr().err
 
 
+CHOOSE_SUITE = "(choose from 'marginals', 'martingale', 'reverse-chernoff')"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["diag", "matrix-fact", "--pairs", "0"], "argument suite: invalid choice: 'matrix-fact'"),
-        (["diag", "matrix-fact", "--dim", "0"], "argument suite: invalid choice: 'matrix-fact'"),
-        (["diag", "stirling", "--kmax", "1"], "argument suite: invalid choice: 'stirling'"),
-        (["diag", "matrix-fact", "--dim", "2001"], "argument suite: invalid choice: 'matrix-fact'"),
-        (["diag", "reverse-chernoff", "--kmax", "100000"], "unrecognized arguments: --kmax 100000"),
-        (["diag", "martingale", "--pairs", "200"], "unrecognized arguments: --pairs 200"),
-        (["diag", "marginals", "--dim", "8"], "unrecognized arguments: --dim 8"),
+        (
+            ["diag", "matrix-fact", "--pairs", "0"],
+            f"treespark diag: error: argument suite: invalid choice: 'matrix-fact' {CHOOSE_SUITE}\n",
+        ),
+        (
+            ["diag", "matrix-fact", "--dim", "0"],
+            f"treespark diag: error: argument suite: invalid choice: 'matrix-fact' {CHOOSE_SUITE}\n",
+        ),
+        (
+            ["diag", "stirling", "--kmax", "1"],
+            f"treespark diag: error: argument suite: invalid choice: 'stirling' {CHOOSE_SUITE}\n",
+        ),
+        (
+            ["diag", "matrix-fact", "--dim", "2001"],
+            f"treespark diag: error: argument suite: invalid choice: 'matrix-fact' {CHOOSE_SUITE}\n",
+        ),
+        (
+            ["diag", "reverse-chernoff", "--kmax", "100000"],
+            "treespark: error: unrecognized arguments: --kmax 100000\n",
+        ),
+        (["diag", "martingale", "--pairs", "200"], "treespark: error: unrecognized arguments: --pairs 200\n"),
+        (["diag", "marginals", "--dim", "8"], "treespark: error: unrecognized arguments: --dim 8\n"),
     ],
     ids=["matrix-fact-pairs", "matrix-fact-dim", "stirling-kmax", "matrix-fact-dim-cap", "kmax", "pairs", "dim"],
 )
@@ -594,7 +614,7 @@ def test_removed_lemma_suites_and_flags_exit_usage(argv, message, capsys):
     assert exc.value.code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert captured.err.endswith(message)
 
 
 def test_diag_help_offers_three_suites_and_no_lemma_flags(capsys):
@@ -602,8 +622,60 @@ def test_diag_help_offers_three_suites_and_no_lemma_flags(capsys):
         main(["diag", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "{marginals,martingale,reverse-chernoff}" in out
-    assert not any(flag in out for flag in ("--kmax", "--pairs", "--dim"))
+    assert out.startswith("usage: treespark diag [-h] {marginals,martingale,reverse-chernoff} ...\n")
+    # The flags belong to the suites; `diag --help` offers none but its own.
+    assert re.findall(r"--[a-z-]+", out) == ["--help"]
+
+
+# The flags of every parser, keyed by its command path: a flag sits only
+# on a command or suite that reads it.
+ACCEPTED_FLAGS = {
+    "": ["--version"],
+    "sample": ["--count", "--graph", "--out", "--seed"],
+    "certify": [
+        "--cmult", "--csv", "--eps", "--gate", "--graph", "--jobs", "--json", "--out", "--seed", "--t", "--trials",
+    ],
+    "diag": [],
+    "diag marginals": ["--graph", "--out", "--seed"],
+    "diag martingale": ["--dump", "--graph", "--out", "--seed", "--seeds"],
+    "diag reverse-chernoff": ["--out"],
+}
+
+
+def _parser_flags(parser: argparse.ArgumentParser, path: str = "") -> dict:
+    flags = {path: sorted({s for a in parser._actions for s in a.option_strings} - {"-h", "--help"})}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags.update(_parser_flags(sub, f"{path} {name}".strip()))
+    return flags
+
+
+def test_each_command_and_suite_accepts_only_the_flags_it_reads():
+    assert _parser_flags(cli.build_parser()) == ACCEPTED_FLAGS
+
+
+@pytest.mark.parametrize(
+    "suite,flag,value",
+    [
+        ("marginals", "--seeds", "5"),
+        ("marginals", "--dump", "dump.txt"),
+        ("reverse-chernoff", "--graph", "k:4"),
+        ("reverse-chernoff", "--seeds", "5"),
+        ("reverse-chernoff", "--seed", "1"),
+        ("reverse-chernoff", "--dump", "dump.txt"),
+    ],
+)
+def test_a_flag_the_suite_does_not_read_exits_usage(suite, flag, value, tmp_path, monkeypatch, capsys):
+    # A flag the suite would ignore is refused, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", suite, flag, value])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 def test_certify_size_guard_reads_only_the_file_header(tmp_path, capsys):
@@ -653,6 +725,13 @@ def test_env_seed_garbage_rejected(monkeypatch, capsys):
     monkeypatch.setenv("TREESPARK_SEED", "not-a-number")
     assert main(["sample", "--graph", "k:4"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_env_seed_is_not_read_by_a_command_without_seed(monkeypatch, capsys):
+    # reverse-chernoff draws nothing, so a bad TREESPARK_SEED is no error there.
+    monkeypatch.setenv("TREESPARK_SEED", "bad")
+    assert main(["diag", "reverse-chernoff"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_version_flag():
@@ -724,3 +803,51 @@ def test_output_path_in_the_working_directory_is_accepted(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(["sample", "--graph", "k:4", "--seed", "1", "--out", "trees.txt"]) == EXIT_PASS
     assert (tmp_path / "trees.txt").read_text().strip()
+
+
+def _refuse_graphs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "parse_graph_spec", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--out"], "--out"),
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--csv"], "--csv"),
+    ],
+)
+def test_empty_output_path_exits_before_the_run(argv, flag, monkeypatch, capsys):
+    # An empty path would otherwise mean stdout for --out and no file for --csv.
+    _refuse_graphs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [""])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: empty path" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flag,first",
+    [
+        (["certify", "--graph", "k:6", "--eps", "0.5", "--out", "x.json", "--csv", "./x.json"], "--csv", "--out"),
+        (["diag", "martingale", "--dump", "x.json", "--out", "link.json"], "--dump", "--out"),
+    ],
+    ids=["certify-out-csv", "martingale-dump-out"],
+)
+def test_two_file_flags_naming_one_file_exit_before_the_run(argv, flag, first, tmp_path, monkeypatch, capsys):
+    # Two writers of one file would leave only the last one's output; the
+    # link resolves to the same file.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("x.json", "link.json")
+    _refuse_graphs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: names the same file as {first}" in captured.err
+    assert not (tmp_path / "x.json").exists()

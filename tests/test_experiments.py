@@ -2,6 +2,7 @@
 constructions, degree law and reproducibility."""
 
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from corpus import SMALL, path_graph, random_connected_graph, slow_walk_graph
+from corpus import SMALL, path_graph, random_connected_graph, slow_walk_graph, weighted_k4
 from enumeration_oracle import enumerate_trees
 from frame_oracle import eig_frame
 from treespark import experiments, leverage, spectral, srdiag, treesample
@@ -528,6 +529,72 @@ def test_sum_trees_deviation_shrinks_with_t():
     d2, d4, d8 = mean_dev(2), mean_dev(4), mean_dev(8)
     assert d8 < d2
     assert min(d2, d4, d8) > 0.0
+
+
+def _exact_pass_law(g, t: int):
+    """Every multiset of ``t`` trees of ``g`` as ``(probability, lo, hi)`` arrays.
+
+    Multiplicities ``k`` occur with probability ``multinomial(t; k) prod
+    P(T)^k``, and ``lo, hi`` are the extremes certify's own pencil check
+    reads off the multiset's edge counts.
+    """
+    table = enumerate_trees(g)
+    member = np.zeros((len(table.trees), g.m), dtype=np.int64)
+    for row, ids in zip(member, table.trees):
+        row[list(ids)] = 1
+    check = _pencil_check(g)
+    probs, extremes = [], []
+    for multiset in itertools.combinations_with_replacement(range(len(table.trees)), t):
+        ids, mult = np.unique(multiset, return_counts=True)
+        ways = math.factorial(t) // math.prod(math.factorial(k) for k in mult.tolist())
+        probs.append(ways * math.prod((table.probabilities[ids] ** mult).tolist()))
+        extremes.append(check(g, member[list(multiset)].sum(axis=0), t))
+    lo, hi = np.array(extremes).T
+    return np.array(probs), lo, hi
+
+
+def _binomial_two_sided_p(k: int, n: int, p: float) -> float:
+    """Exact two-sided p-value of ``k`` successes in ``n`` Bernoulli(p)
+    trials: the mass of every outcome no likelier than ``k``."""
+    log_pmf = [
+        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        + j * math.log(p) + (n - j) * math.log1p(-p)
+        for j in range(n + 1)
+    ]
+    pmf = np.exp(log_pmf)
+    return float(pmf[pmf <= pmf[k] * (1.0 + 1e-7)].sum())
+
+
+# (t, eps) cells of K_4 and weighted K_4 where no multiset's extreme lies
+# within 1e-12 of a window edge.  Unit weights give rational spectra that
+# sit exactly on 1 +- eps elsewhere, e.g. at t = 3 or 4 with eps = 0.5,
+# where rounding alone would decide the verdict.
+PASS_LAW_CELLS = {
+    "k4": (complete_graph(4), {3: (0.3,), 4: (0.3, 0.4)}),
+    "weighted_k4": (weighted_k4(), {3: (0.5,), 4: (0.3, 0.5)}),
+}
+PASS_LAW_TRIALS = 1000
+# Bonferroni over every cell of both graphs.
+PASS_LAW_ALPHA = 0.01 / sum(len(e) for _, cells in PASS_LAW_CELLS.values() for e in cells.values())
+
+
+@pytest.mark.parametrize("name", sorted(PASS_LAW_CELLS))
+def test_certify_pass_fraction_follows_its_exact_law(name):
+    # The oracle judges each multiset by certify's own check, so this pins
+    # the law of the trees each trial draws and how their passes are counted;
+    # the pencil itself is checked against its own oracles.
+    g, cells = PASS_LAW_CELLS[name]
+    for t, epss in cells.items():
+        probs, lo, hi = _exact_pass_law(g, t)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        for eps in epss:
+            gap = min(np.abs(lo - (1.0 - eps)).min(), np.abs(hi - (1.0 + eps)).min())
+            assert gap > 1e-12, (t, eps, gap)
+            exact = float(probs[(lo >= 1.0 - eps) & (hi <= 1.0 + eps)].sum())
+            report = run_sum_trees(g, eps=eps, trials=PASS_LAW_TRIALS, base_seed=0, t=t, gate=0.0)
+            passes = round(report["pass_fraction"] * PASS_LAW_TRIALS)
+            p_value = _binomial_two_sided_p(passes, PASS_LAW_TRIALS, exact)
+            assert p_value >= PASS_LAW_ALPHA, (t, eps, passes, exact, p_value)
 
 
 def test_write_extremes_csv(tmp_path):

@@ -31,7 +31,6 @@ from treespark.spectral import eig_sym
 from treespark.srdiag import (
     TRACE_EDGE_CAP,
     _trace_frame,
-    check_step_variance_bound,
     check_trace_bounds,
     default_reverse_chernoff_grid,
     log_binomial_tail,
@@ -235,9 +234,7 @@ def test_k5_traces_bounded_increments():
 def test_k4_traces_variance_and_cumulative():
     g = complete_graph(4)
     for seed in range(100):
-        tr = martingale_trace(g, seed)
-        assert check_step_variance_bound(tr)
-        assert tr.variation_norms[-1] <= tr.cumulative_bound() + 1e-6
+        assert check_trace_bounds(martingale_trace(g, seed))
 
 
 def test_weighted_and_parallel_traces():
@@ -389,7 +386,13 @@ def _with_nan(trace, field, index):
 
 @pytest.mark.parametrize(
     "field,index",
-    [("step_norms", 0), ("zero_mean_residuals", 0), ("variation_norms", -1), ("cond_mean_norms", 1)],
+    [
+        ("step_norms", 0),
+        ("zero_mean_residuals", 0),
+        ("variation_norms", -1),
+        ("cond_mean_norms", 1),
+        ("second_moment_norms", 2),
+    ],
 )
 def test_a_nan_norm_fails_the_trace_verdict(field, index):
     trace = martingale_trace(complete_graph(6), 0)
